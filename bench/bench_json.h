@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "pm/pm_device.h"
 #include "sim/cost_model.h"
 
@@ -144,9 +143,8 @@ class JsonWriter {
 };
 
 // Emits the shared provenance block every bench record starts with:
-// schema version, the commit the binary was built from, the build type
-// and whether observability hooks were compiled in. Call right after
-// begin_object().
+// schema version, the commit the binary was built from and the build
+// type. Call right after begin_object().
 inline void write_metadata(JsonWriter& w, std::string_view bench) {
   w.field("schema", kSchemaVersion);
   w.field("bench", bench);
@@ -160,7 +158,6 @@ inline void write_metadata(JsonWriter& w, std::string_view bench) {
 #else
   w.field("build", "debug");
 #endif
-  w.field("obs", obs::kEnabled ? "on" : "off");
 }
 
 // Emits the per-op flush-cost fields of schema v3: the persistence bill

@@ -74,64 +74,56 @@ int main(int argc, char** argv) {
       seconds_arg.empty() ? (quick ? 0.04 : 0.12) : std::stod(seconds_arg);
   const SimTime measure = static_cast<SimTime>(seconds * 1e9);
 
-  if (!repl::kReplCompiled) {
-    std::printf("bench_repl: SKIP (built with -DPAPM_REPL=OFF)\n");
-  }
-
   std::vector<TaxPoint> tax;
   std::vector<FailoverPoint> fo;
-  if (repl::kReplCompiled) {
-    std::printf("=== Replication R1: quorum ack tax "
-                "(closed loop, PUT-only, pktstore, R=2) ===\n");
-    std::printf("%10s %6s %9s %9s %9s %9s %9s %6s %9s\n", "config", "conns",
-                "kreq/s", "mean[us]", "p99[us]", "tax[us]", "forwards", "rtx",
-                "degraded");
-    for (const int conns : {1, 8}) {
-      for (const long long q : {0LL, 2LL, 3LL}) {
-        RunConfig cfg = tax_base(measure, conns);
-        if (q > 0) {
-          cfg.repl = true;
-          cfg.repl_replicas = 2;
-          cfg.repl_opts.quorum = static_cast<u32>(q);
-        }
-        const std::string label =
-            q == 0 ? "repl off" : "q=" + std::to_string(q);
-        const RunResult r = run_experiment(cfg);
-        std::printf("%10s %6d %9.1f %9.2f %9.2f %9.2f %9llu %6llu %9llu\n",
-                    label.c_str(), conns, r.kreq_per_s, r.mean_rtt_us(),
-                    r.p99_rtt_us(),
-                    static_cast<double>(r.repl_tax_ns) / 1000.0,
-                    static_cast<unsigned long long>(r.repl_forwards),
-                    static_cast<unsigned long long>(r.repl_retransmits),
-                    static_cast<unsigned long long>(r.repl_degraded_acks));
-        tax.push_back(TaxPoint{label, q, conns, r});
+  std::printf("=== Replication R1: quorum ack tax "
+              "(closed loop, PUT-only, pktstore, R=2) ===\n");
+  std::printf("%10s %6s %9s %9s %9s %9s %9s %6s %9s\n", "config", "conns",
+              "kreq/s", "mean[us]", "p99[us]", "tax[us]", "forwards", "rtx",
+              "degraded");
+  for (const int conns : {1, 8}) {
+    for (const long long q : {0LL, 2LL, 3LL}) {
+      RunConfig cfg = tax_base(measure, conns);
+      if (q > 0) {
+        cfg.repl = true;
+        cfg.repl_replicas = 2;
+        cfg.repl_opts.quorum = static_cast<u32>(q);
       }
+      const std::string label = q == 0 ? "repl off" : "q=" + std::to_string(q);
+      const RunResult r = run_experiment(cfg);
+      std::printf("%10s %6d %9.1f %9.2f %9.2f %9.2f %9llu %6llu %9llu\n",
+                  label.c_str(), conns, r.kreq_per_s, r.mean_rtt_us(),
+                  r.p99_rtt_us(), static_cast<double>(r.repl_tax_ns) / 1000.0,
+                  static_cast<unsigned long long>(r.repl_forwards),
+                  static_cast<unsigned long long>(r.repl_retransmits),
+                  static_cast<unsigned long long>(r.repl_degraded_acks));
+      tax.push_back(TaxPoint{label, q, conns, r});
     }
+  }
 
-    std::printf("\n=== Replication A4: kill the primary mid-load "
-                "(open loop, PUT-only, R=2, degrade=stall) ===\n");
-    std::printf("%7s %7s %6s %5s %11s %13s %11s %8s\n", "quorum", "acked",
-                "keys", "lost", "detect[us]", "failover[us]", "winner_seq",
-                "applies");
-    for (const long long q : {2LL, 3LL}) {
-      FailoverConfig cfg;
-      cfg.repl.quorum = static_cast<u32>(q);
-      cfg.cut_at_ns = (quick ? 15 : 30) * kNsPerMs;
-      const FailoverResult r = run_failover(cfg);
-      std::printf("%7lld %7llu %6llu %5llu %11.1f %13.1f %11llu %8llu%s\n", q,
-                  static_cast<unsigned long long>(r.acked_puts),
-                  static_cast<unsigned long long>(r.acked_keys),
-                  static_cast<unsigned long long>(r.acked_lost), r.detect_us,
-                  r.failover_us,
-                  static_cast<unsigned long long>(r.winner_durable_seq),
-                  static_cast<unsigned long long>(r.winner_applies),
-                  r.detected && r.settled ? "" : "  [INCOMPLETE]");
-      fo.push_back(FailoverPoint{q, r});
-    }
+  std::printf("\n=== Replication A4: kill the primary mid-load "
+              "(open loop, PUT-only, R=2, degrade=stall) ===\n");
+  std::printf("%7s %7s %6s %5s %11s %13s %11s %8s\n", "quorum", "acked",
+              "keys", "lost", "detect[us]", "failover[us]", "winner_seq",
+              "applies");
+  for (const long long q : {2LL, 3LL}) {
+    FailoverConfig cfg;
+    cfg.repl.quorum = static_cast<u32>(q);
+    cfg.cut_at_ns = (quick ? 15 : 30) * kNsPerMs;
+    const FailoverResult r = run_failover(cfg);
+    std::printf("%7lld %7llu %6llu %5llu %11.1f %13.1f %11llu %8llu%s\n", q,
+                static_cast<unsigned long long>(r.acked_puts),
+                static_cast<unsigned long long>(r.acked_keys),
+                static_cast<unsigned long long>(r.acked_lost), r.detect_us,
+                r.failover_us,
+                static_cast<unsigned long long>(r.winner_durable_seq),
+                static_cast<unsigned long long>(r.winner_applies),
+                r.detected && r.settled ? "" : "  [INCOMPLETE]");
+    fo.push_back(FailoverPoint{q, r});
   }
 
   const std::string trace_path = benchio::arg_value(argc, argv, "--trace");
-  if (!trace_path.empty() && repl::kReplCompiled) {
+  if (!trace_path.empty()) {
     // A short traced run is all Perfetto needs; the full windows above
     // would produce a trace file in the hundreds of megabytes.
     RunConfig cfg = tax_base(5 * kNsPerMs, 1);
@@ -161,7 +153,6 @@ int main(int argc, char** argv) {
     w.field("seed", 42LL);
     w.field("replicas", 2LL);
     w.field("measure_ns", static_cast<long long>(measure));
-    w.field("compiled", static_cast<long long>(repl::kReplCompiled ? 1 : 0));
     w.begin_array("results");
     for (const TaxPoint& p : tax) {
       w.begin_object();

@@ -5,7 +5,7 @@
 // instrumented NoveLSM-like store, and the breakdown is confirmed by
 // skipping one logical operation at a time and differencing the RTTs.
 //
-// Observability flags (no-ops under PAPM_OBS=OFF):
+// Observability flags:
 //   --trace <path>        write the measurement window's spans as Chrome
 //                         trace_events JSON (Perfetto-loadable) and print
 //                         the span-derived attribution table
@@ -117,9 +117,7 @@ int main(int argc, char** argv) {
         discard.mean_rtt_us(), extra_ns / 1000.0, reconstructed_us,
         lsm.mean_rtt_us(), err * 100.0);
     if (check_attr) {
-      if (!obs::kEnabled) {
-        std::printf("attribution check: SKIP (built with PAPM_OBS=OFF)\n");
-      } else if (err > 0.01 || err < -0.01) {
+      if (err > 0.01 || err < -0.01) {
         std::printf("attribution check: FAIL (|error| > 1%%)\n");
         return 1;
       } else {
@@ -186,51 +184,44 @@ int main(int argc, char** argv) {
   // Replication row: what the quorum gate adds to a pktstore PUT, and
   // whether the traced repl stage accounts for exactly that gap.
   if (benchio::has_flag(argc, argv, "--repl")) {
-    if (!repl::kReplCompiled) {
-      std::printf("\nreplication row: SKIP (built with -DPAPM_REPL=OFF)\n");
-    } else {
-      auto off_cfg = base(Backend::pktstore);
-      off_cfg.trace = want_trace;
-      const auto off = run_experiment(off_cfg);
-      auto on_cfg = off_cfg;
-      on_cfg.repl = true;
-      on_cfg.repl_replicas = 2;
-      on_cfg.repl_opts.quorum = 2;
-      const auto on = run_experiment(on_cfg);
-      std::printf("\n--- Replication (pktstore 1KB PUT, quorum=2, R=2) ---\n");
-      std::printf("repl off RTT %.2f us, repl on RTT %.2f us, "
-                  "quorum tax %.2f us (server-measured %.2f us)\n",
-                  off.mean_rtt_us(), on.mean_rtt_us(),
-                  on.mean_rtt_us() - off.mean_rtt_us(),
-                  static_cast<double>(on.repl_tax_ns) / 1000.0);
-      if (want_trace) {
-        // Composition self-check, same shape as Table 1's: the norepl
-        // RTT plus the traced server-side *delta* (dominated by the repl
-        // stage — locally-ready -> quorum release — with the shared
-        // stages' second-order shifts differenced out, as the Table 1
-        // check does for parse) must reproduce the gated RTT.
-        const double repl_us = on.attribution.mean_ns(obs::Stage::repl) / 1e3;
-        const double server_delta_us =
-            (on.attribution.server_sum_ns() -
-             off.attribution.server_sum_ns()) / 1e3;
-        const double reconstructed_us = off.mean_rtt_us() + server_delta_us;
-        const double err =
-            (reconstructed_us - on.mean_rtt_us()) / on.mean_rtt_us();
-        std::printf("repl attribution check: norepl RTT %.2f + traced delta "
-                    "%.2f (repl stage %.2f) = %.2f us vs measured %.2f us "
-                    "(%+.2f%%)\n",
-                    off.mean_rtt_us(), server_delta_us, repl_us,
-                    reconstructed_us, on.mean_rtt_us(), err * 100.0);
-        if (check_attr) {
-          if (!obs::kEnabled) {
-            std::printf("repl attribution check: SKIP (PAPM_OBS=OFF)\n");
-          } else if (err > 0.01 || err < -0.01) {
-            std::printf("repl attribution check: FAIL (|error| > 1%%)\n");
-            return 1;
-          } else {
-            std::printf("repl attribution check: OK\n");
-          }
+    auto off_cfg = base(Backend::pktstore);
+    off_cfg.trace = want_trace;
+    const auto off = run_experiment(off_cfg);
+    auto on_cfg = off_cfg;
+    on_cfg.repl = true;
+    on_cfg.repl_replicas = 2;
+    on_cfg.repl_opts.quorum = 2;
+    const auto on = run_experiment(on_cfg);
+    std::printf("\n--- Replication (pktstore 1KB PUT, quorum=2, R=2) ---\n");
+    std::printf("repl off RTT %.2f us, repl on RTT %.2f us, "
+                "quorum tax %.2f us (server-measured %.2f us)\n",
+                off.mean_rtt_us(), on.mean_rtt_us(),
+                on.mean_rtt_us() - off.mean_rtt_us(),
+                static_cast<double>(on.repl_tax_ns) / 1000.0);
+    if (want_trace) {
+      // Composition self-check, same shape as Table 1's: the norepl RTT
+      // plus the traced server-side *delta* (dominated by the repl stage
+      // — locally-ready -> quorum release — with the shared stages'
+      // second-order shifts differenced out, as the Table 1 check does
+      // for parse) must reproduce the gated RTT.
+      const double repl_us = on.attribution.mean_ns(obs::Stage::repl) / 1e3;
+      const double server_delta_us =
+          (on.attribution.server_sum_ns() - off.attribution.server_sum_ns()) /
+          1e3;
+      const double reconstructed_us = off.mean_rtt_us() + server_delta_us;
+      const double err =
+          (reconstructed_us - on.mean_rtt_us()) / on.mean_rtt_us();
+      std::printf("repl attribution check: norepl RTT %.2f + traced delta "
+                  "%.2f (repl stage %.2f) = %.2f us vs measured %.2f us "
+                  "(%+.2f%%)\n",
+                  off.mean_rtt_us(), server_delta_us, repl_us,
+                  reconstructed_us, on.mean_rtt_us(), err * 100.0);
+      if (check_attr) {
+        if (err > 0.01 || err < -0.01) {
+          std::printf("repl attribution check: FAIL (|error| > 1%%)\n");
+          return 1;
         }
+        std::printf("repl attribution check: OK\n");
       }
     }
   }

@@ -1,56 +1,66 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain build + test pass from ROADMAP.md,
-# a second ctest pass under ASan+UBSan (-DPAPM_SANITIZE=ON), a third
-# pass re-running the crash-point sweep suite under the sanitizers with
-# the exhaustive (scaled-up) workloads, a fourth build+test pass with
-# observability compiled out (-DPAPM_OBS=OFF) proving the kill switch
-# leaves the tree buildable and the tests green, and a fifth pass with
-# group commit compiled out (-DPAPM_GROUP_COMMIT=OFF) keeping the legacy
-# fence-per-op persistence path built and crash-tested, a sixth pass
-# with the NIC slicer compiled out (-DPAPM_SLICER=OFF) proving the
-# pre-slicer RX path still builds and tests green, and a seventh pass
-# with replication compiled out (-DPAPM_REPL=OFF) proving the norepl
-# datapath builds, tests green, and produces bit-identical bench records
-# (the OFF build is not a perf fork). Also lints the docs (every bench
-# binary must have an EXPERIMENTS.md section; every registered metric an
-# entry in docs/OBSERVABILITY.md), and verifies the telemetry plane:
-# an armed-but-unscraped admin plane is byte-identical to the baseline,
-# a scraped one stays under the 1%-of-p99 overhead budget, the
-# flight-recorder crash sweep loses no acked record and recovers no
-# phantom, and the PAPM_OBS=OFF build compiles the whole plane out
-# bit-identically even with every plane flag raised.
+# Tier-1 verification, in stages:
+#   1. docs lint: every bench binary has an EXPERIMENTS.md and a
+#      docs/BENCHMARKS.md section, every registered metric and trace stage
+#      an entry in docs/OBSERVABILITY.md;
+#   2. default build + ctest;
+#   3. bench_openloop, bench_slicer and bench_repl smokes, each run twice
+#      and compared bytewise (determinism);
+#   4. admin plane armed but unscraped: byte-identical to the baseline;
+#   5. admin plane scraped at 500 Hz: under 1% of p99;
+#   6. flight-recorder crash sweep: no acked record lost, no phantom,
+#      byte-identical reruns;
+#   7. ASan+UBSan build (-DPAPM_SANITIZE=ON) + ctest;
+#   8. exhaustive crash-point sweep under ASan+UBSan.
+# Every feature is compiled into both builds and switched at runtime.
+# Prints each stage's elapsed wall-clock seconds and the total.
 # Run from the repository root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: docs lint =="
+t_start=$SECONDS
+t_stage=$SECONDS
+stage_name=""
+end_stage() {
+  if [ -n "$stage_name" ]; then
+    echo "-- tier-1 time: $stage_name: $((SECONDS - t_stage)) s"
+  fi
+}
+stage() {
+  end_stage
+  stage_name="$1"
+  t_stage=$SECONDS
+  echo "== tier-1: $1 =="
+}
+
+stage "docs lint"
 scripts/check_docs.sh
 
-echo "== tier-1: default build =="
+stage "default build"
 cmake --preset default >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-echo "== tier-1: open-loop smoke + determinism (byte-identical reruns) =="
+stage "open-loop smoke + determinism (byte-identical reruns)"
 build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_a.json
 build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_b.json
 cmp build/openloop_a.json build/openloop_b.json
 echo "bench_openloop: reruns byte-identical"
 
-echo "== tier-1: slicer smoke + determinism (byte-identical reruns) =="
+stage "slicer smoke + determinism (byte-identical reruns)"
 build/bench/bench_slicer --quick --json build/slicer_a.json
 build/bench/bench_slicer --quick --json build/slicer_b.json
 cmp build/slicer_a.json build/slicer_b.json
 echo "bench_slicer: reruns byte-identical"
 
-echo "== tier-1: repl smoke + determinism (byte-identical reruns) =="
+stage "repl smoke + determinism (byte-identical reruns)"
 build/bench/bench_repl --quick --json build/repl_a.json
 build/bench/bench_repl --quick --json build/repl_b.json
 cmp build/repl_a.json build/repl_b.json
 echo "bench_repl: reruns byte-identical (and zero acked writes lost)"
 
-echo "== tier-1: admin plane armed-but-unscraped is free (byte-identity) =="
+stage "admin plane armed-but-unscraped is free (byte-identity)"
 # An --admin run must be bit-identical to the baseline: the endpoint
 # branch only runs for admin targets, so arming the plane costs zero
 # simulated time. Only the recorded flag itself may differ.
@@ -58,59 +68,24 @@ build/bench/bench_openloop --conns 1000 --seconds 1 --admin --json build/openloo
 sed 's/"admin": 1/"admin": 0/' build/openloop_admin.json | cmp - build/openloop_a.json
 echo "bench_openloop: --admin run bit-identical to baseline"
 
-echo "== tier-1: admin overhead budget (<1% of p99, scraped at 500 Hz) =="
+stage "admin overhead budget (<1% of p99, scraped at 500 Hz)"
 build/bench/bench_openloop --admin-overhead --seconds 0.1
 echo "bench_openloop: admin overhead within budget"
 
-echo "== tier-1: flight-recorder crash sweep (acked prefix, no phantoms) =="
+stage "flight-recorder crash sweep (acked prefix, no phantoms)"
 build/bench/bench_recovery --flightrec --json build/flightrec_a.json
 build/bench/bench_recovery --flightrec --json build/flightrec_b.json
 cmp build/flightrec_a.json build/flightrec_b.json
 echo "bench_recovery: flightrec sweep clean and byte-identical"
 
-echo "== tier-1: ASan+UBSan build =="
+stage "ASan+UBSan build"
 cmake --preset asan >/dev/null
 cmake --build build-asan -j
 ctest --test-dir build-asan --output-on-failure -j
 
-echo "== tier-1: exhaustive crash-point sweep (ASan+UBSan) =="
+stage "exhaustive crash-point sweep (ASan+UBSan)"
 PAPM_CRASH_EXHAUSTIVE=1 \
   ctest --test-dir build-asan -R test_crash_recovery --output-on-failure
 
-echo "== tier-1: PAPM_OBS=OFF build (kill switch) =="
-cmake --preset noobs >/dev/null
-cmake --build build-noobs -j
-ctest --test-dir build-noobs --output-on-failure -j
-# The whole telemetry plane compiles out: an OBS=OFF run with every
-# plane flag raised must be bit-identical to the default baseline —
-# modulo the metadata fields that record the build and the flags.
-build-noobs/bench/bench_openloop --conns 1000 --seconds 1 --admin --flightrec \
-  --json build/openloop_noobs.json
-sed -e 's/"obs": "off"/"obs": "on"/' \
-    -e 's/"admin": 1/"admin": 0/' \
-    -e 's/"flightrec": 1/"flightrec": 0/' build/openloop_noobs.json \
-  | cmp - build/openloop_a.json
-echo "bench_openloop: PAPM_OBS=OFF telemetry plane compiled out bit-identically"
-
-echo "== tier-1: PAPM_GROUP_COMMIT=OFF build (legacy fence-per-op path) =="
-cmake --preset nogc >/dev/null
-cmake --build build-nogc -j
-ctest --test-dir build-nogc --output-on-failure -j
-
-echo "== tier-1: PAPM_SLICER=OFF build (pre-slicer RX path) =="
-cmake --preset noslicer >/dev/null
-cmake --build build-noslicer -j
-ctest --test-dir build-noslicer --output-on-failure -j
-
-echo "== tier-1: PAPM_REPL=OFF build (replication kill switch) =="
-cmake --preset norepl >/dev/null
-cmake --build build-norepl -j
-ctest --test-dir build-norepl --output-on-failure -j
-# With no Replicator attached the datapath must be bit-identical either
-# way: the same recorded bench run from both builds, compared bytewise.
-build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_repl_on.json
-build-norepl/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_repl_off.json
-cmp build/openloop_repl_on.json build/openloop_repl_off.json
-echo "bench_openloop: PAPM_REPL=ON/OFF builds bit-identical"
-
-echo "== tier-1: OK =="
+end_stage
+echo "== tier-1: OK (total $((SECONDS - t_start)) s) =="

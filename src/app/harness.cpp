@@ -135,7 +135,7 @@ RunResult run_experiment(const RunConfig& cfg) {
   // Replication testbed: R backup hosts plus the primary-side forwarder.
   std::vector<std::unique_ptr<repl::ReplicaNode>> replicas;
   std::optional<repl::Replicator> replicator;
-  if (cfg.repl && repl::kReplCompiled && cfg.backend == Backend::pktstore) {
+  if (cfg.repl && cfg.backend == Backend::pktstore) {
     std::vector<u32> peer_ips;
     for (u32 i = 0; i < cfg.repl_replicas; i++) {
       repl::ReplicaConfig rc;
@@ -250,8 +250,6 @@ RunResult run_experiment(const RunConfig& cfg) {
 
 FailoverResult run_failover(const FailoverConfig& cfg) {
   FailoverResult r;
-  if (!repl::kReplCompiled) return r;
-
   sim::Env env;
   env.cost = cfg.cost;
   env.rng = Rng(cfg.seed);

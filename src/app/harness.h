@@ -55,7 +55,7 @@ struct RunConfig {
   u64 seed = 42;
 
   // Observability. All are measurement-window scoped (reset at the
-  // warmup boundary) and no-ops under PAPM_OBS=OFF.
+  // warmup boundary).
   bool collect_metrics = false;  // fill metrics_report / metrics_json
   bool trace = false;            // per-request spans -> attribution + JSON
   std::size_t trace_capacity = 0;  // span ring per shard (0 = unbounded)
@@ -276,8 +276,6 @@ struct FailoverResult {
   u64 degraded_acks = 0;
 };
 
-// Requires the repl subsystem (-DPAPM_REPL=ON); under the norepl build
-// it returns a zeroed result with detected == false.
 FailoverResult run_failover(const FailoverConfig& cfg);
 
 }  // namespace papm::app

@@ -120,7 +120,7 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
     // Group/epoch commit rides the stores' batcher hooks. The policy
     // travels in StoreKnobs for both backends (pkt_opts carries no
     // persistence policy of its own).
-    if (pm::kGroupCommitCompiled && host_.pm_backed() &&
+    if (host_.pm_backed() &&
         (cfg.backend == Backend::lsm || cfg.backend == Backend::pktstore)) {
       sh.batcher.emplace(host_.pm_device(), cfg.knobs.group_commit);
       sh.batcher->register_pool(host_.pm_pool(i));
@@ -135,26 +135,22 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
     sh.m_req_ns = &reg.histogram("server.req_ns");
     if (sh.lsm.has_value()) sh.lsm->set_metrics(&reg);
     if (sh.pktstore.has_value()) sh.pktstore->set_metrics(&reg);
-    // Telemetry plane (all runtime opt-in, compiled out with PAPM_OBS=OFF
-    // so the flags are accepted but cost nothing — the kill-switch build
-    // stays bit-identical even with the plane armed).
-    if constexpr (obs::kEnabled) {
-      if (cfg.trace_capacity != 0) {
-        host_.trace(i).set_capacity(cfg.trace_capacity);
-        host_.trace(i).set_dropped_counter(&reg.counter("obs.trace_dropped"));
+    // Telemetry plane (all runtime opt-in, off by default).
+    if (cfg.trace_capacity != 0) {
+      host_.trace(i).set_capacity(cfg.trace_capacity);
+      host_.trace(i).set_dropped_counter(&reg.counter("obs.trace_dropped"));
+    }
+    if (cfg.admin) sh.m_admin = &reg.counter("admin.requests");
+    if (cfg.flight_recorder && host_.pm_backed()) {
+      auto fr = obs::FlightRecorder::create(
+          host_.pm_device(), host_.pm_pool(i), static_cast<u16>(i),
+          cfg.flightrec_capacity);
+      if (!fr.ok()) {
+        throw std::runtime_error("KvServer: no PM for flight recorder");
       }
-      if (cfg.admin) sh.m_admin = &reg.counter("admin.requests");
-      if (cfg.flight_recorder && host_.pm_backed()) {
-        auto fr = obs::FlightRecorder::create(
-            host_.pm_device(), host_.pm_pool(i), static_cast<u16>(i),
-            cfg.flightrec_capacity);
-        if (!fr.ok()) {
-          throw std::runtime_error("KvServer: no PM for flight recorder");
-        }
-        sh.flightrec.emplace(std::move(fr.value()));
-        if (sh.batcher.has_value()) sh.flightrec->set_batcher(&*sh.batcher);
-        sh.flightrec->set_metrics(&reg);
-      }
+      sh.flightrec.emplace(std::move(fr.value()));
+      if (sh.batcher.has_value()) sh.flightrec->set_batcher(&*sh.batcher);
+      sh.flightrec->set_metrics(&reg);
     }
     const Status st = host_.stack(i).listen(
         cfg.port, [this, i](net::TcpConn& c) { on_accept(c, i); });
@@ -390,7 +386,7 @@ KvServer::Shard* KvServer::find_pkt_shard(std::string_view key, u32 home) {
 }
 
 bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
-  if (!obs::kEnabled || !cfg_.admin) return false;
+  if (!cfg_.admin) return false;
   if (st.method != http::Method::get) return false;
   const bool trace_recent = st.key.starts_with("/trace/recent");
   if (st.key != "/stats" && st.key != "/metrics" && !trace_recent) {
@@ -497,8 +493,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // Replication forwarding state (pktstore mutations with a Replicator
   // attached): the value's gather ranges, captured where the PUT path
   // has them in hand.
-  const bool repl_on = repl::kReplCompiled && repl_ != nullptr &&
-                       cfg_.backend == Backend::pktstore;
+  const bool repl_on = repl_ != nullptr && cfg_.backend == Backend::pktstore;
   std::vector<repl::Replicator::GatherSeg> repl_segs;
   bool repl_put_ok = false;
 
@@ -608,9 +603,15 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
           }
         }
       } else if (st.method == http::Method::del) {
+        // 404 only when every shard misses; a real store error wins.
         bool any = false;
-        for (auto& s : shards_) any |= s.lsm->erase(st.key).ok();
-        status = any ? 204 : 500;
+        bool failed = false;
+        for (auto& s : shards_) {
+          const Status r = s.lsm->erase(st.key);
+          any |= r.ok();
+          failed |= !r.ok() && r.errc() != Errc::not_found;
+        }
+        status = failed ? 500 : any ? 204 : 404;
       }
       break;
     }
@@ -704,7 +705,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // under group commit its publication rides the same epoch whose close
   // releases the ack, and in pass-through mode it persists before the
   // response — either way an acked op is always recoverable.
-  if constexpr (obs::kEnabled) flight_record(st, bdp, tr.req(), status);
+  flight_record(st, bdp, tr.req(), status);
 
   // Durable mutations inside an open epoch ack only once the epoch's
   // fences retire (group commit's correctness condition); reads and

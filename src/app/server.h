@@ -65,9 +65,9 @@ struct ServerConfig {
   // collect_breakdown for the data-management stages.
   bool trace = false;
 
-  // --- Telemetry plane (runtime opt-in; fully inert with PAPM_OBS=OFF,
-  // and an *armed but unqueried* admin plane costs the datapath nothing
-  // — the endpoint branch only runs for admin targets). ----------------
+  // --- Telemetry plane (runtime opt-in, all off by default; an *armed
+  // but unqueried* admin plane costs the datapath nothing — the endpoint
+  // branch only runs for admin targets). -------------------------------
   // Serve GET /stats, /metrics (Prometheus text) and /trace/recent on
   // the KV port, from merge_from() snapshots of the shared-nothing
   // registries/logs — the hot path is never locked or paused.
@@ -200,8 +200,7 @@ class KvServer {
     // raw_persist bump region (recycled; models the Fig.2 simple app).
     u64 raw_region = 0;
     u64 raw_off = 0;
-    // Requests dispatched through this shard (load signal; plain counter
-    // so it exists even with observability compiled out).
+    // Requests dispatched through this shard (load signal).
     u64 requests = 0;
     // Cached registrations in the shard's MetricRegistry.
     obs::Counter* m_requests = nullptr;

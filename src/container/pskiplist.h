@@ -49,7 +49,7 @@ struct PSkipListOptions {
   // recovery rebuilds them deterministically from the backbone scan.
   // A node's *birth* tower still rides along with its content persist
   // (same lines, zero extra cost) as a rebuildable hint.
-  bool shadow_towers = pm::kGroupCommitCompiled;
+  bool shadow_towers = true;
 };
 
 class PSkipList {

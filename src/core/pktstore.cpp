@@ -79,8 +79,7 @@ Status PktStore::put_pkts(std::string_view key,
                           storage::OpBreakdown* bd) {
   obs::inc(m_puts_);
   charge_prep(bd);
-  if (net::kSlicerCompiled && opts_.insert != InsertPolicy::host &&
-      opts_.zero_copy && !pkts.empty()) {
+  if (opts_.insert != InsertPolicy::host && opts_.zero_copy && !pkts.empty()) {
     bool all_sliced = true;
     u64 total = 0;
     for (std::size_t i = 0; i < pkts.size(); i++) {

@@ -34,16 +34,6 @@
 
 namespace papm::net {
 
-// Compile-time kill switch for the NIC payload slicer + index-engine
-// offload (-DPAPM_SLICER=OFF → the `noslicer` preset). With the switch
-// off, PktBuf::sliced() is constant-false and every slice branch folds
-// away, keeping the pre-slicer datapath byte-identical.
-#ifdef PAPM_SLICER_DISABLED
-inline constexpr bool kSlicerCompiled = false;
-#else
-inline constexpr bool kSlicerCompiled = true;
-#endif
-
 // --- Buffer arenas ------------------------------------------------------
 
 class BufArena {
@@ -176,7 +166,7 @@ struct PktBuf {
   u32 slice_off = 0;
 
   [[nodiscard]] bool sliced() const noexcept {
-    return kSlicerCompiled && slice_h != 0;
+    return slice_h != 0;
   }
 
   // Drop the first `n` payload bytes (TCP partial-overlap trim): for a

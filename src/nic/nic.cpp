@@ -219,7 +219,7 @@ void Nic::on_frame(WireFrame frame) {
   // queues (DRAM clients keep the contiguous path) and requires the RX
   // checksum engine: verification must precede the split DMA, and the
   // payload integrity word narrows from the same complete sum.
-  if (net::kSlicerCompiled && opts_.payload_slicing && opts_.csum_offload_rx &&
+  if (opts_.payload_slicing && opts_.csum_offload_rx &&
       ip->protocol == net::kIpProtoTcp && frame.bytes.size() > payload_off &&
       queue.pool->arena().persistent()) {
     const std::span<const u8> l4_seg = bytes.subspan(kEthHdrLen + kIpHdrLen);

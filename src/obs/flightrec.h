@@ -30,10 +30,9 @@
 // retired before the ack was released); records beyond the last ack are
 // the in-flight tail that attributes the crash point.
 //
-// The recorder is an ordinary PM structure and works with PAPM_OBS=OFF
-// (only its registry hooks go inert); whether a *server* creates one is
-// runtime policy gated on obs::kEnabled, keeping default bench numbers
-// bit-identical.
+// The recorder is an ordinary PM structure; whether a *server* creates
+// one is runtime policy (ServerConfig::flight_recorder, off by default),
+// keeping default bench numbers bit-identical.
 #pragma once
 
 #include <vector>

@@ -9,10 +9,8 @@
 //     of the datapath) and are merged by name only at report time.
 //     Subsystems register once at construction, cache the returned
 //     pointer, and the hot-path hook is a single inlined increment;
-//   * compile-time kill switch: configuring with -DPAPM_OBS=OFF defines
-//     PAPM_OBS_DISABLED, which turns every inc()/observe()/peak() hook
-//     into an empty constexpr-dead function — prior bench numbers are
-//     bit-identical because no instrumentation code runs at all;
+//   * free in simulated time: hooks charge no cost-model time, so bench
+//     numbers are identical whether or not anything is wired or read;
 //   * static metric names: every registered name is a string literal
 //     (scripts/check_docs.sh greps them and fails the lint when a name
 //     is undocumented in docs/OBSERVABILITY.md). Shard identity is the
@@ -30,12 +28,6 @@
 #include "common/types.h"
 
 namespace papm::obs {
-
-#ifdef PAPM_OBS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 // Monotonic event count; merged by summing.
 class Counter {
@@ -187,35 +179,18 @@ class MetricRegistry {
 
 // --- Hot-path hooks ------------------------------------------------------
 // Subsystems hold nullable pointers obtained at registration and call
-// these; with PAPM_OBS=OFF every call is constexpr-dead and the pointer
-// fields stay null. Null-safe either way, so unwired components cost one
-// predictable branch at most.
+// these. Null-safe, so unwired components cost one predictable branch.
 
 inline void inc(Counter* c, u64 n = 1) noexcept {
-  if constexpr (kEnabled) {
-    if (c != nullptr) c->add(n);
-  } else {
-    (void)c;
-    (void)n;
-  }
+  if (c != nullptr) c->add(n);
 }
 
 inline void peak(Gauge* g, u64 v) noexcept {
-  if constexpr (kEnabled) {
-    if (g != nullptr) g->peak(v);
-  } else {
-    (void)g;
-    (void)v;
-  }
+  if (g != nullptr) g->peak(v);
 }
 
 inline void observe(Histogram* h, u64 v) noexcept {
-  if constexpr (kEnabled) {
-    if (h != nullptr) h->observe(v);
-  } else {
-    (void)h;
-    (void)v;
-  }
+  if (h != nullptr) h->observe(v);
 }
 
 }  // namespace papm::obs

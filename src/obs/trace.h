@@ -11,8 +11,8 @@
 //                            chrome://tracing and Perfetto (one thread
 //                            track per shard, "X" complete events).
 //
-// With PAPM_OBS=OFF every span call is constexpr-dead, like the metric
-// hooks — tracing cannot perturb the default bench numbers.
+// Tracing is runtime opt-in (a context without a log swallows every
+// span) and charges no simulated time, so it cannot perturb bench numbers.
 #pragma once
 
 #include <string>
@@ -99,20 +99,13 @@ class TraceLog {
   void set_dropped_counter(Counter* c) noexcept { dropped_counter_ = c; }
 
   void record(u64 req, Stage s, SimTime ts, SimTime dur) {
-    if constexpr (kEnabled) {
-      if (capacity_ != 0 && events_.size() >= capacity_) {
-        events_[next_] = {req, track_, s, ts, dur};
-        next_ = (next_ + 1) % capacity_;
-        dropped_++;
-        inc(dropped_counter_);
-      } else {
-        events_.push_back({req, track_, s, ts, dur});
-      }
+    if (capacity_ != 0 && events_.size() >= capacity_) {
+      events_[next_] = {req, track_, s, ts, dur};
+      next_ = (next_ + 1) % capacity_;
+      dropped_++;
+      inc(dropped_counter_);
     } else {
-      (void)req;
-      (void)s;
-      (void)ts;
-      (void)dur;
+      events_.push_back({req, track_, s, ts, dur});
     }
   }
 
@@ -151,9 +144,7 @@ class TraceContext {
   TraceContext(sim::Env& env, TraceLog* log, u64 req) noexcept
       : env_(&env), log_(log), req_(req) {}
 
-  [[nodiscard]] bool active() const noexcept {
-    return kEnabled && log_ != nullptr;
-  }
+  [[nodiscard]] bool active() const noexcept { return log_ != nullptr; }
   [[nodiscard]] u64 req() const noexcept { return req_; }
 
   // Record a span with explicit bounds (for stages measured elsewhere,

@@ -22,8 +22,7 @@ void FlushBatcher::open_epoch(u64 now_ns) {
 }
 
 void FlushBatcher::begin_op(bool backlogged, u64 now_ns) {
-  const bool want = kGroupCommitCompiled && policy_.enabled && backlogged;
-  if (!want) {
+  if (!policy_.enabled || !backlogged) {
     // Pass-through op. Close any open epoch (its acks must not wait
     // behind an idle stream), but keep the pools sealed across momentary
     // load dips: restoring and re-sealing the freelists writes a clwb per

@@ -29,9 +29,9 @@
 //
 // When the server is idle (not backlogged) every call passes straight
 // through to the device, so single-connection latency and the Table 1
-// reproduction are bit-identical to the unbatched build. Compiling with
-// -DPAPM_GROUP_COMMIT=OFF removes the batched paths entirely (the `nogc`
-// preset; tier-1 keeps the legacy fence-per-op path crash-tested).
+// reproduction are bit-identical to the unbatched protocol.
+// GroupCommitPolicy::enabled = false pins that fence-per-op pass-through
+// at runtime.
 #pragma once
 
 #include <functional>
@@ -44,16 +44,10 @@ namespace papm::pm {
 
 class PmPool;
 
-#ifdef PAPM_GROUP_COMMIT_DISABLED
-inline constexpr bool kGroupCommitCompiled = false;
-#else
-inline constexpr bool kGroupCommitCompiled = true;
-#endif
-
 // Policy knobs (see storage/knobs.h: StoreKnobs carries one of these from
 // the harness RunConfig down to the per-shard batchers).
 struct GroupCommitPolicy {
-  bool enabled = true;       // master switch (runtime; AND'ed with compile)
+  bool enabled = true;       // master switch; false = always pass-through
   u32 max_epoch_ops = 64;    // close after this many ops joined the epoch
   // Close when the open epoch gets older than this. Sized so the op-count
   // limit, not the deadline, closes epochs at saturation (a 1 KB put costs

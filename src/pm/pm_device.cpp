@@ -85,10 +85,8 @@ void PmDevice::mark_dirty(u64 offset, u64 len) {
     dirty_.insert(line);
     pending_.erase(line);  // a new store re-dirties a clwb'd line
   }
-  if constexpr (obs::kEnabled) {
-    if (dirty_.size() > epoch_.dirty_hwm) epoch_.dirty_hwm = dirty_.size();
-    obs::peak(m_dirty_hwm_, dirty_.size());
-  }
+  if (dirty_.size() > epoch_.dirty_hwm) epoch_.dirty_hwm = dirty_.size();
+  obs::peak(m_dirty_hwm_, dirty_.size());
 }
 
 void PmDevice::set_metrics(obs::MetricRegistry* r) {
@@ -124,14 +122,12 @@ void PmDevice::clwb(u64 offset, u64 len) {
   for (u64 line = first; line <= last; line++) {
     if (dirty_.erase(line) > 0) pending_.insert(line);
     total_clwb_++;
-    if constexpr (obs::kEnabled) {
-      epoch_.clwb++;
-      obs::inc(m_clwb_);
-      if (pending_.size() > epoch_.pending_hwm) {
-        epoch_.pending_hwm = pending_.size();
-      }
-      obs::peak(m_pending_hwm_, pending_.size());
+    epoch_.clwb++;
+    obs::inc(m_clwb_);
+    if (pending_.size() > epoch_.pending_hwm) {
+      epoch_.pending_hwm = pending_.size();
     }
+    obs::peak(m_pending_hwm_, pending_.size());
     env_.clock().advance(env_.cost.clwb_ns);
     bump_fault_event();  // the cut may fire with this line in flight
   }
@@ -139,13 +135,11 @@ void PmDevice::clwb(u64 offset, u64 len) {
 
 void PmDevice::sfence() {
   for (u64 line : pending_) drain_line_whole(line);
-  if constexpr (obs::kEnabled) {
-    epoch_.sfence++;
-    epoch_.lines_drained += pending_.size();
-    epoch_.bytes_flushed += pending_.size() * kCacheLine;
-    obs::inc(m_sfence_);
-    obs::inc(m_bytes_flushed_, pending_.size() * kCacheLine);
-  }
+  epoch_.sfence++;
+  epoch_.lines_drained += pending_.size();
+  epoch_.bytes_flushed += pending_.size() * kCacheLine;
+  obs::inc(m_sfence_);
+  obs::inc(m_bytes_flushed_, pending_.size() * kCacheLine);
   pending_.clear();
   total_sfence_++;
   env_.clock().advance(env_.cost.sfence_ns);

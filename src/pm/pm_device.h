@@ -169,9 +169,8 @@ class PmDevice {
   [[nodiscard]] std::size_t pending_lines() const noexcept { return pending_.size(); }
 
   // --- Observability ------------------------------------------------------
-  /// Flush/fence accounting for one measurement window. Epoch counters
-  /// freeze at zero with PAPM_OBS=OFF (the compile-time kill switch) —
-  /// the lifetime totals below stay on either way.
+  /// Flush/fence accounting for one measurement window (the lifetime
+  /// totals below are never reset).
   struct FlushEpoch {
     u64 clwb = 0;           // clwb instructions retired (one per line)
     u64 sfence = 0;         // ordering fences retired
@@ -200,20 +199,12 @@ class PmDevice {
   /// Group-commit bookkeeping hooks (called by FlushBatcher when a commit
   /// epoch retires — attribution happens at retirement, not issue time).
   void note_deferred_sfence(u64 n) noexcept {
-    if constexpr (obs::kEnabled) {
-      epoch_.sfence_deferred += n;
-      obs::inc(m_sfence_deferred_, n);
-    } else {
-      (void)n;
-    }
+    epoch_.sfence_deferred += n;
+    obs::inc(m_sfence_deferred_, n);
   }
   void note_coalesced_clwb(u64 n) noexcept {
-    if constexpr (obs::kEnabled) {
-      epoch_.clwb_coalesced += n;
-      obs::inc(m_clwb_coalesced_, n);
-    } else {
-      (void)n;
-    }
+    epoch_.clwb_coalesced += n;
+    obs::inc(m_clwb_coalesced_, n);
   }
 
   /// True when the line holding `offset` is clwb'd and still awaiting a

@@ -11,10 +11,9 @@
 // client's TCP segments arrived in; only the small replication header is
 // ever copied.
 //
-// Compile-out: -DPAPM_REPL=OFF (the `norepl` preset) folds the
-// server-side hooks away; with no Replicator attached the datapath is
-// bit-identical either way (the sim charges no cost for untaken
-// branches), so the OFF build is a buildability proof, not a perf fork.
+// Replication is off unless a Replicator is attached to the server; with
+// none attached the datapath charges nothing for it (the sim charges no
+// cost for untaken branches).
 #pragma once
 
 #include <cstring>
@@ -25,12 +24,6 @@
 #include "net/homa.h"
 
 namespace papm::repl {
-
-#ifdef PAPM_REPL_DISABLED
-inline constexpr bool kReplCompiled = false;
-#else
-inline constexpr bool kReplCompiled = true;
-#endif
 
 // Replication messages ride as Homa message payloads; the first byte
 // tags the kind. All integers little-endian, fixed offsets (no packing

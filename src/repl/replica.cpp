@@ -34,11 +34,7 @@ ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
   dev_->persist(applied_root_, 8);
   (void)dev_->set_root("repl.applied", applied_root_);
   store_.emplace(core::PktStore::create(*pool_, "repl-store", cfg.store_opts));
-  if (pm::kGroupCommitCompiled && cfg.group_commit) {
-    batcher_.emplace(*dev_, cfg.gc_policy);
-    batcher_->register_pool(*pm_pool_);
-    store_->set_batcher(&*batcher_);
-  }
+  store_->set_batcher(&*batcher_);
 }
 
 ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
@@ -57,14 +53,12 @@ ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
   auto st = core::PktStore::recover(*pool_, "repl-store", cfg.store_opts);
   if (!st.ok()) throw std::runtime_error("ReplicaNode: store recover failed");
   store_.emplace(std::move(st.value()));
-  if (pm::kGroupCommitCompiled && cfg.group_commit) {
-    batcher_.emplace(*dev_, cfg.gc_policy);
-    batcher_->register_pool(*pm_pool_);
-    store_->set_batcher(&*batcher_);
-  }
+  store_->set_batcher(&*batcher_);
 }
 
 void ReplicaNode::wire_up(nic::Fabric& fabric) {
+  batcher_.emplace(*dev_, cfg_.gc_policy);
+  batcher_->register_pool(*pm_pool_);
   arena_.emplace(*dev_, *pm_pool_);
   pool_.emplace(env_, *arena_);
   nic_.emplace(env_, fabric, cfg_.ip, *pool_, cfg_.nic);
@@ -209,9 +203,8 @@ void ReplicaNode::apply_one(const net::HomaDelivery& d, OpKind op,
                             u32 val_len, u64 trace_id) {
   const u64 seq = applied_seq_ + 1;
   const SimTime t_apply = env_.now();
-  const bool batch = batcher_.has_value();
-  if (batch) batcher_->begin_op(true, static_cast<u64>(env_.now()));
-  store_->set_batched(batch && batcher_->batching());
+  batcher_->begin_op(true, static_cast<u64>(env_.now()));
+  store_->set_batched(batcher_->batching());
   if (op == OpKind::put) {
     // The value's byte ranges within the delivered packets, zero-copy:
     // skip the replication header + key, take val_len bytes.
@@ -239,7 +232,7 @@ void ReplicaNode::apply_one(const net::HomaDelivery& d, OpKind op,
   applied_seq_ = seq;
   applies_++;
   obs::inc(m_applies_);
-  if (obs::kEnabled && trace_id != 0) {
+  if (trace_id != 0) {
     // Stamp the apply span with the primary's trace id: after the
     // harness merges this log into the primary's, the span renders as a
     // cross-track child of the same request in Perfetto.
@@ -247,14 +240,12 @@ void ReplicaNode::apply_one(const net::HomaDelivery& d, OpKind op,
                   env_.now() - t_apply);
   }
   publish_applied(seq);
-  if (batch) {
-    batcher_->end_op();
-    arm_epoch_drain();
-  }
+  batcher_->end_op();
+  arm_epoch_drain();
 }
 
 void ReplicaNode::publish_applied(u64 seq) {
-  if (batcher_.has_value() && batcher_->batching()) {
+  if (batcher_->batching()) {
     // Deferred publication: the applied-seq word can never be durable
     // before the content it covers; the ack rides the epoch's commit.
     batcher_->publish_u64(applied_root_, seq);
@@ -279,13 +270,13 @@ void ReplicaNode::send_ack() {
 }
 
 void ReplicaNode::arm_epoch_drain() {
-  if (!batcher_.has_value() || !batcher_->epoch_open()) return;
+  if (!batcher_->epoch_open()) return;
   const u64 serial = batcher_->epoch_serial();
   const u32 ops = batcher_->ops_in_epoch();
   env_.engine.schedule_in(
       static_cast<SimTime>(batcher_->policy().idle_close_ns),
       [this, serial, ops] {
-        if (!alive_ || !batcher_.has_value() || !batcher_->epoch_open()) return;
+        if (!alive_ || !batcher_->epoch_open()) return;
         if (batcher_->epoch_serial() != serial ||
             batcher_->ops_in_epoch() != ops) {
           return;  // a newer apply joined; its own drain check follows

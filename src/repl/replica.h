@@ -38,9 +38,8 @@ struct ReplicaConfig {
   u64 pm_size = 64u << 20;
   ReplOptions opts;
   core::PktStoreOptions store_opts;
-  // Group-commit epochs on the apply path (AND'ed with the compile-time
-  // switch; pass-through = every apply persists synchronously).
-  bool group_commit = true;
+  // Group-commit epochs on the apply path (enabled = false: every apply
+  // persists synchronously).
   pm::GroupCommitPolicy gc_policy{};
   nic::Nic::Options nic{};
 };

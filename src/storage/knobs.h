@@ -17,8 +17,8 @@ struct StoreKnobs {
   bool persistence = true;   // flush the value record's cache lines to PM
 
   // Group/epoch-commit policy for the per-shard FlushBatcher (max epoch
-  // size, max ack deferral); enabled is AND'ed with the PAPM_GROUP_COMMIT
-  // compile switch and with HostCpu::backlogged() at runtime.
+  // size, max ack deferral); enabled is AND'ed with HostCpu::backlogged()
+  // at runtime.
   pm::GroupCommitPolicy group_commit;
 };
 

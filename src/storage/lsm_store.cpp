@@ -96,6 +96,7 @@ Status LsmStore::put(std::string_view key, std::span<const u8> value,
 
 Status LsmStore::erase(std::string_view key) {
   obs::inc(m_erases_);
+  if (!live(key)) return Errc::not_found;  // nothing to log or shadow
   if (wal_.has_value()) {
     Status st = wal_->append(WalRecordType::erase, key, {});
     if (st.errc() == Errc::out_of_space) {
@@ -116,6 +117,14 @@ Status LsmStore::erase(std::string_view key) {
   const Status st = active_->put_tombstone(key, opts_.knobs);
   if (!st.ok()) return st;
   return maybe_rotate();
+}
+
+bool LsmStore::live(std::string_view key) const {
+  if (const auto top = active_->lookup(key); top.ok()) return !top->tombstone;
+  for (auto it = frozen_.rbegin(); it != frozen_.rend(); ++it) {
+    if (const auto e = it->lookup(key); e.ok()) return !e->tombstone;
+  }
+  return false;
 }
 
 Result<std::vector<u8>> LsmStore::get(std::string_view key) const {

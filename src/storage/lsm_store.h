@@ -56,7 +56,8 @@ class LsmStore {
   Status put(std::string_view key, std::span<const u8> value,
              OpBreakdown* bd = nullptr);
   /// Tombstone (or physical erase in the single-table configuration);
-  /// durable iff ok, same ordering contract as put().
+  /// durable iff ok, same ordering contract as put(). Errc::not_found
+  /// (and no write at all) when no table holds a live value for `key`.
   Status erase(std::string_view key);
 
   /// Copy-out read across all tables, newest first; verifies checksums
@@ -123,6 +124,9 @@ class LsmStore {
   }
   void persist_count();
   Status maybe_rotate();
+  // True when the newest entry for `key` across all tables is a value,
+  // not a tombstone.
+  [[nodiscard]] bool live(std::string_view key) const;
 
   pm::PmDevice* dev_;
   pm::PmPool* pool_;

@@ -167,70 +167,134 @@ TEST(Harness, LsmWithWalIsSlower) {
   EXPECT_GT(with_wal.rtt.mean(), without.rtt.mean() + 2000.0);
 }
 
+// One single-core PM-backed KvServer and a raw client connection, for
+// end-to-end request/response checks against a chosen backend.
+class KvRig {
+ public:
+  explicit KvRig(Backend b)
+      : fabric_(env_),
+        server_(env_, fabric_, server_cfg()),
+        client_(env_, fabric_, client_cfg()),
+        srv_(server_, kv_cfg(b)) {
+    conn_ = client_.stack().connect(2, 9000);
+    conn_->on_readable = [this](net::TcpConn& c) {
+      std::vector<u8> buf(8192);
+      std::size_t n;
+      while ((n = c.read(buf)) > 0) {
+        auto r = parser_.feed(std::span<const u8>(buf.data(), n));
+        if (r.has_value()) last_ = std::move(r);
+      }
+    };
+    env_.engine.run_until_idle();
+  }
+
+  [[nodiscard]] bool connected() const {
+    return conn_->state() == net::TcpState::established;
+  }
+
+  // Sends one request and runs the simulation until idle; the response,
+  // if one arrived.
+  std::optional<http::Response> request(http::Method m, std::string target,
+                                        std::vector<u8> body = {}) {
+    last_.reset();
+    http::Request req;
+    req.method = m;
+    req.target = std::move(target);
+    req.body = std::move(body);
+    (void)conn_->send(http::serialize(req));
+    env_.engine.run_until_idle();
+    return std::move(last_);
+  }
+
+ private:
+  static HostConfig server_cfg() {
+    HostConfig c;
+    c.ip = 2;
+    c.cores = 1;
+    c.busy_poll = true;
+    c.pm_backed = true;
+    return c;
+  }
+  static HostConfig client_cfg() {
+    HostConfig c;
+    c.ip = 1;
+    c.cores = 0;
+    return c;
+  }
+  static ServerConfig kv_cfg(Backend b) {
+    ServerConfig sc;
+    sc.backend = b;
+    return sc;
+  }
+
+  sim::Env env_;
+  nic::Fabric fabric_;
+  Host server_;
+  Host client_;
+  KvServer srv_;
+  net::TcpConn* conn_ = nullptr;
+  http::ResponseParser parser_;
+  std::optional<http::Response> last_;
+};
+
 // Range query end-to-end: prime keys through the harness-style server,
 // then issue GET /scan/<from>/<to> on a raw connection and check the
 // listing (the paper's "efficient range query support" property).
 class ScanTest : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(ScanTest, RangeQueryListsKeysInOrder) {
-  sim::Env env;
-  nic::Fabric fabric(env);
-  HostConfig scfg;
-  scfg.ip = 2;
-  scfg.cores = 1;
-  scfg.busy_poll = true;
-  scfg.pm_backed = true;
-  Host server(env, fabric, scfg);
-  HostConfig ccfg;
-  ccfg.ip = 1;
-  ccfg.cores = 0;
-  Host client(env, fabric, ccfg);
-
-  ServerConfig sc;
-  sc.backend = GetParam();
-  KvServer srv(server, sc);
-
-  net::TcpConn* conn = client.stack().connect(2, 9000);
-  http::ResponseParser parser;
-  std::optional<http::Response> last;
-  conn->on_readable = [&](net::TcpConn& c) {
-    std::vector<u8> buf(8192);
-    std::size_t n;
-    while ((n = c.read(buf)) > 0) {
-      auto r = parser.feed(std::span<const u8>(buf.data(), n));
-      if (r.has_value()) last = std::move(r);
-    }
-  };
-  auto request = [&](http::Method m, std::string target, std::vector<u8> body) {
-    last.reset();
-    http::Request req;
-    req.method = m;
-    req.target = std::move(target);
-    req.body = std::move(body);
-    (void)conn->send(http::serialize(req));
-    env.engine.run_until_idle();
-    ASSERT_TRUE(last.has_value());
-  };
-  env.engine.run_until_idle();
-  ASSERT_EQ(conn->state(), net::TcpState::established);
+  KvRig rig(GetParam());
+  ASSERT_TRUE(rig.connected());
 
   for (const char* k : {"apple", "banana", "cherry", "date", "elderberry"}) {
-    request(http::Method::put, std::string("/kv/") + k,
-            std::vector<u8>(std::strlen(k), 'x'));
-    ASSERT_EQ(last->status, 201);
+    const auto r = rig.request(http::Method::put, std::string("/kv/") + k,
+                               std::vector<u8>(std::strlen(k), 'x'));
+    ASSERT_TRUE(r.has_value());
+    ASSERT_EQ(r->status, 201);
   }
   // [banana, date): two keys, ordered.
-  request(http::Method::get, "/scan/banana/date", {});
-  ASSERT_EQ(last->status, 200);
-  const std::string listing(last->body.begin(), last->body.end());
-  EXPECT_EQ(listing, "banana\t6\ncherry\t6\n");
+  const auto bounded = rig.request(http::Method::get, "/scan/banana/date");
+  ASSERT_TRUE(bounded.has_value());
+  ASSERT_EQ(bounded->status, 200);
+  EXPECT_EQ(std::string(bounded->body.begin(), bounded->body.end()),
+            "banana\t6\ncherry\t6\n");
   // Unbounded upper end.
-  request(http::Method::get, "/scan/date/", {});
-  EXPECT_EQ(std::string(last->body.begin(), last->body.end()),
+  const auto open = rig.request(http::Method::get, "/scan/date/");
+  ASSERT_TRUE(open.has_value());
+  EXPECT_EQ(std::string(open->body.begin(), open->body.end()),
             "date\t4\nelderberry\t10\n");
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ScanTest,
+                         ::testing::Values(Backend::lsm, Backend::pktstore));
+
+// DELETE answers the same on every backend: 204 for a hit, 404 for a
+// miss (an absent key, or one already deleted).
+class DeleteTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(DeleteTest, HitIs204MissIs404) {
+  KvRig rig(GetParam());
+  ASSERT_TRUE(rig.connected());
+
+  const auto put = rig.request(http::Method::put, "/kv/fig",
+                               std::vector<u8>(16, 'f'));
+  ASSERT_TRUE(put.has_value());
+  ASSERT_EQ(put->status, 201);
+  const auto hit = rig.request(http::Method::del, "/kv/fig");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->status, 204);
+  const auto again = rig.request(http::Method::del, "/kv/fig");
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->status, 404);
+  const auto absent = rig.request(http::Method::del, "/kv/never-written");
+  ASSERT_TRUE(absent.has_value());
+  EXPECT_EQ(absent->status, 404);
+  const auto get = rig.request(http::Method::get, "/kv/fig");
+  ASSERT_TRUE(get.has_value());
+  EXPECT_EQ(get->status, 404);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DeleteTest,
                          ::testing::Values(Backend::lsm, Backend::pktstore));
 
 TEST(Harness, DeterministicForSeed) {

@@ -272,13 +272,18 @@ class LsmScenario final : public CrashScenario {
   std::optional<storage::LsmStore> store_;
 };
 
+// `shadow_towers = false` sweeps the persist-everything skip-list index.
 class PktStoreScenario final : public CrashScenario {
  public:
+  explicit PktStoreScenario(bool shadow_towers = true) {
+    opts_.index.shadow_towers = shadow_towers;
+  }
+
   void format(pm::PmDevice& dev) override {
     pool_.emplace(pm::PmPool::create(dev, "pkts", dev.data_base(), 1u << 20));
     arena_.emplace(dev, *pool_);
     pktpool_.emplace(dev.env(), *arena_);
-    store_.emplace(core::PktStore::create(*pktpool_, "db"));
+    store_.emplace(core::PktStore::create(*pktpool_, "db", opts_));
   }
 
   void workload(pm::PmDevice&, AckLog& log) override {
@@ -310,7 +315,7 @@ class PktStoreScenario final : public CrashScenario {
       ASSERT_TRUE(pool.ok());
       net::PmArena arena(dev, pool.value());
       net::PktBufPool pktpool(dev.env(), arena);
-      auto rec = core::PktStore::recover(pktpool, "db");
+      auto rec = core::PktStore::recover(pktpool, "db", opts_);
       ASSERT_TRUE(rec.ok()) << "I3: recovery failed";
       auto& store = rec.value();
       EXPECT_TRUE(store.validate().ok()) << "I3: index invalid";
@@ -326,6 +331,7 @@ class PktStoreScenario final : public CrashScenario {
   }
 
  private:
+  core::PktStoreOptions opts_;
   std::optional<pm::PmPool> pool_;
   std::optional<net::PmArena> arena_;
   std::optional<net::PktBufPool> pktpool_;
@@ -457,8 +463,9 @@ class SlicedIngestScenario final : public CrashScenario {
 // The sweep cuts at every flush/fence boundary, which includes the epoch
 // close sequence itself: pool-metadata clwb, content fence, publication
 // applies, publication fence, and (at deactivation) the freelist restore.
-// Under -DPAPM_GROUP_COMMIT=OFF begin_op never enters the batched regime,
-// so the same scenarios degenerate to the legacy fence-per-op protocol.
+// Constructed with `backlogged = false`, every op is bracketed as not
+// backlogged: begin_op never enters the batched regime, and the same
+// scenarios sweep the pass-through fence-per-op protocol instead.
 struct GroupOp {
   enum Kind { kPut, kErase };
   Kind kind;
@@ -543,6 +550,9 @@ pm::GroupCommitPolicy crash_test_policy() {
 
 class GroupCommitLsmScenario final : public CrashScenario {
  public:
+  explicit GroupCommitLsmScenario(bool backlogged = true)
+      : backlogged_(backlogged) {}
+
   void format(pm::PmDevice& dev) override {
     pool_.emplace(pm::PmPool::create(dev, "pool", dev.data_base(), 1u << 20));
     store_.emplace(storage::LsmStore::create(dev, *pool_, "db"));
@@ -554,14 +564,14 @@ class GroupCommitLsmScenario final : public CrashScenario {
   void workload(pm::PmDevice&, AckLog&) override {
     auto put = [&](std::size_t i, u64 tag, std::size_t len) {
       auto val = value_of(tag, len);
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kPut, key_of(i), val});
       EXPECT_TRUE(store_->put(key_of(i), val).ok());
       batcher_->on_committed(log_.ack());
       batcher_->end_op();
     };
     auto erase = [&](std::size_t i) {
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kErase, key_of(i), {}});
       EXPECT_TRUE(store_->erase(key_of(i)).ok());
       batcher_->on_committed(log_.ack());
@@ -600,6 +610,7 @@ class GroupCommitLsmScenario final : public CrashScenario {
   }
 
  private:
+  bool backlogged_;
   std::optional<pm::PmPool> pool_;
   std::optional<storage::LsmStore> store_;
   std::optional<pm::FlushBatcher> batcher_;
@@ -608,6 +619,9 @@ class GroupCommitLsmScenario final : public CrashScenario {
 
 class GroupCommitPktScenario final : public CrashScenario {
  public:
+  explicit GroupCommitPktScenario(bool backlogged = true)
+      : backlogged_(backlogged) {}
+
   void format(pm::PmDevice& dev) override {
     pool_.emplace(pm::PmPool::create(dev, "pkts", dev.data_base(), 1u << 20));
     arena_.emplace(dev, *pool_);
@@ -621,14 +635,14 @@ class GroupCommitPktScenario final : public CrashScenario {
   void workload(pm::PmDevice&, AckLog&) override {
     auto put = [&](std::size_t i, u64 tag, std::size_t len) {
       auto val = value_of(tag, len);
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kPut, key_of(i), val});
       EXPECT_TRUE(store_->put_bytes(key_of(i), val).ok());
       batcher_->on_committed(log_.ack());
       batcher_->end_op();
     };
     auto erase = [&](std::size_t i) {
-      batcher_->begin_op(true, 0);
+      batcher_->begin_op(backlogged_, 0);
       log_.pend({GroupOp::kErase, key_of(i), {}});
       EXPECT_TRUE(store_->erase(key_of(i)));
       batcher_->on_committed(log_.ack());
@@ -667,6 +681,7 @@ class GroupCommitPktScenario final : public CrashScenario {
   }
 
  private:
+  bool backlogged_;
   std::optional<pm::PmPool> pool_;
   std::optional<net::PmArena> arena_;
   std::optional<net::PktBufPool> pktpool_;
@@ -781,8 +796,13 @@ class FlightRecorderScenario final : public CrashScenario {
 // (the PR-1 scale-out layout). Keys route by shard_of(); verification
 // recovers both shards, checks shard isolation, and checks the merged
 // view is identical across repeated crash+recover cycles.
+// `shadow_towers = false` sweeps the persist-everything index.
 class ShardedIndexScenario final : public CrashScenario {
  public:
+  explicit ShardedIndexScenario(bool shadow_towers = true) {
+    opts_.shadow_towers = shadow_towers;
+  }
+
   static int shard_of(const std::string& key) { return (key.back() - '0') % 2; }
   static u64 payload_of(std::size_t i) {
     return ((i + 1) * 0x9e3779b97f4a7c15ULL) | 1;
@@ -794,8 +814,8 @@ class ShardedIndexScenario final : public CrashScenario {
     const u64 b1 = align_up(b0 + span, kCacheLine);
     pool0_.emplace(pm::PmPool::create(dev, "p0", b0, span));
     pool1_.emplace(pm::PmPool::create(dev, "p1", b1, span));
-    idx0_.emplace(container::PSkipList::create(dev, *pool0_, "s0"));
-    idx1_.emplace(container::PSkipList::create(dev, *pool1_, "s1"));
+    idx0_.emplace(container::PSkipList::create(dev, *pool0_, "s0", opts_));
+    idx1_.emplace(container::PSkipList::create(dev, *pool1_, "s1", opts_));
   }
 
   void workload(pm::PmDevice&, AckLog& log) override {
@@ -822,8 +842,8 @@ class ShardedIndexScenario final : public CrashScenario {
       auto p0 = pm::PmPool::recover(dev, "p0");
       auto p1 = pm::PmPool::recover(dev, "p1");
       ASSERT_TRUE(p0.ok() && p1.ok()) << "per-shard pool root inconsistent";
-      auto s0 = container::PSkipList::recover(dev, p0.value(), "s0");
-      auto s1 = container::PSkipList::recover(dev, p1.value(), "s1");
+      auto s0 = container::PSkipList::recover(dev, p0.value(), "s0", opts_);
+      auto s1 = container::PSkipList::recover(dev, p1.value(), "s1", opts_);
       ASSERT_TRUE(s0.ok() && s1.ok()) << "per-shard index root inconsistent";
       EXPECT_TRUE(s0.value().validate().ok());
       EXPECT_TRUE(s1.value().validate().ok());
@@ -862,6 +882,7 @@ class ShardedIndexScenario final : public CrashScenario {
     return shard == 0 ? *idx0_ : *idx1_;
   }
 
+  container::PSkipListOptions opts_;
   std::optional<pm::PmPool> pool0_, pool1_;
   std::optional<container::PSkipList> idx0_, idx1_;
 };
@@ -900,15 +921,18 @@ TEST(CrashSweep, PktStore) {
   run_all_plans(2u << 20, [] { return std::make_unique<PktStoreScenario>(); });
 }
 
+TEST(CrashSweep, PktStorePersistentTowers) {
+  run_all_plans(2u << 20,
+                [] { return std::make_unique<PktStoreScenario>(false); });
+}
+
 TEST(CrashSweep, SlicedIngestHostInsert) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   run_all_plans(2u << 20, [] {
     return std::make_unique<SlicedIngestScenario>(core::InsertPolicy::host);
   });
 }
 
 TEST(CrashSweep, SlicedIngestNicInsert) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   run_all_plans(2u << 20, [] {
     return std::make_unique<SlicedIngestScenario>(core::InsertPolicy::nic);
   });
@@ -919,14 +943,29 @@ TEST(CrashSweep, ShardedSkipListsMergeIdempotent) {
                 [] { return std::make_unique<ShardedIndexScenario>(); });
 }
 
+TEST(CrashSweep, ShardedSkipListsPersistentTowers) {
+  run_all_plans(2u << 20,
+                [] { return std::make_unique<ShardedIndexScenario>(false); });
+}
+
 TEST(CrashSweep, GroupCommitLsmEpochBoundaries) {
   run_all_plans(2u << 20,
                 [] { return std::make_unique<GroupCommitLsmScenario>(); });
 }
 
+TEST(CrashSweep, GroupCommitLsmPassThrough) {
+  run_all_plans(2u << 20,
+                [] { return std::make_unique<GroupCommitLsmScenario>(false); });
+}
+
 TEST(CrashSweep, GroupCommitPktStoreEpochBoundaries) {
   run_all_plans(2u << 20,
                 [] { return std::make_unique<GroupCommitPktScenario>(); });
+}
+
+TEST(CrashSweep, GroupCommitPktStorePassThrough) {
+  run_all_plans(2u << 20,
+                [] { return std::make_unique<GroupCommitPktScenario>(false); });
 }
 
 TEST(CrashSweep, FlightRecorder) {

@@ -3,11 +3,8 @@
 // epoch close, and the pool seal/restore hysteresis.
 //
 // Everything here observes the batcher through the PmDevice's lifetime
-// flush counters (total_clwb/total_sfence — alive even under
-// PAPM_OBS=OFF) and the batcher's own introspection accessors, so the
-// suite runs identically in the noobs tier-1 stage. Tests that need the
-// batched regime skip themselves under -DPAPM_GROUP_COMMIT=OFF, where
-// begin_op(true) is defined to stay pass-through.
+// flush counters (total_clwb/total_sfence) and the batcher's own
+// introspection accessors.
 
 #include <gtest/gtest.h>
 
@@ -29,8 +26,6 @@ pm::GroupCommitPolicy policy_of(u32 ops, u64 deferral_ns = kHuge) {
   p.max_deferral_ns = deferral_ns;
   return p;
 }
-
-bool compiled() { return pm::kGroupCommitCompiled; }
 
 TEST(FlushBatcher, PassThroughWhenNotBacklogged) {
   sim::Env env;
@@ -65,7 +60,6 @@ TEST(FlushBatcher, RuntimeDisabledPolicyStaysPassThrough) {
 }
 
 TEST(FlushBatcher, EpochClosesAtMaxOpsAndDefersFences) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(3));
@@ -95,7 +89,6 @@ TEST(FlushBatcher, EpochClosesAtMaxOpsAndDefersFences) {
 }
 
 TEST(FlushBatcher, DeadlineClosesStaleEpochOnNextOp) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
@@ -124,7 +117,6 @@ TEST(FlushBatcher, DeadlineClosesStaleEpochOnNextOp) {
 }
 
 TEST(FlushBatcher, MaybeCloseHonorsDeadlineAndIdle) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
@@ -142,7 +134,6 @@ TEST(FlushBatcher, MaybeCloseHonorsDeadlineAndIdle) {
 }
 
 TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   // Phase 1: a withheld publication is visible to loads but survives no
   // crash — the old (zero) word is what recovery sees.
   {
@@ -183,7 +174,6 @@ TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {
 }
 
 TEST(FlushBatcher, CloseRunsAcksBeforeQuarantineInFifoOrder) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 16);
   pm::FlushBatcher b(dev, policy_of(8));
@@ -201,7 +191,6 @@ TEST(FlushBatcher, CloseRunsAcksBeforeQuarantineInFifoOrder) {
 }
 
 TEST(FlushBatcher, PoolSealHysteresisRestoresOnlyAfterSustainedIdle) {
-  if (!compiled()) GTEST_SKIP() << "built with PAPM_GROUP_COMMIT=OFF";
   sim::Env env;
   pm::PmDevice dev(env, 1u << 20);
   auto pool = pm::PmPool::create(dev, "p", dev.data_base(), 1u << 18);

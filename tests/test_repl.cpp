@@ -203,10 +203,6 @@ TEST(Repl, TraceIdStitchesReplicaApplySpans) {
                trace_id);
   ASSERT_TRUE(pump_until(env, [&] { return done; }));
 
-  if (!obs::kEnabled) {
-    EXPECT_EQ(r1.trace().size(), 0u);
-    return;
-  }
   ASSERT_EQ(r1.trace().size(), 1u);
   const obs::SpanEvent& e = r1.trace().events()[0];
   EXPECT_EQ(e.req, trace_id);

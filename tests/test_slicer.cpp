@@ -117,7 +117,6 @@ class SlicerTest : public ::testing::Test {
 };
 
 TEST_F(SlicerTest, SlicedDeliveryByteIdenticalToContiguous) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   const auto value = rand_bytes(1024, 1);
   auto pkts = rig.deliver(env, value);
   ASSERT_EQ(pkts.size(), 1u);
@@ -144,7 +143,6 @@ TEST_F(SlicerTest, SlicedDeliveryByteIdenticalToContiguous) {
 }
 
 TEST_F(SlicerTest, DramPoolFallsBackToContiguous) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   const auto value = rand_bytes(600, 2);
   auto pkts = rig.deliver(env, value);  // drives traffic through BOTH nics
   ASSERT_EQ(pkts.size(), 1u);
@@ -156,7 +154,6 @@ TEST_F(SlicerTest, DramPoolFallsBackToContiguous) {
 }
 
 TEST_F(SlicerTest, SlicedPutSkipsPersistAndVerifies) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   // Value preceded by an HTTP-style header: the narrowing must subtract
   // the in-payload header bytes from header-side state alone.
   std::vector<u8> payload;
@@ -184,7 +181,6 @@ TEST_F(SlicerTest, SlicedPutSkipsPersistAndVerifies) {
 }
 
 TEST_F(SlicerTest, OutOfOrderReassemblyOfSlicedSegments) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   sim::Env renv;
   nic::Fabric::Options fopts;
   fopts.reorder_p = 0.35;
@@ -221,7 +217,6 @@ TEST_F(SlicerTest, OutOfOrderReassemblyOfSlicedSegments) {
 }
 
 TEST_F(SlicerTest, InsertPolicyNicOffloadsAndRecovers) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   PktStoreOptions o;
   o.insert = InsertPolicy::nic;
   auto s2 = PktStore::create(rig.pool, "nicins", o);
@@ -253,7 +248,6 @@ TEST_F(SlicerTest, InsertPolicyNicOffloadsAndRecovers) {
 }
 
 TEST_F(SlicerTest, InsertPolicyAutoFollowsSizeThreshold) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   PktStoreOptions o;
   o.insert = InsertPolicy::auto_;
   auto s2 = PktStore::create(rig.pool, "autoins", o);
@@ -287,7 +281,6 @@ TEST_F(SlicerTest, InsertPolicyAutoFollowsSizeThreshold) {
 }
 
 TEST_F(SlicerTest, PolicyNicFallsBackOnUnslicedPackets) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   sim::Env env2;
   SliceRig plain{env2, nic::Nic::Options{}};  // slicing off
   PktStoreOptions o;
@@ -308,7 +301,6 @@ TEST_F(SlicerTest, PolicyNicFallsBackOnUnslicedPackets) {
 }
 
 TEST_F(SlicerTest, SlicedCloneAndFreeRefcountTheSlice) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   const auto value = rand_bytes(900, 8);
   auto pkts = rig.deliver(env, value);
   ASSERT_EQ(pkts.size(), 1u);
@@ -327,7 +319,6 @@ TEST_F(SlicerTest, SlicedCloneAndFreeRefcountTheSlice) {
 }
 
 TEST_F(SlicerTest, CorruptedSliceDetected) {
-  if (!net::kSlicerCompiled) GTEST_SKIP() << "slicer compiled out";
   const auto value = rand_bytes(800, 9);
   auto pkts = rig.deliver(env, value);
   ASSERT_EQ(pkts.size(), 1u);
