@@ -20,7 +20,7 @@ namespace {
 
 RunConfig base(Backend b) {
   RunConfig cfg;
-  cfg.backend = b;
+  cfg.server.backend = b;
   cfg.connections = 1;
   cfg.warmup_ns = 10 * kNsPerMs;
   cfg.measure_ns = 80 * kNsPerMs;
@@ -34,7 +34,7 @@ int main() {
   {
     auto no_wal = base(Backend::lsm);
     auto with_wal = base(Backend::lsm);
-    with_wal.lsm_wal = true;
+    with_wal.server.lsm_wal = true;
     const auto a = run_experiment(no_wal);
     const auto b = run_experiment(with_wal);
     std::printf("  no WAL (NoveLSM-like):  %7.2f us\n", a.mean_rtt_us());

@@ -64,11 +64,11 @@ int main(int argc, char** argv) {
     }
 
     cfg.collect_metrics = want_metrics;
-    cfg.backend = Backend::raw_persist;
+    cfg.server.backend = Backend::raw_persist;
     const auto raw = run_experiment(cfg);
-    cfg.backend = Backend::lsm;
+    cfg.server.backend = Backend::lsm;
     const auto lsm = run_experiment(cfg);
-    cfg.backend = Backend::pktstore;
+    cfg.server.backend = Backend::pktstore;
     const auto pkt = run_experiment(cfg);
     if (want_metrics) last_lsm_report = lsm.metrics_report;
     cells.push_back({conns, Backend::raw_persist, raw});

@@ -96,7 +96,7 @@ int main() {
 
   for (const auto backend : {app::Backend::lsm, app::Backend::pktstore}) {
     app::RunConfig cfg;
-    cfg.backend = backend;
+    cfg.server.backend = backend;
     cfg.connections = 1;
     cfg.warmup_ns = 10 * kNsPerMs;
     cfg.measure_ns = 80 * kNsPerMs;

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   for (const int conns : conns_sweep) {
     OpenLoopRunConfig cfg;
-    cfg.backend = backend;
+    cfg.server.backend = backend;
     cfg.server_cores = cores;
     cfg.pm_size = 1u << 30;
     cfg.connections = conns;
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
       cfg.nic.csum_offload_tx = false;
     }
     cfg.collect_metrics = want_metrics;
-    cfg.admin = admin;
-    cfg.flight_recorder = flightrec;
+    cfg.server.admin = admin;
+    cfg.server.flight_recorder = flightrec;
 
     Point pt;
     pt.conns = conns;
@@ -152,9 +152,10 @@ int main(int argc, char** argv) {
       // running production telemetry on the datapath cores.
       const OpenLoopResult base = run_openloop(cfg);
       OpenLoopRunConfig acfg = cfg;
-      acfg.admin = true;
+      acfg.server.admin = true;
       acfg.admin_interval_ns = 2 * kNsPerMs;
-      acfg.trace_capacity = 4096;
+      acfg.server.trace = true;
+      acfg.server.trace_capacity = 4096;
       const OpenLoopResult withadmin = run_openloop(acfg);
       pt.r = withadmin;
       pt.p99_base_us = base.p99_us();

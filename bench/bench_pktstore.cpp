@@ -21,7 +21,7 @@ namespace {
 
 RunConfig base() {
   RunConfig cfg;
-  cfg.backend = Backend::pktstore;
+  cfg.server.backend = Backend::pktstore;
   cfg.connections = 1;
   cfg.warmup_ns = 10 * kNsPerMs;
   cfg.measure_ns = 100 * kNsPerMs;
@@ -53,36 +53,36 @@ int main(int argc, char** argv) {
 
   {
     RunConfig cfg = base();
-    cfg.backend = Backend::lsm;
+    cfg.server.backend = Backend::lsm;
     rows.push_back({"baseline (NoveLSM-like)", run_experiment(cfg)});
   }
   rows.push_back({"pktstore (all reuse on)", run_experiment(base())});
   {
     RunConfig cfg = base();
-    cfg.pkt_opts.reuse_checksum = false;
+    cfg.server.pkt_opts.reuse_checksum = false;
     rows.push_back({"  - checksum reuse", run_experiment(cfg)});
   }
   {
     RunConfig cfg = base();
-    cfg.pkt_opts.zero_copy = false;
+    cfg.server.pkt_opts.zero_copy = false;
     rows.push_back({"  - zero copy", run_experiment(cfg)});
   }
   {
     RunConfig cfg = base();
-    cfg.pkt_opts.light_prep = false;
+    cfg.server.pkt_opts.light_prep = false;
     rows.push_back({"  - light request prep", run_experiment(cfg)});
   }
   {
     RunConfig cfg = base();
-    cfg.pkt_opts.reuse_timestamp = false;
+    cfg.server.pkt_opts.reuse_timestamp = false;
     rows.push_back({"  - timestamp reuse", run_experiment(cfg)});
   }
   {
     RunConfig cfg = base();
-    cfg.pkt_opts.reuse_checksum = false;
-    cfg.pkt_opts.zero_copy = false;
-    cfg.pkt_opts.light_prep = false;
-    cfg.pkt_opts.reuse_timestamp = false;
+    cfg.server.pkt_opts.reuse_checksum = false;
+    cfg.server.pkt_opts.zero_copy = false;
+    cfg.server.pkt_opts.light_prep = false;
+    cfg.server.pkt_opts.reuse_timestamp = false;
     rows.push_back({"  - everything (baseline-ish)", run_experiment(cfg)});
   }
   for (const Row& row : rows) print(row.name, row.r);

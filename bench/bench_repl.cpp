@@ -54,7 +54,7 @@ struct FailoverPoint {
 
 RunConfig tax_base(SimTime measure, int conns) {
   RunConfig cfg;
-  cfg.backend = Backend::pktstore;
+  cfg.server.backend = Backend::pktstore;
   cfg.connections = conns;
   cfg.value_size = 512;
   cfg.get_ratio = 0.0;  // every op is quorum-gated
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     cfg.repl = true;
     cfg.repl_replicas = 2;
     cfg.repl_opts.quorum = 2;
-    cfg.trace = true;
+    cfg.server.trace = true;
     const RunResult r = run_experiment(cfg);
     std::FILE* f = std::fopen(trace_path.c_str(), "w");
     if (f == nullptr) {

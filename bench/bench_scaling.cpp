@@ -38,7 +38,7 @@ struct Cell {
 RunResult run_cell(Backend backend, int cores, int conns, SimTime measure,
                    bool rebalance) {
   RunConfig cfg;
-  cfg.backend = backend;
+  cfg.server.backend = backend;
   cfg.server_cores = cores;
   cfg.connections = conns;
   // A device large enough that an 8-way split still leaves every shard

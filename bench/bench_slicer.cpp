@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     for (const int conns : conns_sweep) {
       for (const Mode& m : kModes) {
         RunConfig cfg;
-        cfg.backend = Backend::pktstore;
+        cfg.server.backend = Backend::pktstore;
         cfg.connections = conns;
         cfg.value_size = vs;
         cfg.get_ratio = 0.0;
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
         cfg.warmup_ns = 60 * kNsPerMs;
         cfg.measure_ns = 60 * kNsPerMs;
         cfg.nic.payload_slicing = m.slicing;
-        cfg.pkt_opts.insert = m.insert;
+        cfg.server.pkt_opts.insert = m.insert;
         cfg.collect_metrics = want_metrics;
         const RunResult r = run_experiment(cfg);
         if (want_metrics) last_report = r.metrics_report;

@@ -31,7 +31,7 @@ namespace {
 
 RunConfig base(Backend b) {
   RunConfig cfg;
-  cfg.backend = b;
+  cfg.server.backend = b;
   cfg.connections = 1;
   cfg.warmup_ns = 10 * kNsPerMs;
   cfg.measure_ns = 120 * kNsPerMs;
@@ -55,10 +55,10 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-38s %8s %9s\n", "Overhead", "Operation", "paper", "ours");
 
   auto discard_cfg = base(Backend::discard);
-  discard_cfg.trace = want_trace;
+  discard_cfg.server.trace = want_trace;
   const auto discard = run_experiment(discard_cfg);
   auto lsm_cfg = base(Backend::lsm);
-  lsm_cfg.trace = want_trace;
+  lsm_cfg.server.trace = want_trace;
   lsm_cfg.collect_metrics = want_metrics;
   const auto lsm = run_experiment(lsm_cfg);
   const auto& bd = lsm.avg_breakdown;
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   // whether the traced repl stage accounts for exactly that gap.
   if (benchio::has_flag(argc, argv, "--repl")) {
     auto off_cfg = base(Backend::pktstore);
-    off_cfg.trace = want_trace;
+    off_cfg.server.trace = want_trace;
     const auto off = run_experiment(off_cfg);
     auto on_cfg = off_cfg;
     on_cfg.repl = true;
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
   const double full_rtt = lsm.mean_rtt_us();
   for (const auto& v : variants) {
     auto cfg = base(Backend::lsm);
-    v.tweak(cfg.knobs);
+    v.tweak(cfg.server.knobs);
     const auto r = run_experiment(cfg);
     std::printf("%-38s %9.2f %9.2f\n", v.name, r.mean_rtt_us(),
                 full_rtt - r.mean_rtt_us());

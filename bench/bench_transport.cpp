@@ -18,7 +18,7 @@ namespace {
 
 RunConfig base(Backend b, const sim::CostModel& cost) {
   RunConfig cfg;
-  cfg.backend = b;
+  cfg.server.backend = b;
   cfg.cost = cost;
   cfg.connections = 1;
   cfg.warmup_ns = 10 * kNsPerMs;

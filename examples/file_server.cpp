@@ -1,14 +1,15 @@
 // file_server: the §4.2 file-system sketch in action.
 //
-// Simulates a file-upload service: file contents arrive from the network
-// as TCP segments, are adopted in place by PmFs (inodes whose extents are
-// persistent packet metadata), survive a crash, and are served back via
-// zero-copy frag-backed packets — sendfile without the file system /
-// network boundary.
+// Simulates a file-upload service over PktStore with paths as keys: file
+// contents arrive from the network as TCP segments and are adopted in
+// place (the persistent packet-metadata chain is the file's extent list,
+// each extent keeping its NIC checksum and hardware timestamp), survive a
+// crash, and are served back via zero-copy frag-backed packets — sendfile
+// without the file system / network boundary.
 #include <cstdio>
 #include <string>
 
-#include "core/pmfs.h"
+#include "core/pktstore.h"
 #include "net/gso.h"
 #include "nic/nic.h"
 
@@ -47,7 +48,7 @@ int main() {
   net::TcpStack cstack(env, cnic, cpool, co);
   cnic.set_sink([&](net::PktBuf* pb) { cstack.rx(pb); });
 
-  auto fs = core::PmFs::create(spool, "uploads");
+  auto fs = core::PktStore::create(spool, "uploads");
 
   // The server ingests every received segment chain as one file.
   int next_file = 0;
@@ -61,11 +62,11 @@ int main() {
         lens.push_back(pb->payload_len());
       }
       const std::string path = "/upload/" + std::to_string(next_file++);
-      if (fs.ingest_file(path, pkts, offs, lens).ok()) {
+      if (fs.put_pkts(path, pkts, offs, lens).ok()) {
         std::printf("  server: ingested %s (%llu bytes, %u extents)\n",
                     path.c_str(),
-                    static_cast<unsigned long long>(fs.stat(path)->size),
-                    fs.stat(path)->extents);
+                    static_cast<unsigned long long>(fs.stat(path)->len),
+                    fs.stat(path)->segments);
       }
       for (auto* pb : pkts) spool.free(pb);
     };
@@ -92,11 +93,12 @@ int main() {
   }
 
   std::printf("\nfiles on the server:\n");
-  fs.list([&](std::string_view path, const core::PmFs::FileStat& st) {
+  fs.scan("", "", [&](std::string_view path,
+                       const core::PktStore::ValueMeta& st) {
     std::printf("  %-12s %6llu bytes  %u extent(s)  mtime(hw)=%lld ns\n",
                 std::string(path).c_str(),
-                static_cast<unsigned long long>(st.size), st.extents,
-                static_cast<long long>(st.mtime));
+                static_cast<unsigned long long>(st.len), st.segments,
+                static_cast<long long>(st.hw_tstamp));
     return true;
   });
 
@@ -106,26 +108,26 @@ int main() {
   auto pmpool2 = pm::PmPool::recover(dev, "pkts");
   net::PmArena arena2(dev, pmpool2.value());
   net::PktBufPool spool2(env, arena2);
-  auto rec = core::PmFs::recover(spool2, "uploads");
+  auto rec = core::PktStore::recover(spool2, "uploads");
   if (!rec.ok()) {
     std::fprintf(stderr, "recovery failed!\n");
     return 1;
   }
   std::printf("recovered %zu file(s); verifying contents...\n",
-              rec->file_count());
+              rec->size());
   bool all_ok = true;
   for (std::size_t i = 0; i < originals.size(); i++) {
     const std::string path = "/upload/" + std::to_string(i);
     const bool csum_ok = rec->verify(path).ok();
-    const bool bytes_ok = rec->read_file(path).value_or({}) == originals[i];
+    const bool bytes_ok = rec->get(path).value_or({}) == originals[i];
     std::printf("  %s: checksum %s, bytes %s\n", path.c_str(),
                 csum_ok ? "ok" : "BAD", bytes_ok ? "match" : "MISMATCH");
     all_ok = all_ok && csum_ok && bytes_ok;
   }
 
   // Zero-copy emission (the sendfile path).
-  auto pkts = rec->emit_pkts("/upload/0");
-  std::printf("\nemit_pkts(\"/upload/0\"): %zu TX-ready packet(s), "
+  auto pkts = rec->get_as_pkts("/upload/0");
+  std::printf("\nget_as_pkts(\"/upload/0\"): %zu TX-ready packet(s), "
               "value rides as frags (no copy)\n",
               pkts->size());
   for (auto* pb : pkts.value()) spool2.free(pb);

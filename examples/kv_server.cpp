@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (const Backend b :
        {Backend::discard, Backend::raw_persist, Backend::lsm, Backend::pktstore}) {
     RunConfig cfg;
-    cfg.backend = b;
+    cfg.server.backend = b;
     cfg.connections = conns;
     cfg.value_size = value;
     cfg.get_ratio = 0.2;

@@ -83,6 +83,20 @@ class AdminProbe {
   u64 bytes_ = 0;
 };
 
+// The server machine of every testbed: busy-polling, PM-backed, one
+// datapath shard per core.
+HostConfig server_host_config(int cores, u64 pm_size,
+                              const nic::Nic::Options& nic) {
+  HostConfig c;
+  c.ip = kServerIp;
+  c.cores = cores;
+  c.busy_poll = true;
+  c.pm_backed = true;
+  c.pm_size = pm_size;
+  c.nic = nic;
+  return c;
+}
+
 // max/mean of the per-shard request counts (1.0 when even or trivial).
 double shard_imbalance(const std::vector<u64>& reqs) {
   if (reqs.size() < 2) return 1.0;
@@ -105,14 +119,8 @@ RunResult run_experiment(const RunConfig& cfg) {
 
   nic::Fabric fabric(env, cfg.fabric);
 
-  HostConfig server_cfg;
-  server_cfg.ip = kServerIp;
-  server_cfg.cores = cfg.server_cores;
-  server_cfg.busy_poll = true;
-  server_cfg.pm_backed = true;
-  server_cfg.pm_size = cfg.pm_size;
-  server_cfg.nic = cfg.nic;
-  Host server_host(env, fabric, server_cfg);
+  Host server_host(env, fabric,
+                   server_host_config(cfg.server_cores, cfg.pm_size, cfg.nic));
 
   HostConfig client_cfg;
   client_cfg.ip = kClientIp;
@@ -121,21 +129,12 @@ RunResult run_experiment(const RunConfig& cfg) {
   client_cfg.nic = cfg.nic;
   Host client_host(env, fabric, client_cfg);
 
-  ServerConfig scfg;
-  scfg.backend = cfg.backend;
-  scfg.knobs = cfg.knobs;
-  scfg.lsm_wal = cfg.lsm_wal;
-  scfg.pkt_opts = cfg.pkt_opts;
-  scfg.trace = cfg.trace;
-  scfg.trace_capacity = cfg.trace_capacity;
-  scfg.flight_recorder = cfg.flight_recorder;
-  scfg.flightrec_capacity = cfg.flightrec_capacity;
-  KvServer server(server_host, scfg);
+  KvServer server(server_host, cfg.server);
 
   // Replication testbed: R backup hosts plus the primary-side forwarder.
   std::vector<std::unique_ptr<repl::ReplicaNode>> replicas;
   std::optional<repl::Replicator> replicator;
-  if (cfg.repl && cfg.backend == Backend::pktstore) {
+  if (cfg.repl && cfg.server.backend == Backend::pktstore) {
     std::vector<u32> peer_ips;
     for (u32 i = 0; i < cfg.repl_replicas; i++) {
       repl::ReplicaConfig rc;
@@ -143,7 +142,7 @@ RunResult run_experiment(const RunConfig& cfg) {
       rc.primary_ip = kServerIp;
       rc.index = i;
       rc.opts = cfg.repl_opts;
-      rc.store_opts = cfg.pkt_opts;
+      rc.store_opts = cfg.server.pkt_opts;
       replicas.push_back(std::make_unique<repl::ReplicaNode>(env, fabric, rc));
       peer_ips.push_back(rc.ip);
     }
@@ -162,7 +161,7 @@ RunResult run_experiment(const RunConfig& cfg) {
   ccfg.zipf_theta = cfg.zipf_theta;
   ccfg.seed = cfg.seed;
   WrkClient client(client_host, ccfg);
-  client.set_tracing(cfg.trace);
+  client.set_tracing(cfg.server.trace);
 
   std::optional<Rebalancer> rebalancer;
   if (cfg.rebalance && cfg.server_cores > 1) {
@@ -232,7 +231,7 @@ RunResult run_experiment(const RunConfig& cfg) {
     r.metrics_json =
         "{\"server\": " + sm.to_json() + ", \"client\": " + cm.to_json() + "}";
   }
-  if (cfg.trace) {
+  if (cfg.server.trace) {
     obs::TraceLog merged = server_host.merged_trace();
     merged.merge_from(client.trace());
     // Cross-host stitching: the replicas' apply spans carry the primary's
@@ -255,14 +254,8 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   env.rng = Rng(cfg.seed);
   nic::Fabric fabric(env, cfg.fabric);
 
-  HostConfig server_cfg;
-  server_cfg.ip = kServerIp;
-  server_cfg.cores = cfg.server_cores;
-  server_cfg.busy_poll = true;
-  server_cfg.pm_backed = true;
-  server_cfg.pm_size = cfg.pm_size;
-  server_cfg.nic = cfg.nic;
-  Host server_host(env, fabric, server_cfg);
+  Host server_host(env, fabric,
+                   server_host_config(cfg.server_cores, cfg.pm_size, cfg.nic));
 
   ServerConfig scfg;
   scfg.backend = Backend::pktstore;
@@ -397,26 +390,10 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
 
   nic::Fabric fabric(env, cfg.fabric);
 
-  HostConfig server_cfg;
-  server_cfg.ip = kServerIp;
-  server_cfg.cores = cfg.server_cores;
-  server_cfg.busy_poll = true;
-  server_cfg.pm_backed = true;
-  server_cfg.pm_size = cfg.pm_size;
-  server_cfg.nic = cfg.nic;
-  Host server_host(env, fabric, server_cfg);
+  Host server_host(env, fabric,
+                   server_host_config(cfg.server_cores, cfg.pm_size, cfg.nic));
 
-  ServerConfig scfg;
-  scfg.backend = cfg.backend;
-  scfg.knobs = cfg.knobs;
-  scfg.lsm_wal = cfg.lsm_wal;
-  scfg.pkt_opts = cfg.pkt_opts;
-  scfg.admin = cfg.admin;
-  scfg.trace = cfg.trace_capacity > 0;
-  scfg.trace_capacity = cfg.trace_capacity;
-  scfg.flight_recorder = cfg.flight_recorder;
-  scfg.flightrec_capacity = cfg.flightrec_capacity;
-  KvServer server(server_host, scfg);
+  KvServer server(server_host, cfg.server);
 
   // Big sweeps need their SYNs spread out and the warmup stretched to
   // cover establishment: 100k handshakes cannot hide inside a 50 ms
@@ -479,14 +456,15 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   // (the byte-identity configuration).
   std::optional<Host> admin_host;
   std::optional<AdminProbe> probe;
-  if (cfg.admin && cfg.admin_interval_ns > 0) {
+  if (cfg.server.admin && cfg.admin_interval_ns > 0) {
     HostConfig ahc;
     ahc.ip = kAdminIp;
     ahc.cores = 0;
     ahc.busy_poll = false;
     ahc.nic = cfg.nic;
     admin_host.emplace(env, fabric, ahc);
-    probe.emplace(*admin_host, kServerIp, scfg.port, cfg.admin_interval_ns);
+    probe.emplace(*admin_host, kServerIp, cfg.server.port,
+                  cfg.admin_interval_ns);
   }
 
   // Prime the whole keyspace (same per-key value convention as the
@@ -551,7 +529,7 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   }
   r.flightrec_records = server.flightrec_records() - flightrec_before;
   r.flightrec_wraps = server.flightrec_wraps();
-  if (cfg.trace_capacity > 0) {
+  if (cfg.server.trace) {
     r.trace_dropped = server_host.merged_trace().dropped();
   }
   if (cfg.collect_metrics) {

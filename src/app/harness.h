@@ -15,11 +15,9 @@
 namespace papm::app {
 
 struct RunConfig {
-  // Server.
-  Backend backend = Backend::lsm;
-  storage::StoreKnobs knobs;
-  bool lsm_wal = false;
-  core::PktStoreOptions pkt_opts;
+  // Server. server.trace also collects the client's spans and fills the
+  // attribution and trace JSON below.
+  ServerConfig server;
   int server_cores = 1;  // "the server uses only one CPU core"
   u64 pm_size = 512u << 20;  // server PM device, split across core shards
 
@@ -43,7 +41,7 @@ struct RunConfig {
 
   // Replication (src/repl/): R backup hosts on the fabric; pktstore
   // mutations ack only once a quorum of hosts holds them durably.
-  // Requires backend == pktstore (other backends ignore it).
+  // Requires server.backend == pktstore (other backends ignore it).
   bool repl = false;
   u32 repl_replicas = 2;
   repl::ReplOptions repl_opts;
@@ -54,15 +52,9 @@ struct RunConfig {
   nic::Nic::Options nic;
   u64 seed = 42;
 
-  // Observability. All are measurement-window scoped (reset at the
-  // warmup boundary).
-  bool collect_metrics = false;  // fill metrics_report / metrics_json
-  bool trace = false;            // per-request spans -> attribution + JSON
-  std::size_t trace_capacity = 0;  // span ring per shard (0 = unbounded)
-  // PM flight recorder (src/obs/flightrec.h): one ring per server shard,
-  // written through the datapath's group-commit epochs.
-  bool flight_recorder = false;
-  u32 flightrec_capacity = 4096;
+  // Observability, measurement-window scoped (reset at the warmup
+  // boundary): fill metrics_report / metrics_json.
+  bool collect_metrics = false;
 };
 
 struct RunResult {
@@ -114,11 +106,16 @@ RunResult run_experiment(const RunConfig& cfg);
 // --- Open-loop (production load) experiments ------------------------------
 
 struct OpenLoopRunConfig {
-  // Server (same knobs as RunConfig).
-  Backend backend = Backend::pktstore;
-  storage::StoreKnobs knobs;
-  bool lsm_wal = false;
-  core::PktStoreOptions pkt_opts;
+  // Server. server.admin arms /stats, /metrics and /trace/recent;
+  // armed-but-unscraped costs zero simulated time (the admin branch only
+  // fires on admin URLs), so an admin run without a scraper is
+  // byte-identical to one without. /trace/recent serves the span rings
+  // that server.trace with a nonzero server.trace_capacity fills.
+  ServerConfig server = [] {
+    ServerConfig c;
+    c.backend = Backend::pktstore;
+    return c;
+  }();
   int server_cores = 4;
   u64 pm_size = 512u << 20;
 
@@ -147,21 +144,10 @@ struct OpenLoopRunConfig {
   u64 seed = 42;
   bool collect_metrics = false;
 
-  // Telemetry plane. `admin` arms /stats, /metrics and /trace/recent on
-  // the server; armed-but-unscraped costs zero simulated time (the admin
-  // branch only fires on admin URLs), so an --admin run without a
-  // scraper is byte-identical to one without the flag. A nonzero
-  // admin_interval_ns additionally runs a scrape probe from its own
-  // client host, cycling the three endpoints at that period — that is
-  // the configuration the <1% p99 overhead budget is measured in.
-  bool admin = false;
+  // With server.admin, a nonzero period runs a scrape probe from its own
+  // client host, cycling the three admin endpoints — the configuration
+  // the <1% p99 overhead budget is measured in.
   SimTime admin_interval_ns = 0;
-  // Server-side span collection for /trace/recent: per-shard span rings
-  // (bounded; obs.trace_dropped counts evictions). 0 leaves tracing off.
-  std::size_t trace_capacity = 0;
-  // PM flight recorder on the server datapath.
-  bool flight_recorder = false;
-  u32 flightrec_capacity = 4096;
 };
 
 struct OpenLoopResult {

@@ -1,8 +1,6 @@
 #include "app/server.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 
@@ -11,62 +9,6 @@
 namespace papm::app {
 
 namespace {
-
-// In-place request-head parse over the first segment's payload: no copy,
-// no allocation beyond the key string. Returns nullopt if the head is not
-// complete yet.
-struct Head {
-  http::Method method;
-  std::string_view key;  // target without the leading "/kv/"
-  std::size_t head_len;
-  std::size_t body_len;
-};
-
-std::optional<Head> parse_head_inplace(std::string_view payload) {
-  const std::size_t end = payload.find("\r\n\r\n");
-  if (end == std::string_view::npos) return std::nullopt;
-  Head h{};
-  h.head_len = end + 4;
-  h.body_len = 0;
-
-  const std::size_t line_end = payload.find("\r\n");
-  const std::size_t sp1 = payload.find(' ');
-  if (sp1 == std::string_view::npos || sp1 > line_end) return std::nullopt;
-  const std::size_t sp2 = payload.find(' ', sp1 + 1);
-  if (sp2 == std::string_view::npos || sp2 > line_end) return std::nullopt;
-  const std::string_view m = payload.substr(0, sp1);
-  if (m == "PUT" || m == "POST") {
-    h.method = http::Method::put;
-  } else if (m == "GET") {
-    h.method = http::Method::get;
-  } else if (m == "DELETE") {
-    h.method = http::Method::del;
-  } else {
-    h.method = http::Method::other;
-  }
-  std::string_view target = payload.substr(sp1 + 1, sp2 - sp1 - 1);
-  if (target.starts_with("/kv/")) target.remove_prefix(4);
-  h.key = target;
-
-  // Content-Length, if present.
-  std::size_t pos = line_end + 2;
-  while (pos < end) {
-    std::size_t eol = payload.find("\r\n", pos);
-    if (eol == std::string_view::npos || eol > end) eol = end;
-    const std::string_view line = payload.substr(pos, eol - pos);
-    constexpr std::string_view kCl = "Content-Length:";
-    if (line.size() > kCl.size() &&
-        (line.starts_with(kCl) || line.starts_with("content-length:"))) {
-      std::string_view v = line.substr(kCl.size());
-      while (!v.empty() && v.front() == ' ') v.remove_prefix(1);
-      std::size_t n = 0;
-      std::from_chars(v.data(), v.data() + v.size(), n);
-      h.body_len = n;
-    }
-    pos = eol + 2;
-  }
-  return h;
-}
 
 std::string shard_name(std::string_view base, u32 shard) {
   return shard == 0 ? std::string(base)
@@ -80,6 +22,20 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
   shards_.resize(host_.datapaths());
   for (u32 i = 0; i < host_.datapaths(); i++) {
     Shard& sh = shards_[i];
+    obs::MetricRegistry& reg = host_.metrics(i);
+    sh.m_requests = &reg.counter("server.requests");
+    sh.m_errors = &reg.counter("server.errors");
+    sh.m_parsed = &reg.counter("http.requests_parsed");
+    sh.m_req_ns = &reg.histogram("server.req_ns");
+    // Group/epoch commit rides the stores' batcher hooks. The policy
+    // travels in StoreKnobs for both indexed backends (pkt_opts carries no
+    // persistence policy of its own).
+    if (host_.pm_backed() &&
+        (cfg.backend == Backend::lsm || cfg.backend == Backend::pktstore)) {
+      sh.batcher.emplace(host_.pm_device(), cfg.knobs.group_commit);
+      sh.batcher->register_pool(host_.pm_pool(i));
+    }
+    pm::FlushBatcher* batcher = sh.batcher.has_value() ? &*sh.batcher : nullptr;
     switch (cfg.backend) {
       case Backend::discard:
         break;
@@ -104,37 +60,26 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
         sh.store_pool = pm::PmPool::create(
             host_.pm_device(), shard_name("storepool", i),
             align_up(span.value(), kCacheLine), carve - kCacheLine);
+        if (batcher != nullptr) batcher->register_pool(*sh.store_pool);
         storage::LsmOptions o;
         o.knobs = cfg.knobs;
         o.use_wal = cfg.lsm_wal;
-        sh.lsm = storage::LsmStore::create(host_.pm_device(), *sh.store_pool,
-                                           shard_name("db", i), o);
+        auto lsm = std::make_unique<storage::LsmStore>(storage::LsmStore::create(
+            host_.pm_device(), *sh.store_pool, shard_name("db", i), o));
+        lsm->set_batcher(batcher);
+        lsm->set_metrics(&reg);
+        sh.store = std::move(lsm);
         break;
       }
-      case Backend::pktstore:
-        sh.pktstore = core::PktStore::create(host_.pool(i),
-                                             shard_name("store", i),
-                                             cfg.pkt_opts);
+      case Backend::pktstore: {
+        auto pkt = std::make_unique<core::PktStore>(core::PktStore::create(
+            host_.pool(i), shard_name("store", i), cfg.pkt_opts));
+        pkt->set_batcher(batcher);
+        pkt->set_metrics(&reg);
+        sh.store = std::move(pkt);
         break;
+      }
     }
-    // Group/epoch commit rides the stores' batcher hooks. The policy
-    // travels in StoreKnobs for both backends (pkt_opts carries no
-    // persistence policy of its own).
-    if (host_.pm_backed() &&
-        (cfg.backend == Backend::lsm || cfg.backend == Backend::pktstore)) {
-      sh.batcher.emplace(host_.pm_device(), cfg.knobs.group_commit);
-      sh.batcher->register_pool(host_.pm_pool(i));
-      if (sh.store_pool.has_value()) sh.batcher->register_pool(*sh.store_pool);
-      if (sh.lsm.has_value()) sh.lsm->set_batcher(&*sh.batcher);
-      if (sh.pktstore.has_value()) sh.pktstore->set_batcher(&*sh.batcher);
-    }
-    obs::MetricRegistry& reg = host_.metrics(i);
-    sh.m_requests = &reg.counter("server.requests");
-    sh.m_errors = &reg.counter("server.errors");
-    sh.m_parsed = &reg.counter("http.requests_parsed");
-    sh.m_req_ns = &reg.histogram("server.req_ns");
-    if (sh.lsm.has_value()) sh.lsm->set_metrics(&reg);
-    if (sh.pktstore.has_value()) sh.pktstore->set_metrics(&reg);
     // Telemetry plane (all runtime opt-in, off by default).
     if (cfg.trace_capacity != 0) {
       host_.trace(i).set_capacity(cfg.trace_capacity);
@@ -149,7 +94,7 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
         throw std::runtime_error("KvServer: no PM for flight recorder");
       }
       sh.flightrec.emplace(std::move(fr.value()));
-      if (sh.batcher.has_value()) sh.flightrec->set_batcher(&*sh.batcher);
+      if (batcher != nullptr) sh.flightrec->set_batcher(batcher);
       sh.flightrec->set_metrics(&reg);
     }
     const Status st = host_.stack(i).listen(
@@ -170,8 +115,8 @@ void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
   };
 }
 
-bool KvServer::try_parse_head(ConnState& st) {
-  if (st.pkts.empty()) return false;
+http::RequestHead::Status KvServer::try_parse_head(ConnState& st) {
+  if (st.pkts.empty()) return http::RequestHead::Status::incomplete;
   // Fast path: head within the first segment (always true for the
   // paper's request sizes; requests are not pipelined).
   net::PktBuf* first = st.pkts[0];
@@ -181,17 +126,31 @@ bool KvServer::try_parse_head(ConnState& st) {
   auto& env = host_.env();
   const SimTime t0 = env.now();
   env.clock().advance(env.cost.scaled(env.cost.server_http_parse_ns));
-  const auto head = parse_head_inplace(view);
-  if (!head.has_value()) return false;
+  const http::RequestHead head = http::parse_request_head(view);
+  if (head.status != http::RequestHead::Status::complete) return head.status;
   st.parse_ts = t0;
   st.parse_dur = env.now() - t0;
   obs::inc(shards_[st.shard].m_parsed);
   st.head_parsed = true;
-  st.method = head->method;
-  st.key = std::string(head->key);
-  st.head_len = head->head_len;
-  st.body_len = head->body_len;
-  return true;
+  st.method = head.method;
+  std::string_view key = head.target;
+  if (key.starts_with("/kv/")) key.remove_prefix(4);
+  st.key = std::string(key);
+  st.head_len = head.head_len;
+  st.body_len = head.body_len;
+  return head.status;
+}
+
+void KvServer::reject(net::TcpConn& conn, ConnState& st) {
+  Shard& sh = shards_[st.shard];
+  errors_++;
+  obs::inc(sh.m_errors);
+  // Registered on first use: a clean run's metrics carry no such row.
+  obs::inc(&host_.metrics(st.shard).counter("http.parse_errors"));
+  respond(conn, 400);
+  for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
+  conns_.erase(&conn);
+  conn.close();
 }
 
 void KvServer::arm_epoch_watchdog(u32 shard) {
@@ -247,55 +206,11 @@ void KvServer::arm_epoch_drain_check(u32 shard) {
       });
 }
 
-Status KvServer::normalize_pkts(ConnState& st) {
-  net::PktBufPool& pool = host_.pool(st.shard);
-  auto& env = host_.env();
-  for (net::PktBuf*& pb : st.pkts) {
-    if (pb->owner == &pool) continue;
-    net::PktBuf* np = pool.alloc(pb->len);
-    if (np == nullptr) return Errc::out_of_space;
-    env.clock().advance(env.cost.copy_cost(pb->len));
-    u8* dst = pool.writable(*np, pb->len).data();
-    if (pb->sliced()) {
-      // Materialize contiguously in this shard's pool: header bytes from
-      // the header block, payload from the slice. After a TCP trim,
-      // payload_off can exceed the header block's capacity — headers are
-      // never semantically read after parse, so copy what exists and
-      // leave the gap zero-filled.
-      const u32 hdr = std::min<u32>(pb->cap, pb->payload_off);
-      std::memcpy(dst, pb->owner->arena().data(pb->data_h, hdr), hdr);
-      const auto pl = pb->owner->payload(*pb);
-      std::memcpy(dst + pb->payload_off, pl.data(), pl.size());
-    } else {
-      std::memcpy(dst, pb->owner->data(*pb), pb->len);
-    }
-    pool.arena().mark_dirty(np->data_h, pb->len);
-    np->len = pb->len;
-    np->tstamp = pb->tstamp;
-    np->hw_tstamp = pb->hw_tstamp;
-    np->wire_csum = pb->wire_csum;
-    np->payload_csum = pb->payload_csum;
-    np->csum_verified = pb->csum_verified;
-    np->rss_hash = pb->rss_hash;
-    np->rss_queue = static_cast<u16>(st.shard);
-    np->l2_off = pb->l2_off;
-    np->l3_off = pb->l3_off;
-    np->l4_off = pb->l4_off;
-    np->payload_off = pb->payload_off;
-    np->l4_proto = pb->l4_proto;
-    np->ip = pb->ip;
-    np->tcp = pb->tcp;
-    net::PktBufPool::release(pb);
-    pb = np;
-  }
-  return Errc::ok;
-}
-
 void KvServer::on_flow_migrated(net::TcpConn& conn, u32 new_shard) {
   auto it = conns_.find(&conn);
   if (it == conns_.end() || new_shard >= shards_.size()) return;
-  // Buffered segments keep their old-pool buffers until dispatch
-  // normalizes them (pktstore) or reads them owner-routed (lsm/raw).
+  // Buffered segments keep their old-pool buffers until the store re-homes
+  // them (PktStore::put_pkts) or reads them owner-routed (lsm/raw).
   it->second.shard = new_shard;
 }
 
@@ -319,19 +234,8 @@ bool KvServer::prime(std::string_view key, std::span<const u8> value) {
   };
   clk.begin_scope(host_.env().now(), &discarded);
   const ScopeCloser closer{&clk};
-  Status s = Errc::ok;
-  switch (cfg_.backend) {
-    case Backend::discard:
-    case Backend::raw_persist:
-      break;  // nothing to index; GETs are not served from these
-    case Backend::lsm:
-      s = sh.lsm->put(key, value, nullptr);
-      break;
-    case Backend::pktstore:
-      s = sh.pktstore->put_bytes(key, value, nullptr);
-      break;
-  }
-  return s.ok();
+  // Nothing to index without a store; GETs are not served from those.
+  return sh.store == nullptr || sh.store->put_bytes(key, value).ok();
 }
 
 void KvServer::gate_release(const std::shared_ptr<ReplGate>& g) {
@@ -369,20 +273,19 @@ void KvServer::on_readable(net::TcpConn& conn) {
     st.have_bytes += pb->payload_len();
     st.pkts.push_back(pb);
   }
-  if (!st.head_parsed && !try_parse_head(st)) return;
+  if (!st.head_parsed) {
+    switch (try_parse_head(st)) {
+      case http::RequestHead::Status::complete:
+        break;
+      case http::RequestHead::Status::incomplete:
+        return;
+      case http::RequestHead::Status::malformed:
+        reject(conn, st);
+        return;
+    }
+  }
   if (st.have_bytes < st.head_len + st.body_len) return;  // body incomplete
   dispatch(conn, st);
-}
-
-KvServer::Shard* KvServer::find_pkt_shard(std::string_view key, u32 home) {
-  // RSS flow affinity puts a key's writes in its writer's ingress shard,
-  // so the home shard hits in the common case; the fallback sweep keeps
-  // reads correct when another connection wrote the key.
-  if (shards_[home].pktstore->stat(key).ok()) return &shards_[home];
-  for (u32 i = 0; i < shards_.size(); i++) {
-    if (i != home && shards_[i].pktstore->stat(key).ok()) return &shards_[i];
-  }
-  return nullptr;
 }
 
 bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
@@ -400,7 +303,7 @@ bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
   if (st.key == "/metrics") {
     body = obs::prometheus_text(host_.merged_metrics());
   } else if (trace_recent) {
-    body = obs::trace_recent_json(host_.merged_trace(), cfg_.trace_recent);
+    body = obs::trace_recent_json(host_.merged_trace(), kTraceRecent);
   } else {
     const obs::MetricRegistry merged = host_.merged_metrics();
     body = "{\"now_ns\": " + std::to_string(env.now()) +
@@ -434,7 +337,7 @@ bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
   return true;
 }
 
-void KvServer::flight_record(ConnState& st, const storage::OpBreakdown* bd,
+void KvServer::flight_record(ConnState& st, const storage::OpBreakdown& bd,
                              u64 req, int status) {
   Shard& sh = shards_[st.shard];
   if (!sh.flightrec.has_value()) return;
@@ -452,18 +355,16 @@ void KvServer::flight_record(ConnState& st, const storage::OpBreakdown* bd,
     fr.stage_ns[static_cast<int>(obs::Stage::rx)] =
         ns32(st.parse_ts - st.rx_start);
   }
-  fr.stage_ns[static_cast<int>(obs::Stage::parse)] = ns32(st.parse_dur);
-  if (bd != nullptr) {
-    fr.stage_ns[static_cast<int>(obs::Stage::parse)] += ns32(bd->prep_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::checksum)] = ns32(bd->checksum_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::slice)] = ns32(bd->slice_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::copy)] = ns32(bd->copy_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::alloc_index)] =
-        ns32(bd->alloc_insert_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::nic_insert)] =
-        ns32(bd->nic_insert_ns);
-    fr.stage_ns[static_cast<int>(obs::Stage::persist)] = ns32(bd->persist_ns);
-  }
+  fr.stage_ns[static_cast<int>(obs::Stage::parse)] =
+      ns32(st.parse_dur) + ns32(bd.prep_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::checksum)] = ns32(bd.checksum_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::slice)] = ns32(bd.slice_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::copy)] = ns32(bd.copy_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::alloc_index)] =
+      ns32(bd.alloc_insert_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::nic_insert)] =
+      ns32(bd.nic_insert_ns);
+  fr.stage_ns[static_cast<int>(obs::Stage::persist)] = ns32(bd.persist_ns);
   fr.result = static_cast<u16>(status);
   switch (st.method) {
     case http::Method::put: fr.op = 'P'; break;
@@ -472,6 +373,35 @@ void KvServer::flight_record(ConnState& st, const storage::OpBreakdown* bd,
     default: fr.op = '?'; break;
   }
   sh.flightrec->append(fr);
+}
+
+void KvServer::raw_persist(Shard& sh, const ConnState& st,
+                           storage::OpBreakdown& bd) {
+  // The Fig. 2 "simple application that copies and persists data in the
+  // PM region": one copy + one flush, no structure.
+  auto& env = host_.env();
+  if (sh.raw_off + st.body_len > kRawRegion) sh.raw_off = 0;
+  auto& dev = host_.pm_device();
+  std::size_t skip = st.head_len;
+  u64 at = sh.raw_region + sh.raw_off;
+  const SimTime t0 = env.now();
+  for (net::PktBuf* pb : st.pkts) {
+    const auto p = pb->owner->payload(*pb);
+    if (skip >= p.size()) {
+      skip -= p.size();
+      continue;
+    }
+    const auto chunk = p.subspan(skip);
+    skip = 0;
+    env.clock().advance(env.cost.copy_cost(chunk.size()));
+    dev.store(at, chunk);
+    at += chunk.size();
+  }
+  bd.copy_ns += env.now() - t0;
+  const SimTime t1 = env.now();
+  dev.persist(sh.raw_region + sh.raw_off, st.body_len);
+  bd.persist_ns += env.now() - t1;
+  sh.raw_off += align_up(st.body_len, kCacheLine);
 }
 
 void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
@@ -483,19 +413,13 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   if (sh.batcher.has_value()) {
     sh.batcher->begin_op(batched, static_cast<u64>(env.now()));
   }
-  if (sh.lsm.has_value()) sh.lsm->set_batched(batched);
-  if (sh.pktstore.has_value()) sh.pktstore->set_batched(batched);
+  if (sh.store != nullptr) sh.store->set_batched(batched);
   storage::OpBreakdown bd;
-  storage::OpBreakdown* bdp = cfg_.collect_breakdown ? &bd : nullptr;
   int status = 200;
   std::vector<u8> resp_body;
   Shard* zero_copy_shard = nullptr;
-  // Replication forwarding state (pktstore mutations with a Replicator
-  // attached): the value's gather ranges, captured where the PUT path
-  // has them in hand.
-  const bool repl_on = repl_ != nullptr && cfg_.backend == Backend::pktstore;
+  // The PUT value's gather ranges, forwarded when a Replicator is attached.
   std::vector<repl::Replicator::GatherSeg> repl_segs;
-  bool repl_put_ok = false;
 
   // One Table-1 row per request: rx covers NIC ingress of the first
   // segment up to the head parse (TCP delivery, checksum verify, wakeup);
@@ -510,173 +434,80 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   }
   const SimTime t_backend = env.now();
 
-  switch (cfg_.backend) {
-    case Backend::discard:
-      break;
-
-    case Backend::raw_persist: {
-      // The Fig. 2 "simple application that copies and persists data in
-      // the PM region": one copy + one flush, no structure.
-      if (st.method == http::Method::put) {
-        if (sh.raw_off + st.body_len > kRawRegion) sh.raw_off = 0;
-        auto& dev = host_.pm_device();
-        std::size_t skip = st.head_len;
-        u64 at = sh.raw_region + sh.raw_off;
-        const SimTime t0 = env.now();
-        for (net::PktBuf* pb : st.pkts) {
-          const auto p = pb->owner->payload(*pb);
-          if (skip >= p.size()) {
-            skip -= p.size();
-            continue;
-          }
-          const auto chunk = p.subspan(skip);
-          skip = 0;
-          env.clock().advance(env.cost.copy_cost(chunk.size()));
-          dev.store(at, chunk);
-          at += chunk.size();
-        }
-        if (bdp != nullptr) bdp->copy_ns += env.now() - t0;
-        const SimTime t1 = env.now();
-        dev.persist(sh.raw_region + sh.raw_off, st.body_len);
-        if (bdp != nullptr) bdp->persist_ns += env.now() - t1;
-        sh.raw_off += align_up(st.body_len, kCacheLine);
-      }
-      break;
+  if (sh.store == nullptr) {
+    // discard and raw_persist: 200 with an empty body to every method.
+    if (cfg_.backend == Backend::raw_persist &&
+        st.method == http::Method::put) {
+      raw_persist(sh, st, bd);
     }
-
-    case Backend::lsm: {
-      if (st.method == http::Method::put) {
-        // Write-local: the PUT lands in the ingress core's shard.
-        Status s = Errc::ok;
-        if (st.pkts.size() == 1) {
-          // Body contiguous inside the packet: hand the view straight to
-          // the store (its internal copy is the Table 1 copy row).
-          net::PktBuf* pb = st.pkts[0];
-          const auto p = pb->owner->payload(*pb);
-          s = sh.lsm->put(st.key, p.subspan(st.head_len, st.body_len), bdp);
-        } else {
-          std::vector<u8> body;
-          body.reserve(st.body_len);
-          std::size_t skip = st.head_len;
-          for (net::PktBuf* pb : st.pkts) {
-            const auto p = pb->owner->payload(*pb);
-            if (skip >= p.size()) {
-              skip -= p.size();
-              continue;
-            }
-            body.insert(body.end(), p.begin() + static_cast<long>(skip), p.end());
-            skip = 0;
-          }
-          body.resize(st.body_len);
-          s = sh.lsm->put(st.key, body, bdp);
-        }
-        if (!s.ok()) {
-          status = 507;
-          errors_++;
-          obs::inc(sh.m_errors);
-        } else {
-          status = 201;
-        }
-      } else if (st.method == http::Method::get) {
-        if (st.key.starts_with("/scan/")) {
-          resp_body = scan_response(st.key);
-        } else {
-          // Read-merge: the ingress shard first (RSS flow affinity makes
-          // it the writer's shard), then the others for keys another
-          // connection wrote.
-          auto v = sh.lsm->get(st.key);
-          if (!v.ok() && v.errc() == Errc::not_found) {
-            for (u32 i = 0; i < shards_.size(); i++) {
-              if (i == st.shard) continue;
-              shards_[i].lsm->set_batched(batched);
-              auto w = shards_[i].lsm->get(st.key);
-              if (w.ok() || w.errc() != Errc::not_found) {
-                v = std::move(w);
-                break;
-              }
-            }
-          }
-          if (v.ok()) {
-            resp_body = std::move(v.value());
-          } else {
-            status = v.errc() == Errc::not_found ? 404 : 500;
-          }
-        }
-      } else if (st.method == http::Method::del) {
-        // 404 only when every shard misses; a real store error wins.
-        bool any = false;
-        bool failed = false;
-        for (auto& s : shards_) {
-          const Status r = s.lsm->erase(st.key);
-          any |= r.ok();
-          failed |= !r.ok() && r.errc() != Errc::not_found;
-        }
-        status = failed ? 500 : any ? 204 : 404;
+  } else if (st.method == http::Method::put) {
+    // Write-local: the PUT lands in the ingress core's shard. The value's
+    // byte ranges cover a contiguous run of the request's segments (every
+    // delivered segment carries payload).
+    std::size_t first = 0;
+    std::vector<u32> offs, lens;
+    std::size_t skip = st.head_len;
+    std::size_t remaining = st.body_len;
+    for (std::size_t i = 0; i < st.pkts.size(); i++) {
+      const net::PktBuf* pb = st.pkts[i];
+      const u32 plen = pb->payload_len();
+      if (skip >= plen) {
+        skip -= plen;
+        continue;
       }
-      break;
+      if (offs.empty()) first = i;
+      const u32 len =
+          static_cast<u32>(std::min<std::size_t>(plen - skip, remaining));
+      offs.push_back(pb->payload_off + static_cast<u32>(skip));
+      lens.push_back(len);
+      skip = 0;
+      remaining -= len;
+      if (remaining == 0) break;
     }
-
-    case Backend::pktstore: {
-      if (st.method == http::Method::put) {
-        // A request that spanned a flow migration holds segments from the
-        // old shard's pool; re-home them before the chain adopts data.
-        if (!normalize_pkts(st).ok()) {
-          status = 507;
-          errors_++;
-          obs::inc(sh.m_errors);
-          break;
-        }
-        // Zero-copy ingest: per-packet value ranges.
-        std::vector<net::PktBuf*> pkts;
-        std::vector<u32> offs, lens;
-        std::size_t skip = st.head_len;
-        std::size_t remaining = st.body_len;
-        for (net::PktBuf* pb : st.pkts) {
-          const u32 plen = pb->payload_len();
-          if (skip >= plen) {
-            skip -= plen;
-            continue;
-          }
-          const u32 off = pb->payload_off + static_cast<u32>(skip);
-          const u32 len = static_cast<u32>(
-              std::min<std::size_t>(plen - skip, remaining));
-          skip = 0;
-          pkts.push_back(pb);
-          offs.push_back(off);
-          lens.push_back(len);
-          remaining -= len;
-          if (remaining == 0) break;
-        }
-        const Status s = sh.pktstore->put_pkts(st.key, pkts, offs, lens, bdp);
-        if (!s.ok()) {
-          status = 507;
-          errors_++;
-          obs::inc(sh.m_errors);
-        } else {
-          status = 201;
-          if (repl_on) {
-            // Forward the same packets' value ranges, refcounted — the
-            // replicas receive the bytes the client's segments carried.
-            repl_segs = repl::gather_from_pkts(pkts, offs, lens);
-            repl_put_ok = true;
-          }
-        }
-      } else if (st.method == http::Method::get) {
-        if (st.key.starts_with("/scan/")) {
-          resp_body = scan_response(st.key);
-        } else if (Shard* owner = find_pkt_shard(st.key, st.shard)) {
-          owner->pktstore->set_batched(batched);
-          zero_copy_shard = owner;
-        } else {
-          status = 404;
-        }
-      } else if (st.method == http::Method::del) {
-        bool any = false;
-        for (auto& s : shards_) any |= s.pktstore->erase(st.key);
-        status = any ? 204 : 404;
+    const std::span<net::PktBuf*> pkts(st.pkts.data() + first, offs.size());
+    if (sh.store->put_pkts(st.key, pkts, offs, lens, &bd).ok()) {
+      status = 201;
+      // Forward the same packets' value ranges, refcounted — the replicas
+      // receive the bytes the client's segments carried.
+      if (repl_ != nullptr) repl_segs = repl::gather_from_pkts(pkts, offs, lens);
+    } else {
+      status = 507;
+      errors_++;
+      obs::inc(sh.m_errors);
+    }
+  } else if (st.method == http::Method::get) {
+    if (st.key.starts_with("/scan/")) {
+      resp_body = scan_response(st.key);
+    } else {
+      // Read-merge: the ingress shard first (RSS flow affinity makes it
+      // the writer's shard), then the others for keys another connection
+      // wrote.
+      Shard* owner = &sh;
+      auto hit = sh.store->lookup(st.key, batched);
+      for (u32 i = 0; i < shards_.size() && hit.errc() == Errc::not_found;
+           i++) {
+        if (i == st.shard) continue;
+        owner = &shards_[i];
+        hit = owner->store->lookup(st.key, batched);
       }
-      break;
+      if (!hit.ok()) {
+        status = hit.errc() == Errc::not_found ? 404 : 500;
+      } else if (hit->zero_copy) {
+        zero_copy_shard = owner;
+      } else {
+        resp_body = std::move(hit->bytes);
+      }
     }
+  } else if (st.method == http::Method::del) {
+    // 404 only when every shard misses; a real store error wins.
+    bool any = false;
+    bool failed = false;
+    for (auto& s : shards_) {
+      const Status r = s.store->erase(st.key);
+      any |= r.ok();
+      failed |= !r.ok() && r.errc() != Errc::not_found;
+    }
+    status = failed ? 500 : any ? 204 : 404;
   }
 
   // Stitch the backend's OpBreakdown into contiguous stage spans laid out
@@ -684,7 +515,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // sum never exceeds the elapsed backend time, so the stitched spans stay
   // inside [t_backend, now). prep lands on the parse stage (request
   // preparation — memtable key setup, WAL record framing).
-  if (tr.active() && bdp != nullptr) {
+  if (tr.active()) {
     SimTime at = t_backend;
     const auto emit = [&](obs::Stage s, SimTime d) {
       if (d != 0) {
@@ -705,7 +536,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // under group commit its publication rides the same epoch whose close
   // releases the ack, and in pass-through mode it persists before the
   // response — either way an acked op is always recoverable.
-  flight_record(st, bdp, tr.req(), status);
+  flight_record(st, bd, tr.req(), status);
 
   // Durable mutations inside an open epoch ack only once the epoch's
   // fences retire (group commit's correctness condition); reads and
@@ -715,12 +546,11 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   const bool defer_ack =
       mutation && sh.batcher.has_value() && sh.batcher->batching();
   const bool replicate =
-      repl_on && mutation && (status == 201 || status == 204) &&
-      (st.method == http::Method::del || repl_put_ok);
+      repl_ != nullptr && mutation && (status == 201 || status == 204);
   {
     auto tx_span = tr.span(obs::Stage::tx);
     if (zero_copy_shard != nullptr) {
-      respond_value_zero_copy(conn, *zero_copy_shard, st.key);
+      respond_value_zero_copy(conn, *zero_copy_shard, st.key, batched);
     } else if (replicate) {
       // Quorum-gated ack: the client hears 201/204 only once the write
       // is locally durable AND a quorum of hosts holds it (or the
@@ -731,7 +561,6 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       gate->shard = st.shard;
       gate->req = tr.req();
       gate->traced = tr.active();
-      gate->t0 = env.now();
       if (defer_ack) {
         sh.batcher->on_committed([this, gate] {
           gate->local = true;
@@ -742,9 +571,8 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
         gate->local = true;
         gate->local_at = env.now();
       }
-      auto done = [this, gate](bool degraded) {
+      auto done = [this, gate](bool /*degraded*/) {
         gate->remote = true;
-        gate->degraded = degraded;
         gate->remote_at = host_.env().now();
         gate_release(gate);
       };
@@ -778,10 +606,8 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   sh.requests++;
   obs::inc(sh.m_requests);
   if (st.rx_start != 0) obs::observe(sh.m_req_ns, env.now() - st.rx_start);
-  if (bdp != nullptr) {
-    breakdown_sum_ += bd;
-    breakdown_ops_++;
-  }
+  breakdown_sum_ += bd;
+  breakdown_ops_++;
 
   for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
   ConnState fresh;
@@ -810,16 +636,7 @@ std::vector<u8> KvServer::scan_response(std::string_view target) {
       merged.emplace(std::string(key), len);
       return ++n < kMaxScan;
     };
-    if (sh.lsm.has_value()) {
-      sh.lsm->scan(from, to, [&](std::string_view k, std::span<const u8> v) {
-        return collect(k, v.size());
-      });
-    } else if (sh.pktstore.has_value()) {
-      sh.pktstore->scan(
-          from, to, [&](std::string_view k, const core::PktStore::ValueMeta& m) {
-            return collect(k, m.len);
-          });
-    }
+    sh.store->scan_keys(from, to, collect);
   }
   std::string out;
   std::size_t n = 0;
@@ -844,17 +661,18 @@ void KvServer::respond(net::TcpConn& conn, int status,
 }
 
 void KvServer::respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
-                                       std::string_view key) {
+                                       std::string_view key, bool batched) {
   auto& env = host_.env();
   env.clock().advance(env.cost.scaled(env.cost.server_http_build_ns));
-  const auto st = sh.pktstore->stat(key);
+  // A second probe, for the length (charged like the first).
+  const auto hit = sh.store->lookup(key, batched);
   // Headers go through the copying send (they are tiny)...
   const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: " +
-                           std::to_string(st->len) + "\r\n\r\n";
+                           std::to_string(hit->len) + "\r\n\r\n";
   (void)conn.send(std::span<const u8>(
       reinterpret_cast<const u8*>(head.data()), head.size()));
   // ...the value leaves as frag-backed packets, zero copy (§4.2).
-  auto pkts = sh.pktstore->get_as_pkts(key);
+  auto pkts = sh.store->get_as_pkts(key);
   if (!pkts.ok()) return;
   for (net::PktBuf* pb : pkts.value()) {
     if (!conn.send_pkt(pb).ok()) {

@@ -13,7 +13,9 @@
 //
 // All backends use the zero-copy receive path (read_pkts) — PASTE served
 // the baseline in the paper too — so backend differences are pure
-// data-management differences.
+// data-management differences. The two indexed backends share one request
+// pipeline written against storage::KvStore; discard and raw_persist have
+// no store and answer 200 with an empty body to every method.
 //
 // Scale-out (S1): on a multi-queue host the server runs one complete
 // pipeline per datapath shard — its own listener on that shard's pinned
@@ -29,6 +31,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <unordered_map>
 
 #include "app/host.h"
@@ -59,10 +62,8 @@ struct ServerConfig {
   storage::StoreKnobs knobs;                 // lsm backend
   bool lsm_wal = false;                      // lsm backend
   core::PktStoreOptions pkt_opts;            // pktstore backend
-  bool collect_breakdown = true;
   // Record per-request stage spans into the host's per-shard TraceLogs
-  // (rx/parse/checksum/copy/alloc+index/persist/tx). Requires
-  // collect_breakdown for the data-management stages.
+  // (rx/parse/checksum/copy/alloc+index/persist/tx).
   bool trace = false;
 
   // --- Telemetry plane (runtime opt-in, all off by default; an *armed
@@ -72,12 +73,6 @@ struct ServerConfig {
   // the KV port, from merge_from() snapshots of the shared-nothing
   // registries/logs — the hot path is never locked or paused.
   bool admin = false;
-  // Span cap for one /trace/recent response.
-  // /trace/recent page size. Small by design: the page is assembled and
-  // sent on a datapath core, so its bytes (copy + per-segment tx) are
-  // the dominant term in the admin plane's p99 footprint — 32 spans is
-  // one scrape page, the full log belongs in the bench-exit trace file.
-  std::size_t trace_recent = 32;
   // Per-shard TraceLog ring capacity for long-running serving (0 keeps
   // the unbounded bench-exit behaviour). Wraps count obs.trace_dropped.
   std::size_t trace_capacity = 0;
@@ -104,9 +99,8 @@ class KvServer {
   // Re-homes `conn`'s server-side state onto `new_shard`'s pipeline after
   // its TCP state moved stacks (TcpStack::extract/adopt). Segments of a
   // request in flight across the migration boundary still live in the old
-  // queue's packet pool; the pktstore PUT path copies those into the new
-  // shard's pool before ingest (normalize_pkts), so store residency moves
-  // with the flow.
+  // queue's packet pool; PktStore::put_pkts copies those into the new
+  // shard's pool before ingest, so store residency moves with the flow.
   void on_flow_migrated(net::TcpConn& conn, u32 new_shard);
   // Retires `shard`'s open group-commit epoch as pinned CPU work. Called
   // by the rebalancer before detaching a flow group so deferred
@@ -115,7 +109,7 @@ class KvServer {
   void close_epoch(u32 shard);
 
   // --- Replication (src/repl/) ------------------------------------------
-  // Attaches the primary-side Replicator: pktstore mutations then ack
+  // Attaches the primary-side Replicator: store mutations then ack
   // only once locally durable AND remote-quorum durable (or released by
   // the degrade deadline). Null (the default) keeps the single-host ack
   // path, bit-identical to the pre-replication build — the gate branches
@@ -185,8 +179,8 @@ class KvServer {
     // (the user-space PM allocator of Table 1); the packet pool stays a
     // cheap freelist for NIC RX buffers either way.
     std::optional<pm::PmPool> store_pool;
-    std::optional<storage::LsmStore> lsm;
-    std::optional<core::PktStore> pktstore;
+    // The shard's store; null for discard and raw_persist.
+    std::unique_ptr<storage::KvStore> store;
     // Group/epoch commit for this shard's datapath (lsm and pktstore
     // backends on a PM host): content fences deferred, publications
     // withheld, acks released at epoch close. A deadline watchdog event
@@ -210,10 +204,15 @@ class KvServer {
     obs::Counter* m_admin = nullptr;
   };
   static constexpr u64 kRawRegion = 4u << 20;
+  // /trace/recent page size. Small by design: the page is assembled and
+  // sent on a datapath core, so its bytes (copy + per-segment tx) are
+  // the dominant term in the admin plane's p99 footprint — 32 spans is
+  // one scrape page, the full log belongs in the bench-exit trace file.
+  static constexpr std::size_t kTraceRecent = 32;
 
   // Per-connection request assembly over zero-copy packets. The request
   // head (start line + headers) must fit in the first segment — true for
-  // the paper's workloads; a slow path re-assembles otherwise.
+  // the paper's workloads; a head split across segments waits forever.
   struct ConnState {
     u32 shard = 0;                   // ingress datapath (RSS decided)
     std::vector<net::PktBuf*> pkts;  // segments of the in-flight request
@@ -244,8 +243,6 @@ class KvServer {
     bool local = false;
     bool remote = false;
     bool fired = false;
-    bool degraded = false;
-    SimTime t0 = 0;        // submit time (repl span start)
     SimTime local_at = 0;
     SimTime remote_at = 0;
   };
@@ -262,12 +259,10 @@ class KvServer {
   // without waiting out the full deadline. Stale checks no-op.
   void arm_epoch_drain_check(u32 shard);
   void on_readable(net::TcpConn& conn);
-  bool try_parse_head(ConnState& st);
-  // Copies any buffered segment whose PktBuf came from another shard's
-  // pool into `st.shard`'s pool (a request spanning a migration). The
-  // pktstore chain adopts data into its own pool, so foreign buffers must
-  // not reach put_pkts. No-op for requests that never crossed shards.
-  Status normalize_pkts(ConnState& st);
+  // Parses the request head in segment 0 once it is complete.
+  http::RequestHead::Status try_parse_head(ConnState& st);
+  // Answers a malformed head 400 and closes the connection.
+  void reject(net::TcpConn& conn, ConnState& st);
   // Serves /stats, /metrics and /trace/recent from merged snapshots.
   // Returns true when the request was an admin target and a response
   // (including the connection-state reset) was fully handled.
@@ -275,16 +270,16 @@ class KvServer {
   // Appends the request's record to the shard's flight recorder (no-op
   // without one). Runs before the ack path so the record's publication
   // rides the same commit epoch that releases the ack.
-  void flight_record(ConnState& st, const storage::OpBreakdown* bd,
+  void flight_record(ConnState& st, const storage::OpBreakdown& bd,
                      u64 req, int status);
   void dispatch(net::TcpConn& conn, ConnState& st);
-  // GET routing: the shard holding `key`, preferring `home` (the ingress
-  // shard, where RSS puts all of the key's PUTs from this client).
-  [[nodiscard]] Shard* find_pkt_shard(std::string_view key, u32 home);
+  // The Fig. 2 simple application's PUT: copy the body into the shard's
+  // PM region and flush it.
+  void raw_persist(Shard& sh, const ConnState& st, storage::OpBreakdown& bd);
   [[nodiscard]] std::vector<u8> scan_response(std::string_view target);
   void respond(net::TcpConn& conn, int status, std::span<const u8> body = {});
   void respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
-                               std::string_view key);
+                               std::string_view key, bool batched);
 
   Host& host_;
   ServerConfig cfg_;

@@ -1,5 +1,6 @@
 #include "core/pktstore.h"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace papm::core {
@@ -73,10 +74,54 @@ Status PktStore::put_pkt(std::string_view key, net::PktBuf& pb, u32 val_off,
   return put_pkts(key, pkts, offs, lens, bd);
 }
 
-Status PktStore::put_pkts(std::string_view key,
-                          std::span<net::PktBuf* const> pkts,
+Status PktStore::rehome(std::span<net::PktBuf*> pkts) {
+  net::PktBufPool& pool = *pktpool_;
+  auto& env = chain_.device().env();
+  for (net::PktBuf*& pb : pkts) {
+    if (pb->owner == &pool) continue;
+    net::PktBuf* np = pool.alloc(pb->len);
+    if (np == nullptr) return Errc::out_of_space;
+    env.clock().advance(env.cost.copy_cost(pb->len));
+    u8* dst = pool.writable(*np, pb->len).data();
+    if (pb->sliced()) {
+      // Materialize contiguously in this pool: header bytes from the
+      // header block, payload from the slice. After a TCP trim,
+      // payload_off can exceed the header block's capacity — headers are
+      // never semantically read after parse, so copy what exists and
+      // leave the gap zero-filled.
+      const u32 hdr = std::min<u32>(pb->cap, pb->payload_off);
+      std::memcpy(dst, pb->owner->arena().data(pb->data_h, hdr), hdr);
+      const auto pl = pb->owner->payload(*pb);
+      std::memcpy(dst + pb->payload_off, pl.data(), pl.size());
+    } else {
+      std::memcpy(dst, pb->owner->data(*pb), pb->len);
+    }
+    pool.arena().mark_dirty(np->data_h, pb->len);
+    np->len = pb->len;
+    np->tstamp = pb->tstamp;
+    np->hw_tstamp = pb->hw_tstamp;
+    np->wire_csum = pb->wire_csum;
+    np->payload_csum = pb->payload_csum;
+    np->csum_verified = pb->csum_verified;
+    np->rss_hash = pb->rss_hash;
+    np->rss_queue = pb->rss_queue;
+    np->l2_off = pb->l2_off;
+    np->l3_off = pb->l3_off;
+    np->l4_off = pb->l4_off;
+    np->payload_off = pb->payload_off;
+    np->l4_proto = pb->l4_proto;
+    np->ip = pb->ip;
+    np->tcp = pb->tcp;
+    net::PktBufPool::release(pb);
+    pb = np;
+  }
+  return Errc::ok;
+}
+
+Status PktStore::put_pkts(std::string_view key, std::span<net::PktBuf*> pkts,
                           std::span<const u32> offs, std::span<const u32> lens,
                           storage::OpBreakdown* bd) {
+  if (const Status st = rehome(pkts); !st.ok()) return st;
   obs::inc(m_puts_);
   charge_prep(bd);
   if (opts_.insert != InsertPolicy::host && opts_.zero_copy && !pkts.empty()) {
@@ -193,6 +238,17 @@ Result<std::vector<u8>> PktStore::get(std::string_view key) const {
   return chain_.read(head.value());
 }
 
+Result<storage::KvStore::Hit> PktStore::lookup(std::string_view key,
+                                               bool batched) {
+  const auto m = stat(key);
+  if (!m.ok()) return m.errc();
+  set_batched(batched);
+  Hit h;
+  h.len = m->len;
+  h.zero_copy = true;
+  return h;
+}
+
 Result<std::vector<net::PktBuf*>> PktStore::get_as_pkts(
     std::string_view key) const {
   obs::inc(m_gets_);
@@ -224,13 +280,13 @@ Status PktStore::verify(std::string_view key) const {
   return chain_.verify(head.value());
 }
 
-bool PktStore::erase(std::string_view key) {
+Status PktStore::erase(std::string_view key) {
   obs::inc(m_erases_);
   const auto head = index_.get(key);
-  if (!head.ok()) return false;
-  if (!index_.erase(key)) return false;
+  if (!head.ok()) return head.status();
+  if (!index_.erase(key)) return Errc::not_found;
   retire_chain(head.value());
-  return true;
+  return Errc::ok;
 }
 
 }  // namespace papm::core

@@ -26,6 +26,7 @@
 #include "container/pskiplist.h"
 #include "core/ppktmeta.h"
 #include "obs/metrics.h"
+#include "storage/kv_store.h"
 
 namespace papm::core {
 
@@ -56,7 +57,7 @@ struct PktStoreOptions {
   container::PSkipListOptions index;
 };
 
-class PktStore {
+class PktStore final : public storage::KvStore {
  public:
   // `pktpool` must be backed by a PmArena (packet buffers in PM — the
   // PASTE substrate); its PmPool provides all persistent allocations.
@@ -76,22 +77,31 @@ class PktStore {
   Status put_pkt(std::string_view key, net::PktBuf& pb, u32 val_off,
                  u32 val_len, storage::OpBreakdown* bd = nullptr);
 
-  // Multi-segment values: one packet per chain element, same ranges.
-  Status put_pkts(std::string_view key, std::span<net::PktBuf* const> pkts,
+  // Multi-segment values: one packet per chain element, same ranges. The
+  // chain adopts data into this store's own packet pool, so a segment
+  // from another pool (a request that spanned a flow migration) is first
+  // re-homed: copied into this pool, swapped into `pkts`, the original
+  // released.
+  Status put_pkts(std::string_view key, std::span<net::PktBuf*> pkts,
                   std::span<const u32> offs, std::span<const u32> lens,
-                  storage::OpBreakdown* bd = nullptr);
+                  storage::OpBreakdown* bd = nullptr) override;
 
   // Application-originated put (no carrying packet).
   Status put_bytes(std::string_view key, std::span<const u8> value,
-                   storage::OpBreakdown* bd = nullptr);
+                   storage::OpBreakdown* bd = nullptr) override;
 
   // Copy-out read, checksum-verified.
   [[nodiscard]] Result<std::vector<u8>> get(std::string_view key) const;
 
+  // GET probe: a stat() of the index, no value read; the value leaves
+  // zero-copy through get_as_pkts(). Only a hit takes `batched`.
+  [[nodiscard]] Result<Hit> lookup(std::string_view key,
+                                   bool batched) override;
+
   // Zero-copy read for transmission: frag-backed packets over the stored
   // buffers, ready for TcpConn::send_pkt (after HTTP header prepend).
   [[nodiscard]] Result<std::vector<net::PktBuf*>> get_as_pkts(
-      std::string_view key) const;
+      std::string_view key) const override;
 
   struct ValueMeta {
     u64 len;
@@ -104,7 +114,7 @@ class PktStore {
   // Integrity scrub of one key (recompute vs stored checksum).
   [[nodiscard]] Status verify(std::string_view key) const;
 
-  bool erase(std::string_view key);
+  Status erase(std::string_view key) override;
 
   // fn(key, meta); ordered by key; early-stop on false.
   template <typename Fn>
@@ -112,6 +122,12 @@ class PktStore {
     index_.scan(from, to, [&](std::string_view k, u64 head) {
       return fn(k, stat_of(head));
     });
+  }
+  void scan_keys(std::string_view from, std::string_view to,
+                 const std::function<bool(std::string_view, u64)>& fn)
+      const override {
+    scan(from, to,
+         [&](std::string_view k, const ValueMeta& m) { return fn(k, m.len); });
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
@@ -126,7 +142,7 @@ class PktStore {
 
   // Back-to-back hint: warms the index traversal charging (the same
   // batching effect the baseline enjoys; keeps comparisons fair).
-  void set_batched(bool b) noexcept { index_.set_warm(b); }
+  void set_batched(bool b) noexcept override { index_.set_warm(b); }
 
   // Group-commit routing: value/metadata flushes and index publications
   // ride the per-shard epoch fences; chain frees of durably-referenced
@@ -149,7 +165,8 @@ class PktStore {
  private:
   PktStore(net::PktBufPool& pktpool, net::PmArena& arena,
            container::PSkipList index, PktStoreOptions opts)
-      : chain_(arena.device(), arena.pool(), pktpool),
+      : pktpool_(&pktpool),
+        chain_(arena.device(), arena.pool(), pktpool),
         index_(std::move(index)),
         opts_(opts) {}
 
@@ -169,6 +186,11 @@ class PktStore {
                             std::span<const u32> lens,
                             storage::OpBreakdown* bd);
 
+  // Copies each segment of `pkts` that another pool allocated into
+  // pktpool_ (see put_pkts).
+  Status rehome(std::span<net::PktBuf*> pkts);
+
+  net::PktBufPool* pktpool_;
   mutable PChain chain_;
   container::PSkipList index_;
   PktStoreOptions opts_;

@@ -13,7 +13,7 @@
 //     of packet metadata (the network-stack pattern of representing
 //     "data that spans across multiple packets").
 //
-// PktStore (KV) and PmFs (file system) both index chains of these.
+// PktStore indexes chains of these.
 #pragma once
 
 #include <span>
@@ -50,7 +50,7 @@ struct PPktMeta {
 static_assert(sizeof(PPktMeta) <= kCacheLine,
               "persistent packet metadata must stay within one cache line");
 
-// Chain operations shared by PktStore and PmFs. All take the PM-backed
+// Chain operations behind PktStore. All take the PM-backed
 // packet pool: metadata and any copied data come from the same allocator
 // the network stack uses (§4.2 allocator unification).
 class PChain {

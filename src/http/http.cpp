@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 
 namespace papm::http {
@@ -52,6 +53,22 @@ std::size_t find_header_end(const std::vector<u8>& buf) {
   return std::string::npos;
 }
 
+// A Content-Length value: all digits, optionally wrapped in spaces/tabs.
+std::optional<std::size_t> parse_length(std::string_view v) noexcept {
+  while (!v.empty() && (v.front() == ' ' || v.front() == '\t')) {
+    v.remove_prefix(1);
+  }
+  while (!v.empty() && (v.back() == ' ' || v.back() == '\t')) {
+    v.remove_suffix(1);
+  }
+  std::size_t n = 0;
+  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (v.empty() || ec != std::errc() || p != v.data() + v.size()) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 struct HeadLines {
   std::string_view start_line;
   std::vector<std::pair<std::string, std::string>> headers;
@@ -75,11 +92,9 @@ HeadLines parse_head(std::string_view head) {
     std::string_view value = line.substr(colon + 1);
     while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
     if (iequals(name, "Content-Length")) {
-      std::size_t v = 0;
-      const auto [p, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), v);
-      if (ec != std::errc() || p != value.data() + value.size()) return out;
-      out.content_length = v;
+      const auto n = parse_length(value);
+      if (!n.has_value()) return out;
+      out.content_length = *n;
     }
     out.headers.emplace_back(std::string(name), std::string(value));
     pos = eol + 2;
@@ -89,13 +104,6 @@ HeadLines parse_head(std::string_view head) {
 }
 
 }  // namespace
-
-std::string_view Request::header(std::string_view name) const noexcept {
-  for (const auto& [n, v] : headers) {
-    if (iequals(n, name)) return v;
-  }
-  return {};
-}
 
 std::vector<u8> serialize(const Request& req) {
   std::vector<u8> out;
@@ -140,54 +148,44 @@ std::vector<u8> serialize(const Response& resp) {
   return out;
 }
 
-std::optional<Request> RequestParser::feed(std::span<const u8> data) {
-  if (failed_) return std::nullopt;
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  return try_parse();
-}
-
-std::optional<Request> RequestParser::try_parse() {
-  const std::size_t head_len = find_header_end(buf_);
-  if (head_len == std::string::npos) return std::nullopt;
-
-  const std::string_view head(reinterpret_cast<const char*>(buf_.data()),
-                              head_len - 2);  // keep final CRLF of last header
-  HeadLines hl = parse_head(head);
-  if (!hl.ok) {
-    failed_ = true;
-    obs::inc(m_errors_);
-    return std::nullopt;
-  }
-  if (buf_.size() < head_len + hl.content_length) return std::nullopt;
-
-  Request req;
-  // Start line: METHOD SP target SP version
-  const std::size_t sp1 = hl.start_line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string_view::npos ? sp1 : hl.start_line.find(' ', sp1 + 1);
-  if (sp2 == std::string_view::npos) {
-    failed_ = true;
-    obs::inc(m_errors_);
-    return std::nullopt;
-  }
-  const std::string_view m = hl.start_line.substr(0, sp1);
-  if (m == "GET") {
-    req.method = Method::get;
-  } else if (m == "PUT" || m == "POST") {
-    req.method = Method::put;
+RequestHead parse_request_head(std::string_view buf) noexcept {
+  RequestHead h;
+  const std::size_t end = buf.find("\r\n\r\n");
+  if (end == std::string_view::npos) return h;  // incomplete
+  h.head_len = end + 4;
+  h.status = RequestHead::Status::malformed;
+  // Every line of `head`, the start line included, ends in CRLF.
+  const std::string_view head = buf.substr(0, end + 2);
+  const std::size_t line_end = head.find(kCrlf);
+  const std::string_view start = head.substr(0, line_end);
+  const std::size_t sp1 = start.find(' ');
+  if (sp1 == std::string_view::npos) return h;
+  const std::size_t sp2 = start.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) return h;
+  const std::string_view m = start.substr(0, sp1);
+  if (m == "PUT" || m == "POST") {
+    h.method = Method::put;
+  } else if (m == "GET") {
+    h.method = Method::get;
   } else if (m == "DELETE") {
-    req.method = Method::del;
-  } else {
-    req.method = Method::other;
+    h.method = Method::del;
   }
-  req.target = std::string(hl.start_line.substr(sp1 + 1, sp2 - sp1 - 1));
-  req.headers = std::move(hl.headers);
-  req.body.assign(buf_.begin() + static_cast<long>(head_len),
-                  buf_.begin() + static_cast<long>(head_len + hl.content_length));
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<long>(head_len + hl.content_length));
-  obs::inc(m_parsed_);
-  return req;
+  h.target = start.substr(sp1 + 1, sp2 - sp1 - 1);
+  for (std::size_t pos = line_end + 2; pos < head.size();) {
+    const std::size_t eol = head.find(kCrlf, pos);
+    const std::string_view line = head.substr(pos, eol - pos);
+    pos = eol + 2;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos) return h;
+    if (iequals(line.substr(0, colon), "Content-Length")) {
+      const auto n = parse_length(line.substr(colon + 1));
+      // head_len + body_len must stay representable.
+      if (!n.has_value() || *n > SIZE_MAX - h.head_len) return h;
+      h.body_len = *n;
+    }
+  }
+  h.status = RequestHead::Status::complete;
+  return h;
 }
 
 std::optional<Response> ResponseParser::feed(std::span<const u8> data) {

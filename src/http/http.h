@@ -2,8 +2,10 @@
 // ("The communication protocol is HTTP over TCP", wrk as the client).
 //
 // Supports exactly what the experiments need: PUT/GET/DELETE with a
-// Content-Length body over persistent connections, and an incremental
-// parser that copes with requests split across TCP segments.
+// Content-Length body over persistent connections. The server side parses
+// a request head in place (parse_request_head); the client side has an
+// incremental response parser that copes with responses split across TCP
+// segments.
 #pragma once
 
 #include <optional>
@@ -34,8 +36,6 @@ struct Request {
   std::string target;  // e.g. "/kv/key17"
   std::vector<std::pair<std::string, std::string>> headers;
   std::vector<u8> body;
-
-  [[nodiscard]] std::string_view header(std::string_view name) const noexcept;
 };
 
 struct Response {
@@ -48,35 +48,22 @@ struct Response {
 [[nodiscard]] std::vector<u8> serialize(const Request& req);
 [[nodiscard]] std::vector<u8> serialize(const Response& resp);
 
-// Incremental request parser: feed() consumes bytes; whenever a full
-// request is available it is returned (repeat feed with empty input to
-// drain pipelined requests).
-class RequestParser {
- public:
-  // Feeds bytes; returns a completed request if one finished.
-  std::optional<Request> feed(std::span<const u8> data);
-
-  // True if a parse error occurred (connection should be reset).
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
-
-  // Bytes buffered but not yet part of a complete request.
-  [[nodiscard]] std::size_t pending() const noexcept { return buf_.size(); }
-
-  // Mirrors completed parses / parse failures into registry counters
-  // (http.requests_parsed / http.parse_errors by convention).
-  void set_metrics(obs::Counter* parsed, obs::Counter* errors) noexcept {
-    m_parsed_ = parsed;
-    m_errors_ = errors;
-  }
-
- private:
-  std::optional<Request> try_parse();
-
-  std::vector<u8> buf_;
-  bool failed_ = false;
-  obs::Counter* m_parsed_ = nullptr;
-  obs::Counter* m_errors_ = nullptr;
+// A request head (start line + headers) parsed in place: no copy, no
+// allocation; `target` views the parsed buffer.
+struct RequestHead {
+  enum class Status { complete, incomplete, malformed };
+  Status status = Status::incomplete;
+  Method method = Method::other;  // PUT and POST both map to put
+  std::string_view target;        // as sent, e.g. "/kv/key17"
+  std::size_t head_len = 0;       // bytes before the body
+  std::size_t body_len = 0;       // Content-Length; 0 when absent
 };
+
+// Parses the request head at the start of `buf`. incomplete: no blank
+// line yet. malformed: the start line lacks its three space-separated
+// parts, a header line lacks its colon, or Content-Length (matched
+// case-insensitively) is not all digits or overflows head_len + body_len.
+[[nodiscard]] RequestHead parse_request_head(std::string_view buf) noexcept;
 
 // Incremental response parser (client side).
 class ResponseParser {

@@ -1,0 +1,83 @@
+// KvStore — the per-shard store contract the request pipeline
+// (app::KvServer) is written against.
+//
+// The §3 baseline and the §4.2 proposal differ in one respect: what the
+// store does with the request packets it is handed. LsmStore copies the
+// value out of them into its memtable; core::PktStore adopts them. The
+// pipeline never asks which one it holds — each store keeps its own
+// charging policy (read-path warmth, zero-copy transmit, foreign-buffer
+// handling) behind these few calls.
+#pragma once
+
+#include <functional>
+#include <span>
+#include <string_view>
+#include <vector>
+
+#include "net/pktbuf.h"
+#include "storage/knobs.h"
+
+namespace papm::storage {
+
+class KvStore {
+ public:
+  // A GET hit. A copying store hands back the value bytes; a zero-copy
+  // store hands back only the length and transmits the value from its
+  // own buffers through get_as_pkts().
+  struct Hit {
+    u64 len = 0;
+    bool zero_copy = false;
+    std::vector<u8> bytes;  // the value, when !zero_copy
+  };
+
+  virtual ~KvStore() = default;
+
+  // Stores the value a request carried: pkts[i]'s buffer holds value
+  // bytes [offs[i], offs[i] + lens[i]) (offsets absolute within the
+  // buffer, past the protocol headers). A store that adopts the buffers
+  // may swap a segment from another packet pool for a copy in its own,
+  // releasing the original; the caller releases whatever `pkts` holds
+  // afterwards. Durable iff ok.
+  virtual Status put_pkts(std::string_view key, std::span<net::PktBuf*> pkts,
+                          std::span<const u32> offs, std::span<const u32> lens,
+                          OpBreakdown* bd = nullptr) = 0;
+
+  // Stores application bytes (no carrying packet). Durable iff ok.
+  virtual Status put_bytes(std::string_view key, std::span<const u8> value,
+                           OpBreakdown* bd = nullptr) = 0;
+
+  // One shard's probe of a GET read-merge. `batched` is the request's
+  // back-to-back hint; each store applies it to its own read path.
+  // Errc::not_found on a miss.
+  [[nodiscard]] virtual Result<Hit> lookup(std::string_view key,
+                                           bool batched) = 0;
+
+  // Zero-copy read for transmission: frag-backed packets over the stored
+  // value. Only stores whose hits are zero_copy serve it.
+  [[nodiscard]] virtual Result<std::vector<net::PktBuf*>> get_as_pkts(
+      std::string_view /*key*/) const {
+    return Errc::not_supported;
+  }
+
+  // Durable iff ok; Errc::not_found (and no write) on a miss.
+  virtual Status erase(std::string_view key) = 0;
+
+  // fn(key, value length) in key order over [from, to) (empty `to` = no
+  // upper bound); stops early on false.
+  virtual void scan_keys(
+      std::string_view from, std::string_view to,
+      const std::function<bool(std::string_view, u64)>& fn) const = 0;
+
+  // Back-to-back hint for the write path's charging (group-commit
+  // regime).
+  virtual void set_batched(bool b) noexcept = 0;
+
+ protected:
+  KvStore() = default;
+  KvStore(const KvStore&) = default;
+  KvStore(KvStore&&) = default;
+  KvStore& operator=(const KvStore&) = default;
+  KvStore& operator=(KvStore&&) = default;
+};
+
+}  // namespace papm::storage

@@ -94,6 +94,23 @@ Status LsmStore::put(std::string_view key, std::span<const u8> value,
   return maybe_rotate();
 }
 
+Status LsmStore::put_pkts(std::string_view key, std::span<net::PktBuf*> pkts,
+                          std::span<const u32> offs, std::span<const u32> lens,
+                          OpBreakdown* bd) {
+  const auto range = [&](std::size_t i) {
+    net::PktBuf* pb = pkts[i];
+    return pb->owner->payload(*pb).subspan(offs[i] - pb->payload_off, lens[i]);
+  };
+  // A value inside one packet goes to put() as a view.
+  if (pkts.size() == 1) return put(key, range(0), bd);
+  std::vector<u8> value;
+  for (std::size_t i = 0; i < pkts.size(); i++) {
+    const auto r = range(i);
+    value.insert(value.end(), r.begin(), r.end());
+  }
+  return put(key, value, bd);
+}
+
 Status LsmStore::erase(std::string_view key) {
   obs::inc(m_erases_);
   if (!live(key)) return Errc::not_found;  // nothing to log or shadow
@@ -142,6 +159,16 @@ Result<std::vector<u8>> LsmStore::get(std::string_view key) const {
     }
   }
   return Errc::not_found;
+}
+
+Result<KvStore::Hit> LsmStore::lookup(std::string_view key, bool batched) {
+  set_batched(batched);
+  auto v = get(key);
+  if (!v.ok()) return v.errc();
+  Hit h;
+  h.len = v->size();
+  h.bytes = std::move(v.value());
+  return h;
 }
 
 void LsmStore::scan(

@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 
+#include "storage/kv_store.h"
 #include "storage/memtable.h"
 #include "storage/wal.h"
 
@@ -33,7 +34,7 @@ struct LsmOptions {
   u64 wal_bytes = 1 << 20;       // WAL span (when use_wal)
 };
 
-class LsmStore {
+class LsmStore final : public KvStore {
  public:
   /// Creates a fresh store; PM structures are registered under roots
   /// "<name>.cnt", "<name>.t<N>.idx" and (optionally) "<name>.wal", all
@@ -55,20 +56,40 @@ class LsmStore {
   /// May rotate the memtable first when the limit is configured.
   Status put(std::string_view key, std::span<const u8> value,
              OpBreakdown* bd = nullptr);
+  Status put_bytes(std::string_view key, std::span<const u8> value,
+                   OpBreakdown* bd = nullptr) override {
+    return put(key, value, bd);
+  }
+  /// The request's value gathered out of its packets (read owner-routed,
+  /// so segments from another shard's pool need no copy), then put():
+  /// the store's own copy is the Table 1 copy row.
+  Status put_pkts(std::string_view key, std::span<net::PktBuf*> pkts,
+                  std::span<const u32> offs, std::span<const u32> lens,
+                  OpBreakdown* bd = nullptr) override;
   /// Tombstone (or physical erase in the single-table configuration);
   /// durable iff ok, same ordering contract as put(). Errc::not_found
   /// (and no write at all) when no table holds a live value for `key`.
-  Status erase(std::string_view key);
+  Status erase(std::string_view key) override;
 
   /// Copy-out read across all tables, newest first; verifies checksums
   /// (Errc::corrupted surfaces torn records instead of returning them).
   [[nodiscard]] Result<std::vector<u8>> get(std::string_view key) const;
+  /// get() under the request's batched hint, which every probed shard
+  /// takes before its read (the memtable charges traversal by it).
+  [[nodiscard]] Result<Hit> lookup(std::string_view key, bool batched) override;
 
   // Ordered range scan across all tables (newest value wins, tombstones
   // hide older entries). fn(key, value_view); stops early on false.
   void scan(std::string_view from, std::string_view to,
             const std::function<bool(std::string_view, std::span<const u8>)>& fn)
       const;
+  void scan_keys(std::string_view from, std::string_view to,
+                 const std::function<bool(std::string_view, u64)>& fn)
+      const override {
+    scan(from, to, [&](std::string_view k, std::span<const u8> v) {
+      return fn(k, v.size());
+    });
+  }
 
   /// Freezes the mutable memtable (no-op when empty). The new table's
   /// roots are created and persisted before the table count is published
@@ -87,7 +108,7 @@ class LsmStore {
   [[nodiscard]] bool has_wal() const noexcept { return wal_.has_value(); }
 
   // Back-to-back hint for the active memtable (group commit regime).
-  void set_batched(bool b) noexcept {
+  void set_batched(bool b) noexcept override {
     if (active_.has_value()) active_->set_batched(b);
   }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "app/harness.h"
 
@@ -12,7 +13,7 @@ namespace {
 
 RunConfig base_config(Backend b, int conns = 1) {
   RunConfig cfg;
-  cfg.backend = b;
+  cfg.server.backend = b;
   cfg.connections = conns;
   cfg.warmup_ns = 10 * kNsPerMs;
   cfg.measure_ns = 60 * kNsPerMs;
@@ -65,7 +66,7 @@ TEST(Harness, PktStoreBeatsLsmAndKeepsAllProperties) {
 
 TEST(Harness, KnobsRemoveExactlyTheirShare) {
   auto cfg = base_config(Backend::lsm);
-  cfg.knobs.checksum = false;
+  cfg.server.knobs.checksum = false;
   const auto no_csum = run_experiment(cfg);
   const auto full = run_experiment(base_config(Backend::lsm));
   // Removing the checksum removes ~1.77 us of RTT.
@@ -161,56 +162,102 @@ TEST(Harness, LargeValuesSpanSegments) {
 
 TEST(Harness, LsmWithWalIsSlower) {
   auto wal_cfg = base_config(Backend::lsm);
-  wal_cfg.lsm_wal = true;
+  wal_cfg.server.lsm_wal = true;
   const auto with_wal = run_experiment(wal_cfg);
   const auto without = run_experiment(base_config(Backend::lsm));
   EXPECT_GT(with_wal.rtt.mean(), without.rtt.mean() + 2000.0);
 }
 
-// One single-core PM-backed KvServer and a raw client connection, for
-// end-to-end request/response checks against a chosen backend.
+// A PM-backed KvServer on `cores` datapath shards and raw client
+// connections to it, for end-to-end request/response checks against a
+// chosen backend. Connection 0 opens at construction.
 class KvRig {
  public:
-  explicit KvRig(Backend b)
+  explicit KvRig(Backend b, int cores = 1)
       : fabric_(env_),
-        server_(env_, fabric_, server_cfg()),
+        server_(env_, fabric_, server_cfg(cores)),
         client_(env_, fabric_, client_cfg()),
         srv_(server_, kv_cfg(b)) {
-    conn_ = client_.stack().connect(2, 9000);
-    conn_->on_readable = [this](net::TcpConn& c) {
+    (void)connect();
+  }
+
+  // Opens one more client connection; its index.
+  std::size_t connect() {
+    auto& c = *clients_.emplace_back(std::make_unique<Client>());
+    c.conn = client_.stack().connect(2, 9000);
+    c.conn->on_readable = [&c](net::TcpConn& tc) {
       std::vector<u8> buf(8192);
       std::size_t n;
-      while ((n = c.read(buf)) > 0) {
-        auto r = parser_.feed(std::span<const u8>(buf.data(), n));
-        if (r.has_value()) last_ = std::move(r);
+      while ((n = tc.read(buf)) > 0) {
+        auto r = c.parser.feed(std::span<const u8>(buf.data(), n));
+        if (r.has_value()) c.last = std::move(r);
       }
     };
     env_.engine.run_until_idle();
+    return clients_.size() - 1;
   }
 
-  [[nodiscard]] bool connected() const {
-    return conn_->state() == net::TcpState::established;
+  [[nodiscard]] bool connected(std::size_t conn = 0) const {
+    return clients_[conn]->conn->state() == net::TcpState::established;
   }
 
   // Sends one request and runs the simulation until idle; the response,
   // if one arrived.
   std::optional<http::Response> request(http::Method m, std::string target,
-                                        std::vector<u8> body = {}) {
-    last_.reset();
+                                        std::vector<u8> body = {},
+                                        std::size_t conn = 0) {
     http::Request req;
     req.method = m;
     req.target = std::move(target);
     req.body = std::move(body);
-    (void)conn_->send(http::serialize(req));
+    return send_raw(http::serialize(req), conn);
+  }
+  std::optional<http::Response> send_raw(std::span<const u8> bytes,
+                                         std::size_t conn = 0) {
+    Client& c = *clients_[conn];
+    c.last.reset();
+    (void)c.conn->send(bytes);
     env_.engine.run_until_idle();
-    return std::move(last_);
+    return std::move(c.last);
+  }
+  std::optional<http::Response> send_raw(std::string_view bytes,
+                                         std::size_t conn = 0) {
+    return send_raw(std::span<const u8>(
+                        reinterpret_cast<const u8*>(bytes.data()), bytes.size()),
+                    conn);
+  }
+
+  // The server shard connection `conn` lands on: the one whose request
+  // count a probe GET moves.
+  u32 shard_of(std::size_t conn) {
+    std::vector<u64> before;
+    for (u32 i = 0; i < server_.datapaths(); i++) {
+      before.push_back(srv_.shard_requests(i));
+    }
+    (void)request(http::Method::get, "/kv/shard-probe", {}, conn);
+    for (u32 i = 0; i < server_.datapaths(); i++) {
+      if (srv_.shard_requests(i) != before[i]) return i;
+    }
+    ADD_FAILURE() << "probe on connection " << conn << " was not dispatched";
+    return 0;
+  }
+
+  [[nodiscard]] KvServer& server() { return srv_; }
+  [[nodiscard]] u64 server_counter(const std::string& name) {
+    return server_.merged_metrics().counter(name).value();
   }
 
  private:
-  static HostConfig server_cfg() {
+  struct Client {
+    net::TcpConn* conn = nullptr;
+    http::ResponseParser parser;
+    std::optional<http::Response> last;
+  };
+
+  static HostConfig server_cfg(int cores) {
     HostConfig c;
     c.ip = 2;
-    c.cores = 1;
+    c.cores = cores;
     c.busy_poll = true;
     c.pm_backed = true;
     return c;
@@ -232,10 +279,114 @@ class KvRig {
   Host server_;
   Host client_;
   KvServer srv_;
-  net::TcpConn* conn_ = nullptr;
-  http::ResponseParser parser_;
-  std::optional<http::Response> last_;
+  std::vector<std::unique_ptr<Client>> clients_;
 };
+
+std::string str(const std::vector<u8>& v) { return {v.begin(), v.end()}; }
+
+// A malformed request head is answered 400 and its connection closed;
+// the server must not wait forever for a head it can never parse.
+TEST(KvServerParse, MalformedHeadIs400AndCloses) {
+  for (const char* bad :
+       {"NONSENSE\r\n\r\n",
+        "PUT /kv/a HTTP/1.1\r\nContent-Length: banana\r\n\r\n"}) {
+    KvRig rig(Backend::lsm);
+    ASSERT_TRUE(rig.connected());
+    const auto r = rig.send_raw(std::string_view(bad));
+    ASSERT_TRUE(r.has_value()) << bad;
+    EXPECT_EQ(r->status, 400) << bad;
+    EXPECT_FALSE(rig.connected()) << bad;
+    EXPECT_EQ(rig.server().errors(), 1u);
+    EXPECT_EQ(rig.server_counter("server.errors"), 1u);
+    EXPECT_EQ(rig.server_counter("http.parse_errors"), 1u);
+    EXPECT_EQ(rig.server().ops(), 0u);
+  }
+}
+
+// Content-Length is matched case-insensitively: an upper-case header
+// still delivers its body to the store.
+TEST(KvServerParse, UpperCaseContentLengthKeepsBody) {
+  KvRig rig(Backend::lsm);
+  const auto put = rig.send_raw(std::string_view(
+      "PUT /kv/shout HTTP/1.1\r\nCONTENT-LENGTH: 5\r\n\r\nhello"));
+  ASSERT_TRUE(put.has_value());
+  EXPECT_EQ(put->status, 201);
+  const auto get = rig.request(http::Method::get, "/kv/shout");
+  ASSERT_TRUE(get.has_value());
+  EXPECT_EQ(get->status, 200);
+  EXPECT_EQ(str(get->body), "hello");
+}
+
+// The baselines without a store answer every method 200 with an empty
+// body (Table 1 / Fig. 2 wire bytes).
+class StorelessTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(StorelessTest, Every200Empty) {
+  KvRig rig(GetParam());
+  for (const auto m : {http::Method::put, http::Method::get, http::Method::del}) {
+    const auto r = rig.request(m, "/kv/k", m == http::Method::put
+                                               ? std::vector<u8>(100, 'v')
+                                               : std::vector<u8>{});
+    ASSERT_TRUE(r.has_value()) << to_string(m);
+    EXPECT_EQ(r->status, 200) << to_string(m);
+    EXPECT_TRUE(r->body.empty()) << to_string(m);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, StorelessTest,
+                         ::testing::Values(Backend::discard,
+                                           Backend::raw_persist));
+
+// The one request pipeline across shards, for both indexed stores: a key
+// written through one shard reads back byte-identical through another
+// (read-merge), lists once when both shards hold it (scan dedup), and a
+// DELETE through either connection erases it everywhere.
+class CrossShardTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(CrossShardTest, ReadMergeScanAndDeleteSpanShards) {
+  KvRig rig(GetParam(), 4);
+  const u32 home_a = rig.shard_of(0);
+  std::size_t b = 0;
+  for (int tries = 0; tries < 32 && b == 0; tries++) {
+    const std::size_t c = rig.connect();
+    if (rig.shard_of(c) != home_a) b = c;
+  }
+  ASSERT_NE(b, 0u) << "no connection landed off shard " << home_a;
+
+  std::vector<u8> value(3000);  // three segments
+  for (std::size_t i = 0; i < value.size(); i++) {
+    value[i] = static_cast<u8>(i * 7 + 3);
+  }
+  const auto put = rig.request(http::Method::put, "/kv/shared", value, 0);
+  ASSERT_TRUE(put.has_value());
+  ASSERT_EQ(put->status, 201);
+  const auto get = rig.request(http::Method::get, "/kv/shared", {}, b);
+  ASSERT_TRUE(get.has_value());
+  ASSERT_EQ(get->status, 200);
+  EXPECT_EQ(get->body, value);
+
+  // The same key through the other shard: both stores now hold it.
+  const auto put2 = rig.request(http::Method::put, "/kv/shared", value, b);
+  ASSERT_TRUE(put2.has_value());
+  ASSERT_EQ(put2->status, 201);
+  const auto scan = rig.request(http::Method::get, "/scan/", {}, 0);
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_EQ(scan->status, 200);
+  EXPECT_EQ(str(scan->body), "shared\t3000\n");
+
+  const auto del = rig.request(http::Method::del, "/kv/shared", {}, b);
+  ASSERT_TRUE(del.has_value());
+  EXPECT_EQ(del->status, 204);
+  const auto gone = rig.request(http::Method::get, "/kv/shared", {}, 0);
+  ASSERT_TRUE(gone.has_value());
+  EXPECT_EQ(gone->status, 404);
+  const auto gone_b = rig.request(http::Method::get, "/kv/shared", {}, b);
+  ASSERT_TRUE(gone_b.has_value());
+  EXPECT_EQ(gone_b->status, 404);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CrossShardTest,
+                         ::testing::Values(Backend::lsm, Backend::pktstore));
 
 // Range query end-to-end: prime keys through the harness-style server,
 // then issue GET /scan/<from>/<to> on a raw connection and check the

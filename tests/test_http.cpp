@@ -1,4 +1,5 @@
-// Tests for the HTTP/1.1 codec and incremental parsers.
+// Tests for the HTTP/1.1 codec: serializers, the in-place request-head
+// parser and the incremental response parser.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,100 +31,97 @@ TEST(HttpSerialize, ResponseStatusLine) {
   EXPECT_NE(s.find("Content-Length: 0\r\n"), std::string::npos);
 }
 
+std::string_view view(const std::vector<u8>& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size()};
+}
+
 TEST(HttpParse, RequestRoundTrip) {
   Request req;
   req.method = Method::put;
   req.target = "/kv/abc";
   req.headers.emplace_back("X-Custom", "yes");
   req.body = bytes("0123456789");
-  RequestParser p;
-  const auto parsed = p.feed(serialize(req));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->method, Method::put);
-  EXPECT_EQ(parsed->target, "/kv/abc");
-  EXPECT_EQ(parsed->header("x-custom"), "yes");  // case-insensitive
-  EXPECT_EQ(parsed->body, req.body);
-  EXPECT_EQ(p.pending(), 0u);
+  const auto wire = serialize(req);
+  const RequestHead h = parse_request_head(view(wire));
+  ASSERT_EQ(h.status, RequestHead::Status::complete);
+  EXPECT_EQ(h.method, Method::put);
+  EXPECT_EQ(h.target, "/kv/abc");
+  EXPECT_EQ(h.body_len, 10u);
+  EXPECT_EQ(h.head_len + h.body_len, wire.size());
+  EXPECT_EQ(std::string(wire.begin() + static_cast<long>(h.head_len), wire.end()),
+            "0123456789");
 }
 
-TEST(HttpParse, GetAndDeleteMethods) {
-  RequestParser p;
-  auto r = p.feed(bytes("GET /k HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->method, Method::get);
-  r = p.feed(bytes("DELETE /k HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->method, Method::del);
+TEST(HttpParse, GetDeleteAndPostMethods) {
+  EXPECT_EQ(parse_request_head("GET /k HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                .method,
+            Method::get);
+  EXPECT_EQ(parse_request_head("DELETE /k HTTP/1.1\r\n\r\n").method,
+            Method::del);
+  EXPECT_EQ(parse_request_head("POST /k HTTP/1.1\r\n\r\n").method,
+            Method::put);
+  const RequestHead other = parse_request_head("PATCH /k HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(other.status, RequestHead::Status::complete);
+  EXPECT_EQ(other.method, Method::other);
 }
 
 TEST(HttpParse, MissingContentLengthMeansEmptyBody) {
-  RequestParser p;
-  const auto r = p.feed(bytes("GET /x HTTP/1.1\r\n\r\n"));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_TRUE(r->body.empty());
+  const RequestHead h = parse_request_head("GET /x HTTP/1.1\r\n\r\n");
+  ASSERT_EQ(h.status, RequestHead::Status::complete);
+  EXPECT_EQ(h.body_len, 0u);
+  EXPECT_EQ(h.head_len, 19u);
 }
 
-TEST(HttpParse, SplitAcrossSegments) {
-  Request req;
-  req.method = Method::put;
-  req.target = "/kv/split";
-  req.body = bytes(std::string(3000, 'z'));  // spans >1 MSS
-  const auto wire = serialize(req);
-
-  RequestParser p;
-  // Feed byte ranges of varying sizes.
-  std::optional<Request> got;
-  std::size_t off = 0;
-  const std::size_t chunks[] = {1, 7, 100, 1460, 1460, 10000};
-  for (std::size_t c : chunks) {
-    const std::size_t n = std::min(c, wire.size() - off);
-    auto r = p.feed(std::span<const u8>(wire.data() + off, n));
-    off += n;
-    if (r.has_value()) {
-      got = std::move(r);
-      break;
-    }
+TEST(HttpParse, ContentLengthNameIsCaseInsensitive) {
+  for (const char* name : {"Content-Length", "content-length", "CONTENT-LENGTH",
+                           "cOnTeNt-LeNgTh"}) {
+    const std::string head =
+        std::string("PUT /kv/a HTTP/1.1\r\n") + name + ": 5\r\n\r\nhello";
+    const RequestHead h = parse_request_head(head);
+    ASSERT_EQ(h.status, RequestHead::Status::complete) << name;
+    EXPECT_EQ(h.body_len, 5u) << name;
   }
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->body.size(), 3000u);
-  EXPECT_EQ(got->target, "/kv/split");
 }
 
-TEST(HttpParse, PipelinedRequests) {
-  Request a, b;
-  a.method = Method::put;
-  a.target = "/a";
-  a.body = bytes("111");
-  b.method = Method::get;
-  b.target = "/b";
-  auto wire = serialize(a);
-  const auto wb = serialize(b);
-  wire.insert(wire.end(), wb.begin(), wb.end());
-
-  RequestParser p;
-  const auto first = p.feed(wire);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->target, "/a");
-  const auto second = p.feed({});
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->target, "/b");
-  EXPECT_FALSE(p.feed({}).has_value());
+TEST(HttpParse, HeadWithoutBlankLineIsIncomplete) {
+  const std::string wire = "PUT /kv/a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc";
+  const std::size_t end = wire.find("\r\n\r\n") + 4;
+  for (std::size_t n = 0; n < end; n++) {
+    EXPECT_EQ(parse_request_head(std::string_view(wire).substr(0, n)).status,
+              RequestHead::Status::incomplete)
+        << n;
+  }
+  EXPECT_EQ(parse_request_head(std::string_view(wire).substr(0, end)).status,
+            RequestHead::Status::complete);
 }
 
 TEST(HttpParse, MalformedStartLineFails) {
-  RequestParser p;
-  EXPECT_FALSE(p.feed(bytes("NONSENSE\r\n\r\n")).has_value());
-  EXPECT_TRUE(p.failed());
-  // A failed parser stays failed.
-  EXPECT_FALSE(p.feed(bytes("GET /x HTTP/1.1\r\n\r\n")).has_value());
+  EXPECT_EQ(parse_request_head("NONSENSE\r\n\r\n").status,
+            RequestHead::Status::malformed);
+  EXPECT_EQ(parse_request_head("GET /x\r\n\r\n").status,
+            RequestHead::Status::malformed);
+  EXPECT_EQ(parse_request_head("\r\n\r\n").status,
+            RequestHead::Status::malformed);
 }
 
 TEST(HttpParse, BadContentLengthFails) {
-  RequestParser p;
-  EXPECT_FALSE(
-      p.feed(bytes("PUT /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n"))
-          .has_value());
-  EXPECT_TRUE(p.failed());
+  for (const char* v : {"banana", "12x", "", "-1", "1 2",
+                        "99999999999999999999999999",
+                        "18446744073709551615"}) {
+    const std::string head =
+        std::string("PUT /x HTTP/1.1\r\nContent-Length: ") + v + "\r\n\r\n";
+    EXPECT_EQ(parse_request_head(head).status, RequestHead::Status::malformed)
+        << v;
+  }
+  // Surrounding whitespace is not part of the value.
+  EXPECT_EQ(parse_request_head("PUT /x HTTP/1.1\r\nContent-Length:  7 \r\n\r\n")
+                .body_len,
+            7u);
+}
+
+TEST(HttpParse, HeaderWithoutColonFails) {
+  EXPECT_EQ(parse_request_head("GET /x HTTP/1.1\r\nbogus\r\n\r\n").status,
+            RequestHead::Status::malformed);
 }
 
 TEST(HttpParse, ResponseRoundTrip) {

@@ -259,7 +259,7 @@ TEST(Migration, SameQueueIsNoOp) {
 // the static table left it.
 TEST(Rebalance, MonitorReducesImbalance) {
   RunConfig cfg;
-  cfg.backend = Backend::pktstore;
+  cfg.server.backend = Backend::pktstore;
   cfg.server_cores = 4;
   cfg.connections = 25;
   cfg.pm_size = 1u << 30;
@@ -284,7 +284,7 @@ TEST(Rebalance, MonitorReducesImbalance) {
 
 TEST(Rebalance, RunIsDeterministicForSeed) {
   RunConfig cfg;
-  cfg.backend = Backend::pktstore;
+  cfg.server.backend = Backend::pktstore;
   cfg.server_cores = 4;
   cfg.connections = 25;
   cfg.pm_size = 1u << 30;
@@ -309,7 +309,7 @@ TEST(Rebalance, RunIsDeterministicForSeed) {
 namespace {
 OpenLoopRunConfig openloop_cfg() {
   OpenLoopRunConfig cfg;
-  cfg.backend = Backend::pktstore;
+  cfg.server.backend = Backend::pktstore;
   cfg.server_cores = 2;
   cfg.pm_size = 512u << 20;
   cfg.connections = 200;

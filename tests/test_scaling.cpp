@@ -109,7 +109,7 @@ TEST(RssSteering, SameFlowAlwaysSameQueue) {
 
 app::RunConfig scaling_cfg(app::Backend backend, int cores) {
   app::RunConfig cfg;
-  cfg.backend = backend;
+  cfg.server.backend = backend;
   cfg.server_cores = cores;
   cfg.connections = 100;
   cfg.pm_size = 1u << 30;
