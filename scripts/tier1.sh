@@ -3,7 +3,8 @@
 #   1. docs lint: every bench binary has an EXPERIMENTS.md and a
 #      docs/BENCHMARKS.md section, every registered metric and trace stage
 #      an entry in docs/OBSERVABILITY.md;
-#   2. default build + ctest;
+#   2. default build, ctest, and a bench_pm smoke run (the PM-layer
+#      wall-clock microbench must keep building and running);
 #   3. bench_openloop, bench_slicer and bench_repl smokes, each run twice
 #      and compared bytewise (determinism);
 #   4. admin plane armed but unscraped: byte-identical to the baseline;
@@ -40,7 +41,13 @@ scripts/check_docs.sh
 stage "default build"
 cmake --preset default >/dev/null
 cmake --build build -j
+
+stage "default ctest"
 ctest --test-dir build --output-on-failure -j
+
+stage "PM microbench smoke"
+# This Google Benchmark build takes min_time as bare seconds ("0.01").
+build/bench/bench_pm --benchmark_min_time=0.01
 
 stage "open-loop smoke + determinism (byte-identical reruns)"
 build/bench/bench_openloop --conns 1000 --seconds 1 --json build/openloop_a.json
@@ -81,6 +88,8 @@ echo "bench_recovery: flightrec sweep clean and byte-identical"
 stage "ASan+UBSan build"
 cmake --preset asan >/dev/null
 cmake --build build-asan -j
+
+stage "ASan+UBSan ctest"
 ctest --test-dir build-asan --output-on-failure -j
 
 stage "exhaustive crash-point sweep (ASan+UBSan)"

@@ -1,6 +1,7 @@
 #include "container/pskiplist.h"
 
 #include <cstring>
+#include <utility>
 
 namespace papm::container {
 
@@ -13,23 +14,25 @@ constexpr u64 kOffPayload = 8;
 constexpr u64 kOffTower = 16;
 }  // namespace
 
+// Field reads go through the device's const view, which (unlike at() on a
+// mutable device) does not mark the page as possibly written.
 u16 PSkipList::node_height(u64 n) const {
   u16 h;
-  std::memcpy(&h, dev_->at(n + kOffHeight, 2), 2);
+  std::memcpy(&h, std::as_const(*dev_).at(n + kOffHeight, 2), 2);
   return h;
 }
 
 bool PSkipList::is_dead(u64 n) const {
   u16 f;
-  std::memcpy(&f, dev_->at(n + kOffFlags, 2), 2);
+  std::memcpy(&f, std::as_const(*dev_).at(n + kOffFlags, 2), 2);
   return (f & kDead) != 0;
 }
 
 std::string_view PSkipList::node_key(u64 n) const {
   u32 len;
-  std::memcpy(&len, dev_->at(n + kOffKeyLen, 4), 4);
+  std::memcpy(&len, std::as_const(*dev_).at(n + kOffKeyLen, 4), 4);
   const u64 key_at = n + kOffTower + 8 * static_cast<u64>(node_height(n));
-  return {reinterpret_cast<const char*>(dev_->at(key_at, len)), len};
+  return {reinterpret_cast<const char*>(std::as_const(*dev_).at(key_at, len)), len};
 }
 
 void PSkipList::publish_next(u64 n, int level, u64 to) {

@@ -1,6 +1,7 @@
 #include "core/ppktmeta.h"
 
 #include <cstring>
+#include <utility>
 
 namespace papm::core {
 
@@ -19,7 +20,8 @@ using Phase = struct PhaseTimer {
 }  // namespace
 
 const PPktMeta* PChain::meta(u64 off) const {
-  return reinterpret_cast<const PPktMeta*>(dev_->at(off, sizeof(PPktMeta)));
+  return reinterpret_cast<const PPktMeta*>(
+      std::as_const(*dev_).at(off, sizeof(PPktMeta)));
 }
 PPktMeta* PChain::meta(u64 off) {
   return reinterpret_cast<PPktMeta*>(dev_->at(off, sizeof(PPktMeta)));
@@ -220,7 +222,7 @@ Result<std::vector<u8>> PChain::read(u64 head) const {
   for (u64 at = head; at != 0;) {
     const PPktMeta* m = meta(at);
     if (m->magic != PPktMeta::kMagic) return Errc::corrupted;
-    const u8* p = dev_->at(m->data_off + m->val_off, m->val_len);
+    const u8* p = std::as_const(*dev_).at(m->data_off + m->val_off, m->val_len);
     env.clock().advance(env.cost.copy_cost(m->val_len));
     out.insert(out.end(), p, p + m->val_len);
     at = m->next;
@@ -234,8 +236,8 @@ Status PChain::verify(u64 head) const {
   for (u64 at = head; at != 0;) {
     const PPktMeta* m = meta(at);
     if (m->magic != PPktMeta::kMagic) return Errc::corrupted;
-    const std::span<const u8> bytes(dev_->at(m->data_off + m->val_off, m->val_len),
-                                    m->val_len);
+    const std::span<const u8> bytes(
+        std::as_const(*dev_).at(m->data_off + m->val_off, m->val_len), m->val_len);
     switch (static_cast<CsumKind>(m->csum_kind)) {
       case CsumKind::inet16: {
         env.clock().advance(env.cost.inet_csum_cost(bytes.size()));

@@ -1,22 +1,48 @@
 #include "pm/pm_device.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace papm::pm {
 
-PmDevice::PmDevice(sim::Env& env, u64 size) : env_(env), size_(size) {
-  if (size % kCacheLine != 0 || size < sizeof(Header) + kCacheLine) {
+PmDevice::LazyZero::LazyZero(u64 bytes) : bytes_(bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  p_ = static_cast<u8*>(p);
+}
+
+PmDevice::LazyZero::~LazyZero() { munmap(p_, bytes_); }
+
+u64 PmDevice::checked_size(u64 size) {
+  // LineState::pos indexes vectors of up to two entries per line.
+  if (size % kCacheLine != 0 || size < sizeof(Header) + kCacheLine ||
+      size / kCacheLine > (u64{1} << 30)) {
     throw std::invalid_argument("PmDevice: bad size");
   }
-  mem_.assign(size, 0);
-  persisted_.assign(size, 0);
+  return size;
+}
+
+PmDevice::PmDevice(sim::Env& env, u64 size)
+    : env_(env),
+      size_(checked_size(size)),
+      mem_(size),
+      persisted_(size),
+      line_state_(size / kCacheLine * sizeof(LineState)),
+      lines_(reinterpret_cast<LineState*>(line_state_.data())) {
+  // Nothing else is written: both images start as untouched zero pages.
   Header* h = header();
   h->magic = kMagic;
   h->size = size;
   // The header is born durable: a real device would be formatted offline.
   std::memcpy(persisted_.data(), mem_.data(), sizeof(Header));
+  mem_.touch(0, sizeof(Header));
+  persisted_.touch(0, sizeof(Header));
 }
 
 u64 PmDevice::data_base() const noexcept {
@@ -27,28 +53,20 @@ std::unique_ptr<PmDevice> PmDevice::clone_persisted() const {
   auto d = std::make_unique<PmDevice>(env_, size_);
   // What the DIMMs hold after the cut: the persisted image, verbatim —
   // including the root directory. The caches (dirty/pending/deferred)
-  // died with the host.
-  d->mem_ = persisted_;
-  d->persisted_ = persisted_;
+  // died with the host. Pages never persisted are zero on both sides.
+  persisted_.for_each_touched([&](u64 page) {
+    const u64 off = page * kPage;
+    const u64 n = std::min(kPage, size_ - off);
+    std::memcpy(d->mem_.data() + off, persisted_.data() + off, n);
+    std::memcpy(d->persisted_.data() + off, persisted_.data() + off, n);
+  });
+  d->mem_.touched = persisted_.touched;
+  d->persisted_.touched = persisted_.touched;
   return d;
 }
 
-void PmDevice::check_range(u64 offset, u64 len) const {
-  if (offset > size_ || len > size_ - offset) {
-    throw std::out_of_range("PmDevice: access out of range");
-  }
-}
-
-u8* PmDevice::at(u64 offset, u64 len) {
-  check_range(offset, len);
-  accessed_bytes_ += len;
-  return mem_.data() + offset;
-}
-
-const u8* PmDevice::at(u64 offset, u64 len) const {
-  check_range(offset, len);
-  accessed_bytes_ += len;
-  return mem_.data() + offset;
+void PmDevice::throw_out_of_range() {
+  throw std::out_of_range("PmDevice: access out of range");
 }
 
 void PmDevice::store(u64 offset, std::span<const u8> data) {
@@ -60,18 +78,35 @@ void PmDevice::store(u64 offset, std::span<const u8> data) {
 void PmDevice::store_dma(u64 offset, std::span<const u8> data) {
   if (data.empty()) return;
   check_range(offset, data.size());
+  const u64 end = offset + data.size();
+  // A withheld publication must not become durable ahead of its epoch:
+  // refuse the whole DMA before any byte lands.
+  for (u64 line = offset / kCacheLine; line <= (end - 1) / kCacheLine; line++) {
+    const u8 deferred = lines_[line].deferred;
+    if (deferred == 0) continue;
+    const u64 base = line * kCacheLine;
+    const u64 first_word = (std::max(offset, base) - base) / 8;
+    const u64 last_word = (std::min(end, base + kCacheLine) - 1 - base) / 8;
+    const unsigned covered = ((2u << last_word) - 1) & ~((1u << first_word) - 1);
+    if ((deferred & covered) != 0) {
+      throw std::logic_error("PmDevice::store_dma: range covers a deferred word");
+    }
+  }
   // The DMA write lands in the PM controller directly: both images update,
   // no flush is owed for these bytes.
   std::memcpy(mem_.data() + offset, data.data(), data.size());
   std::memcpy(persisted_.data() + offset, data.data(), data.size());
+  mem_.touch(offset, data.size());
+  persisted_.touch(offset, data.size());
   // Lines fully covered by the DMA carry no stale CPU-side bytes any more;
   // partially covered edge lines keep whatever dirty state the CPU owes.
   const u64 first_full = align_up(offset, kCacheLine) / kCacheLine;
-  const u64 end = offset + data.size();
   const u64 last_full_end = (end / kCacheLine) * kCacheLine;
   for (u64 line = first_full; line * kCacheLine < last_full_end; line++) {
-    dirty_.erase(line);
-    pending_.erase(line);
+    LineState& ls = lines_[line];
+    if ((ls.flags & kDirty) != 0) dirty_count_--;
+    if ((ls.flags & kPending) != 0) pending_count_--;
+    ls.flags = 0;
   }
   bump_fault_event();  // boundary right after placement (pre-publication)
 }
@@ -79,14 +114,20 @@ void PmDevice::store_dma(u64 offset, std::span<const u8> data) {
 void PmDevice::mark_dirty(u64 offset, u64 len) {
   if (len == 0) return;
   check_range(offset, len);
+  mem_.touch(offset, len);
   const u64 first = offset / kCacheLine;
   const u64 last = (offset + len - 1) / kCacheLine;
   for (u64 line = first; line <= last; line++) {
-    dirty_.insert(line);
-    pending_.erase(line);  // a new store re-dirties a clwb'd line
+    LineState& ls = lines_[line];
+    if ((ls.flags & kDirty) != 0) continue;
+    // A new store re-dirties a clwb'd line.
+    if ((ls.flags & kPending) != 0) pending_count_--;
+    enter(dirty_order_, kDirty, dirty_count_, line);
+    ls.flags = kDirty;
+    dirty_count_++;
   }
-  if (dirty_.size() > epoch_.dirty_hwm) epoch_.dirty_hwm = dirty_.size();
-  obs::peak(m_dirty_hwm_, dirty_.size());
+  if (dirty_count_ > epoch_.dirty_hwm) epoch_.dirty_hwm = dirty_count_;
+  obs::peak(m_dirty_hwm_, dirty_count_);
 }
 
 void PmDevice::set_metrics(obs::MetricRegistry* r) {
@@ -120,27 +161,58 @@ void PmDevice::clwb(u64 offset, u64 len) {
   const u64 first = offset / kCacheLine;
   const u64 last = (offset + len - 1) / kCacheLine;
   for (u64 line = first; line <= last; line++) {
-    if (dirty_.erase(line) > 0) pending_.insert(line);
+    LineState& ls = lines_[line];
+    if ((ls.flags & kDirty) != 0) {
+      enter(pending_order_, kPending, pending_count_, line);
+      ls.flags = kPending;
+      dirty_count_--;
+      pending_count_++;
+    }
     total_clwb_++;
     epoch_.clwb++;
     obs::inc(m_clwb_);
-    if (pending_.size() > epoch_.pending_hwm) {
-      epoch_.pending_hwm = pending_.size();
-    }
-    obs::peak(m_pending_hwm_, pending_.size());
+    if (pending_count_ > epoch_.pending_hwm) epoch_.pending_hwm = pending_count_;
+    obs::peak(m_pending_hwm_, pending_count_);
     env_.clock().advance(env_.cost.clwb_ns);
     bump_fault_event();  // the cut may fire with this line in flight
   }
 }
 
+template <class F>
+void PmDevice::for_each_live(const std::vector<u64>& order, u8 state,
+                             F&& f) const {
+  for (std::size_t i = 0; i < order.size(); i++) {
+    const LineState& ls = lines_[order[i]];
+    if ((ls.flags & state) != 0 && ls.pos == i) f(order[i]);
+  }
+}
+
+void PmDevice::enter(std::vector<u64>& order, u8 state, std::size_t live,
+                     u64 line) {
+  if (order.size() >= 2 * live + 64) {
+    std::size_t n = 0;
+    for_each_live(order, state, [&](u64 l) {
+      lines_[l].pos = static_cast<u32>(n);
+      order[n++] = l;
+    });
+    order.resize(n);
+  }
+  lines_[line].pos = static_cast<u32>(order.size());
+  order.push_back(line);
+}
+
 void PmDevice::sfence() {
-  for (u64 line : pending_) drain_line_whole(line);
+  for_each_live(pending_order_, kPending, [&](u64 line) {
+    drain_line_whole(line);
+    lines_[line].flags = 0;
+  });
   epoch_.sfence++;
-  epoch_.lines_drained += pending_.size();
-  epoch_.bytes_flushed += pending_.size() * kCacheLine;
+  epoch_.lines_drained += pending_count_;
+  epoch_.bytes_flushed += pending_count_ * kCacheLine;
   obs::inc(m_sfence_);
-  obs::inc(m_bytes_flushed_, pending_.size() * kCacheLine);
-  pending_.clear();
+  obs::inc(m_bytes_flushed_, pending_count_ * kCacheLine);
+  pending_order_.clear();
+  pending_count_ = 0;
   total_sfence_++;
   env_.clock().advance(env_.cost.sfence_ns);
   bump_fault_event();  // boundary after the fence retires
@@ -166,25 +238,37 @@ void PmDevice::store_u64_deferred(u64 offset, u64 value) {
   // word is withheld from every drain path until apply_deferred() — it is
   // deliberately *not* marked dirty, so eviction cannot leak it either.
   std::memcpy(mem_.data() + offset, &value, 8);
-  deferred_.insert(offset);
+  mem_.touch(offset, 8);
+  LineState& ls = lines_[offset / kCacheLine];
+  const u8 bit = static_cast<u8>(1u << (offset % kCacheLine / 8));
+  if ((ls.deferred & bit) == 0) {
+    ls.deferred |= bit;
+    deferred_words_++;
+  }
 }
 
 void PmDevice::apply_deferred(u64 offset) {
-  if (deferred_.erase(offset) == 0) return;
+  if (offset % 8 != 0 || offset >= size_) return;
+  LineState& ls = lines_[offset / kCacheLine];
+  const u8 bit = static_cast<u8>(1u << (offset % kCacheLine / 8));
+  if ((ls.deferred & bit) == 0) return;
+  ls.deferred &= static_cast<u8>(~bit);
+  deferred_words_--;
   mark_dirty(offset, 8);
   clwb(offset, 8);
 }
 
 void PmDevice::drain_line_whole(u64 line) {
-  if (deferred_.empty()) {
-    std::memcpy(persisted_.data() + line * kCacheLine,
-                mem_.data() + line * kCacheLine, kCacheLine);
+  const u64 base = line * kCacheLine;
+  persisted_.touch(base, kCacheLine);
+  const u8 deferred = lines_[line].deferred;
+  if (deferred == 0) {
+    std::memcpy(persisted_.data() + base, mem_.data() + base, kCacheLine);
     return;
   }
   for (u64 w = 0; w < kCacheLine / 8; w++) {
-    const u64 off = line * kCacheLine + w * 8;
-    if (deferred_.count(off) != 0) continue;  // withheld publication
-    std::memcpy(persisted_.data() + off, mem_.data() + off, 8);
+    if ((deferred >> w & 1) != 0) continue;  // withheld publication
+    std::memcpy(persisted_.data() + base + w * 8, mem_.data() + base + w * 8, 8);
   }
 }
 
@@ -198,40 +282,62 @@ void PmDevice::drain_line(u64 line, bool torn, Rng& rng) {
   // are never split — the atomicity contract crash-consistent code needs.
   // Deferred publications never drain at all: the CPU had not released
   // them from its (simulated) store buffer.
+  const u64 base = line * kCacheLine;
+  persisted_.touch(base, kCacheLine);
+  const u8 deferred = lines_[line].deferred;
   for (u64 w = 0; w < kCacheLine / 8; w++) {
-    const u64 off = line * kCacheLine + w * 8;
-    if (deferred_.count(off) != 0) continue;
+    if ((deferred >> w & 1) != 0) continue;
     if (rng.chance(0.5)) {
-      std::memcpy(persisted_.data() + off, mem_.data() + off, 8);
+      std::memcpy(persisted_.data() + base + w * 8, mem_.data() + base + w * 8, 8);
     }
   }
+}
+
+void PmDevice::revert_volatile() {
+  // Pages never touched in the volatile view already equal the persisted
+  // image; the others revert (unapplied deferred publications with them).
+  mem_.for_each_touched([&](u64 page) {
+    const u64 off = page * kPage;
+    const u64 n = std::min(kPage, size_ - off);
+    if (persisted_.is_touched(page)) {
+      std::memcpy(mem_.data() + off, persisted_.data() + off, n);
+    } else {
+      std::memset(mem_.data() + off, 0, n);
+    }
+    std::memset(lines_ + page * kLinesPerPage, 0,
+                n / kCacheLine * sizeof(LineState));
+  });
+  dirty_order_.clear();
+  pending_order_.clear();
+  dirty_count_ = 0;
+  pending_count_ = 0;
+  deferred_words_ = 0;
 }
 
 void PmDevice::power_cut() {
   // Deterministic per crash point: fault draws never touch env_.rng, so
   // the workload's own stream is identical across sweep iterations.
   Rng rng(plan_->seed ^ (fault_events_ * 0x9e3779b97f4a7c15ULL));
-  // In-flight (clwb'd, unfenced) lines: drain, tear, or vanish.
-  for (u64 line : pending_) {
+  // In-flight (clwb'd, unfenced) lines, in clwb order: drain, tear, or
+  // vanish.
+  for_each_live(pending_order_, kPending, [&](u64 line) {
     if (rng.chance(plan_->unfenced_drain_p)) {
       drain_line(line, /*torn=*/false, rng);
     } else if (plan_->tear_p > 0 && rng.chance(plan_->tear_p)) {
       drain_line(line, /*torn=*/true, rng);
     }
-  }
-  // Dirty (never clwb'd) lines: normally lost with the cache, but any may
-  // have been evicted — reaching PM unordered, possibly torn.
+  });
+  // Dirty (never clwb'd) lines, in store order: normally lost with the
+  // cache, but any may have been evicted — reaching PM unordered, possibly
+  // torn.
   if (plan_->evict_dirty_p > 0) {
-    for (u64 line : dirty_) {
+    for_each_live(dirty_order_, kDirty, [&](u64 line) {
       if (rng.chance(plan_->evict_dirty_p)) {
         drain_line(line, plan_->tear_p > 0 && rng.chance(plan_->tear_p), rng);
       }
-    }
+    });
   }
-  pending_.clear();
-  dirty_.clear();
-  mem_ = persisted_;  // unapplied deferred publications revert with it
-  deferred_.clear();
+  revert_volatile();
 }
 
 void PmDevice::crash() {
@@ -241,14 +347,11 @@ void PmDevice::crash() {
     return;
   }
   // Baseline semantics: clwb'd-but-unfenced lines raced the power loss;
-  // each independently may or may not have drained.
-  for (u64 line : pending_) {
+  // each independently may or may not have drained (drawn in clwb order).
+  for_each_live(pending_order_, kPending, [&](u64 line) {
     if (env_.rng.chance(0.5)) drain_line_whole(line);
-  }
-  pending_.clear();
-  dirty_.clear();
-  mem_ = persisted_;
-  deferred_.clear();
+  });
+  revert_volatile();
 }
 
 Status PmDevice::set_root(std::string_view name, u64 offset) {

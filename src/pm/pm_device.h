@@ -17,16 +17,22 @@
 //  * a named root directory so recovery code can find its structures
 //    after a crash/remap without raw-offset bookkeeping.
 //
+// Host cost scales with the bytes a run touches, not with the device
+// size: both images are lazily zero-filled anonymous memory with a
+// 4 KB-page touched bitmap each (a crash or clone copies touched pages
+// only), and per-line flush state is one flat state byte plus an 8-bit
+// deferred-word mask per cache line.
+//
 // Higher layers never hold raw pointers across a crash: they address PM
 // with byte offsets (see pm_ptr.h) and re-resolve against the device.
 #pragma once
 
+#include <bit>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,8 +63,18 @@ class PmDevice {
   /// The returned pointer is a *volatile* view: it must not be held across
   /// crash(), and bytes written through it are not durable until
   /// mark_dirty() + persist() (or store(), which marks for you).
-  [[nodiscard]] u8* at(u64 offset, u64 len);
-  [[nodiscard]] const u8* at(u64 offset, u64 len) const;
+  /// Inline: index structures resolve every node field through at().
+  [[nodiscard]] u8* at(u64 offset, u64 len) {
+    check_range(offset, len);
+    accessed_bytes_ += len;
+    mem_.touch(offset, len);  // the caller may write through the pointer
+    return mem_.data() + offset;
+  }
+  [[nodiscard]] const u8* at(u64 offset, u64 len) const {
+    check_range(offset, len);
+    accessed_bytes_ += len;
+    return mem_.data() + offset;
+  }
   [[nodiscard]] std::span<u8> span(u64 offset, u64 len) { return {at(offset, len), len}; }
   [[nodiscard]] std::span<const u8> span(u64 offset, u64 len) const {
     return {at(offset, len), len};
@@ -81,7 +97,10 @@ class PmDevice {
   /// owed, and fully covered cache lines leave the dirty/pending sets.
   /// Partially covered edge lines keep any pre-existing dirty state (the
   /// CPU may hold older bytes of those lines). Deferred-publication words
-  /// are never written this way (DMA targets freshly reserved slots).
+  /// are never written this way (DMA targets freshly reserved slots):
+  /// a range covering a withheld word throws std::logic_error before any
+  /// byte lands, since it would make the publication durable ahead of its
+  /// epoch.
   /// Counts one fault-plan event (may throw PowerFailure — the cut lands
   /// right after placement, before any host-side publication).
   void store_dma(u64 offset, std::span<const u8> data);
@@ -128,7 +147,7 @@ class PmDevice {
   /// the next sfence makes it durable. No-op for non-deferred offsets.
   void apply_deferred(u64 offset);
   [[nodiscard]] std::size_t deferred_words() const noexcept {
-    return deferred_.size();
+    return deferred_words_;
   }
 
   /// Whole-host fault injection (HostCut): captures the *persisted* image
@@ -145,7 +164,10 @@ class PmDevice {
   /// clwb'd-but-unfenced lines each survive with probability 1/2 (drawn
   /// from the env RNG). Dirty-but-not-clwb'd lines are always lost.
   /// With an armed fault plan, the plan's drain/tear/evict semantics apply
-  /// instead (drawn from the plan's own deterministic RNG).
+  /// instead (drawn from the plan's own deterministic RNG). Draws go line
+  /// by line: pending lines in clwb order (the order each last went dirty
+  /// -> pending), then dirty lines in store order (the order each last
+  /// became dirty).
   void crash();
 
   // --- Fault injection ----------------------------------------------------
@@ -165,8 +187,10 @@ class PmDevice {
   [[nodiscard]] u64 fault_events() const noexcept { return fault_events_; }
 
   /// Number of lines currently dirty (unflushed) — test/introspection aid.
-  [[nodiscard]] std::size_t dirty_lines() const noexcept { return dirty_.size(); }
-  [[nodiscard]] std::size_t pending_lines() const noexcept { return pending_.size(); }
+  [[nodiscard]] std::size_t dirty_lines() const noexcept { return dirty_count_; }
+  [[nodiscard]] std::size_t pending_lines() const noexcept {
+    return pending_count_;
+  }
 
   // --- Observability ------------------------------------------------------
   /// Flush/fence accounting for one measurement window (the lifetime
@@ -211,7 +235,7 @@ class PmDevice {
   /// fence (and was not re-dirtied since) — the FlushBatcher coalesces a
   /// repeat clwb of such a line away.
   [[nodiscard]] bool line_in_flight(u64 offset) const noexcept {
-    return pending_.count(offset / kCacheLine) != 0;
+    return offset < size_ && (lines_[offset / kCacheLine].flags & kPending) != 0;
   }
 
   /// Lifetime flush statistics (for benches).
@@ -261,7 +285,76 @@ class PmDevice {
     return reinterpret_cast<const Header*>(mem_.data());
   }
 
-  void check_range(u64 offset, u64 len) const;
+  static constexpr u64 kPage = 4096;
+  static constexpr u64 kLinesPerPage = kPage / kCacheLine;
+
+  // Zero-filled anonymous memory (mmap MAP_ANONYMOUS|MAP_NORESERVE): the
+  // OS backs each page on first touch, so an untouched byte costs nothing.
+  class LazyZero {
+   public:
+    explicit LazyZero(u64 bytes);
+    ~LazyZero();
+    LazyZero(const LazyZero&) = delete;
+    LazyZero& operator=(const LazyZero&) = delete;
+    [[nodiscard]] u8* data() const noexcept { return p_; }
+
+   private:
+    u8* p_;
+    u64 bytes_;
+  };
+
+  // One image plus the set of 4 KB pages that may differ from its
+  // zero-filled start. Marking is idempotent and never cleared.
+  struct Image {
+    explicit Image(u64 size) : bytes(size), touched((size / kPage + 63) / 64, 0) {}
+    [[nodiscard]] u8* data() const noexcept { return bytes.data(); }
+    void touch(u64 offset, u64 len) noexcept {
+      if (len == 0) return;
+      for (u64 p = offset / kPage; p <= (offset + len - 1) / kPage; p++) {
+        touched[p / 64] |= u64{1} << (p % 64);
+      }
+    }
+    [[nodiscard]] bool is_touched(u64 page) const noexcept {
+      return (touched[page / 64] >> (page % 64) & 1) != 0;
+    }
+    template <class F>
+    void for_each_touched(F&& f) const {
+      for (u64 i = 0; i < touched.size(); i++) {
+        for (u64 w = touched[i]; w != 0; w &= w - 1) {
+          f(i * 64 + static_cast<u64>(std::countr_zero(w)));
+        }
+      }
+    }
+    LazyZero bytes;
+    std::vector<u64> touched;  // one bit per page
+  };
+
+  // Flat per-line flush state: `flags` holds at most one of kDirty /
+  // kPending; `deferred` has bit w set while aligned word w of the line is
+  // withheld; `pos` is the index of the line's live entry in dirty_order_
+  // or pending_order_ (whichever matches its state).
+  struct LineState {
+    u8 flags;
+    u8 deferred;
+    u32 pos;
+  };
+  static constexpr u8 kDirty = 1;
+  static constexpr u8 kPending = 2;
+
+  // Appends `line` to `order` as its live entry (the line's state must
+  // not be `state` yet), first dropping stale entries once they make up
+  // half of the vector — amortised O(1), order of live entries kept.
+  void enter(std::vector<u64>& order, u8 state, std::size_t live, u64 line);
+  // Calls f(line) for each line still in `state`, in the order it last
+  // entered that state.
+  template <class F>
+  void for_each_live(const std::vector<u64>& order, u8 state, F&& f) const;
+
+  static u64 checked_size(u64 size);
+  void check_range(u64 offset, u64 len) const {
+    if (offset > size_ || len > size_ - offset) throw_out_of_range();
+  }
+  [[noreturn]] static void throw_out_of_range();
   // One persistence-ordering instruction retired; fires the scheduled cut.
   void bump_fault_event();
   // Applies the armed plan's drain/tear/evict semantics to the persisted
@@ -273,14 +366,24 @@ class PmDevice {
   void drain_line(u64 line, bool torn, Rng& rng);
   // Whole-line drain with deferred-word masking (the sfence path).
   void drain_line_whole(u64 line);
+  // The caches die: every volatile-touched page reverts to the persisted
+  // image and all line state (dirty, pending, deferred) is dropped.
+  void revert_volatile();
 
   sim::Env& env_;
   u64 size_;
-  std::vector<u8> mem_;        // volatile view (includes CPU caches)
-  std::vector<u8> persisted_;  // what survives power loss
-  std::unordered_set<u64> dirty_;    // line indices modified, not clwb'd
-  std::unordered_set<u64> pending_;  // clwb'd, awaiting sfence
-  std::unordered_set<u64> deferred_;  // byte offsets of withheld 8B words
+  Image mem_;        // volatile view (includes CPU caches)
+  Image persisted_;  // what survives power loss
+  LazyZero line_state_;
+  LineState* lines_;  // size_ / kCacheLine entries, in line_state_
+  // Lines in the order they last became dirty / pending (the crash draw
+  // order). An entry is stale, and skipped, once its line has left that
+  // state or re-entered it under a later entry.
+  std::vector<u64> dirty_order_;
+  std::vector<u64> pending_order_;
+  std::size_t dirty_count_ = 0;
+  std::size_t pending_count_ = 0;
+  std::size_t deferred_words_ = 0;
   std::optional<FaultPlan> plan_;
   u64 fault_events_ = 0;
   u64 total_clwb_ = 0;

@@ -1,9 +1,20 @@
 // Unit + property tests for pm/: device persistence semantics, crash
-// simulation, roots, pm_ptr, pool allocator crash consistency.
+// simulation, roots, pm_ptr, pool allocator crash consistency, and a
+// differential fuzz of the device against a naive reference model.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <optional>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pm/pm_device.h"
@@ -143,6 +154,426 @@ TEST_F(PmDeviceTest, PmPtrResolvesAndNullIsFalse) {
   ASSERT_NE(p.get(dev), nullptr);
   EXPECT_EQ(*p.get(dev), 77u);
   EXPECT_EQ(p.offset(), off);
+}
+
+TEST_F(PmDeviceTest, DmaOverDeferredWordThrows) {
+  const u64 line = dev.data_base() + 4 * kCacheLine;
+  const u64 word = line + 16;
+  dev.store_u64(word, 111);
+  dev.persist(word, 8);
+  dev.store_u64_deferred(word, 222);
+  const std::vector<u8> buf(3 * kCacheLine, 0xab);
+  const std::span<const u8> b(buf);
+  EXPECT_THROW(dev.store_dma(line, b.first(kCacheLine)), std::logic_error);
+  // One byte of the withheld word is enough, as is a multi-line range.
+  EXPECT_THROW(dev.store_dma(word + 7, b.first(1)), std::logic_error);
+  EXPECT_THROW(dev.store_dma(line - kCacheLine, b), std::logic_error);
+  // Nothing landed: the volatile view still forwards the deferred value
+  // and the persisted image keeps the old one.
+  EXPECT_EQ(dev.load_u64(word), 222u);
+  EXPECT_EQ(dev.clone_persisted()->load_u64(word), 111u);
+  EXPECT_EQ(*dev.at(line, 1), 0u);
+  // The neighbouring words of the same line are fair game.
+  EXPECT_NO_THROW(dev.store_dma(line, b.first(16)));
+  EXPECT_NO_THROW(dev.store_dma(word + 8, b.first(40)));
+  // Once released, the word may be overwritten by DMA like any other.
+  dev.apply_deferred(word);
+  dev.sfence();
+  EXPECT_NO_THROW(dev.store_dma(line - kCacheLine, b));
+}
+
+TEST_F(PmDeviceTest, InPlaceWriteWithoutMarkDirtyRevertsOnCrash) {
+  const u64 off = kDev / 2 + 100;  // a page nothing has touched yet
+  std::memcpy(dev.at(off, 4), "gone", 4);
+  EXPECT_EQ(dev.dirty_lines(), 0u);
+  dev.crash();
+  const u8 zeros[4] = {};
+  EXPECT_EQ(std::memcmp(dev.at(off, 4), zeros, 4), 0);
+}
+
+TEST_F(PmDeviceTest, CloneHoldsPersistedOnly) {
+  const u64 base = dev.data_base();
+  const u64 unflushed = base;
+  const u64 persisted = base + kCacheLine;
+  const u64 pending = base + 2 * kCacheLine;
+  const u64 deferred = base + 3 * kCacheLine;
+  const u64 dma = 5 * 4096 + 8;  // an untouched page, partial edge lines
+  dev.store(unflushed, bytes("unflushed"));
+  dev.store(persisted, bytes("persisted"));
+  dev.persist(persisted, 9);
+  dev.store_u64(deferred, 111);
+  dev.persist(deferred, 8);
+  dev.store_u64_deferred(deferred, 222);
+  dev.store(pending, bytes("clwb'd, unfenced"));
+  dev.clwb(pending, 16);
+  dev.store_dma(dma, bytes("straight to the DIMM, over two lines of one page"));
+
+  // The expected persisted image, written out by hand.
+  std::vector<u8> want(kDev - base, 0);
+  auto put = [&](u64 off, std::string_view s) {
+    std::memcpy(want.data() + (off - base), s.data(), s.size());
+  };
+  put(persisted, "persisted");
+  const u64 old_word = 111;
+  std::memcpy(want.data() + (deferred - base), &old_word, 8);
+  put(dma, "straight to the DIMM, over two lines of one page");
+
+  const auto clone = dev.clone_persisted();
+  const PmDevice& c = *clone;
+  EXPECT_EQ(std::memcmp(c.at(base, kDev - base), want.data(), want.size()), 0);
+  EXPECT_EQ(c.load_u64(deferred), 111u);
+  EXPECT_EQ(c.get_root("none").errc(), Errc::not_found);
+  EXPECT_EQ(clone->dirty_lines(), 0u);
+  EXPECT_EQ(clone->pending_lines(), 0u);
+  EXPECT_EQ(clone->deferred_words(), 0u);
+  // The clone is a full device: a crash there restores the same image.
+  clone->store(unflushed, bytes("scribble"));
+  clone->crash();
+  EXPECT_EQ(std::memcmp(c.at(base, kDev - base), want.data(), want.size()), 0);
+  // The source keeps its volatile view.
+  EXPECT_EQ(dev.load_u64(deferred), 222u);
+  EXPECT_EQ(std::memcmp(dev.at(unflushed, 9), "unflushed", 9), 0);
+}
+
+// Resident set size now (not the high-water mark), from /proc/self/statm.
+i64 resident_bytes() {
+  std::ifstream f("/proc/self/statm");
+  i64 pages = 0;
+  i64 resident = 0;
+  f >> pages >> resident;
+  return resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST_F(PmDeviceTest, LargeDeviceIsLazy) {
+  constexpr u64 kBig = u64{1} << 30;
+  constexpr i64 kBudget = i64{64} << 20;
+  const i64 before = resident_bytes();
+  PmDevice big(env, kBig);
+  // Checked after each step, so an eager device fails before it grows.
+  ASSERT_LT(resident_bytes() - before, kBudget) << "construction";
+  Rng rng(7);
+  std::map<u64, u64> durable;
+  const u64 lines = (kBig - big.data_base()) / kCacheLine;
+  for (u64 i = 0; i < 100; i++) {
+    const u64 off = big.data_base() + rng.next_below(lines) * kCacheLine;
+    big.store_u64(off, i + 1);
+    if (i % 2 == 0) {
+      big.persist(off, 8);
+      durable[off] = i + 1;
+    } else {
+      durable.emplace(off, 0);  // unflushed: reverts (unless persisted)
+    }
+  }
+  ASSERT_LT(resident_bytes() - before, kBudget) << "stores";
+  big.crash();
+  ASSERT_LT(resident_bytes() - before, kBudget) << "crash";
+  const auto clone = big.clone_persisted();
+  EXPECT_LT(resident_bytes() - before, kBudget) << "clone";
+  for (const auto& [off, v] : durable) {
+    EXPECT_EQ(big.load_u64(off), v) << off;
+    EXPECT_EQ(clone->load_u64(off), v) << off;
+  }
+}
+
+// ---------- Differential fuzz: PmDevice vs a naive reference ----------
+
+// The device's semantics written out naively: whole byte images, std::set
+// line/word sets, and the documented crash draw order (pending lines in
+// the order they were last clwb'd, dirty lines in the order they were
+// last stored to from a clean or pending state).
+struct RefDevice {
+  RefDevice(const PmDevice& dev, u64 env_seed)
+      : mem(dev.at(0, dev.size()), dev.at(0, dev.size()) + dev.size()),
+        per(mem),
+        env_rng(env_seed) {}
+
+  std::vector<u8> mem;
+  std::vector<u8> per;
+  std::set<u64> dirty, pending, deferred;
+  std::vector<u64> dirty_order, pending_order;
+  std::optional<FaultPlan> plan;
+  u64 events = 0;
+  Rng env_rng;
+
+  void arm(const FaultPlan& p) {
+    plan = p;
+    events = 0;
+  }
+
+  void mark_dirty(u64 off, u64 len) {
+    for (u64 l = off / kCacheLine; l <= (off + len - 1) / kCacheLine; l++) {
+      if (dirty.count(l) != 0) continue;
+      pending.erase(l);
+      dirty.insert(l);
+      std::erase(dirty_order, l);
+      dirty_order.push_back(l);
+    }
+  }
+  void store(u64 off, std::span<const u8> d) {
+    std::copy(d.begin(), d.end(), mem.begin() + static_cast<long>(off));
+    mark_dirty(off, d.size());
+  }
+  void clwb(u64 off, u64 len) {
+    for (u64 l = off / kCacheLine; l <= (off + len - 1) / kCacheLine; l++) {
+      if (dirty.erase(l) != 0) {
+        pending.insert(l);
+        std::erase(pending_order, l);
+        pending_order.push_back(l);
+      }
+      bump();
+    }
+  }
+  void sfence() {
+    for (u64 l : pending) drain(l);
+    pending.clear();
+    pending_order.clear();
+    bump();
+  }
+  [[nodiscard]] bool dma_hits_deferred(u64 off, u64 len) const {
+    for (u64 w : deferred) {
+      if (w < off + len && off < w + 8) return true;
+    }
+    return false;
+  }
+  void store_dma(u64 off, std::span<const u8> d) {
+    std::copy(d.begin(), d.end(), mem.begin() + static_cast<long>(off));
+    std::copy(d.begin(), d.end(), per.begin() + static_cast<long>(off));
+    for (u64 l = align_up(off, kCacheLine) / kCacheLine;
+         (l + 1) * kCacheLine <= off + d.size(); l++) {
+      dirty.erase(l);
+      pending.erase(l);
+    }
+    bump();
+  }
+  void store_u64_deferred(u64 off, u64 v) {
+    std::memcpy(mem.data() + off, &v, 8);
+    deferred.insert(off);
+  }
+  void apply_deferred(u64 off) {
+    if (deferred.erase(off) == 0) return;
+    mark_dirty(off, 8);
+    clwb(off, 8);
+  }
+  void crash() {
+    if (plan.has_value()) {
+      cut();
+      return;
+    }
+    for (u64 l : pending_order) {
+      if (pending.count(l) != 0 && env_rng.chance(0.5)) drain(l);
+    }
+    revert();
+  }
+
+  void drain(u64 l, Rng* torn = nullptr) {
+    for (u64 w = 0; w < kCacheLine / 8; w++) {
+      const u64 off = l * kCacheLine + w * 8;
+      if (deferred.count(off) != 0) continue;
+      if (torn != nullptr && !torn->chance(0.5)) continue;
+      std::memcpy(per.data() + off, mem.data() + off, 8);
+    }
+  }
+  void bump() {
+    if (!plan.has_value()) return;
+    events++;
+    if (plan->crash_at_event != 0 && events == plan->crash_at_event) {
+      cut();
+      throw PowerFailure();
+    }
+  }
+  void cut() {
+    Rng rng(plan->seed ^ (events * 0x9e3779b97f4a7c15ULL));
+    for (u64 l : pending_order) {
+      if (pending.count(l) == 0) continue;
+      if (rng.chance(plan->unfenced_drain_p)) {
+        drain(l);
+      } else if (plan->tear_p > 0 && rng.chance(plan->tear_p)) {
+        drain(l, &rng);
+      }
+    }
+    if (plan->evict_dirty_p > 0) {
+      for (u64 l : dirty_order) {
+        if (dirty.count(l) == 0 || !rng.chance(plan->evict_dirty_p)) continue;
+        const bool torn = plan->tear_p > 0 && rng.chance(plan->tear_p);
+        drain(l, torn ? &rng : nullptr);
+      }
+    }
+    revert();
+  }
+  void revert() {
+    mem = per;
+    dirty.clear();
+    pending.clear();
+    deferred.clear();
+    dirty_order.clear();
+    pending_order.clear();
+  }
+};
+
+// Runs `dev_op` on the device and `ref_op` on the model; both must
+// either return normally or throw the same exception type. Returns 1 when
+// both hit the scheduled power cut.
+template <class DevOp, class RefOp>
+int both(DevOp dev_op, RefOp ref_op) {
+  int dev_threw = 0;  // 0 = none, 1 = PowerFailure, 2 = logic_error
+  int ref_threw = 0;
+  try {
+    dev_op();
+  } catch (const PowerFailure&) {
+    dev_threw = 1;
+  } catch (const std::logic_error&) {
+    dev_threw = 2;
+  }
+  try {
+    ref_op();
+  } catch (const PowerFailure&) {
+    ref_threw = 1;
+  } catch (const std::logic_error&) {
+    ref_threw = 2;
+  }
+  EXPECT_EQ(dev_threw, ref_threw);
+  return dev_threw;
+}
+
+void expect_images_equal(const PmDevice& dev, const RefDevice& ref) {
+  ASSERT_EQ(std::memcmp(dev.at(0, dev.size()), ref.mem.data(), dev.size()), 0)
+      << "volatile image";
+  const auto clone = dev.clone_persisted();
+  const PmDevice& c = *clone;
+  ASSERT_EQ(std::memcmp(c.at(0, c.size()), ref.per.data(), c.size()), 0)
+      << "persisted image";
+}
+
+void fuzz_against_reference(u64 seed) {
+  SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+  // 16 pages plus a partial one, so the last page is short.
+  constexpr u64 kSize = (64u << 10) + 5 * kCacheLine;
+  sim::Env env;
+  PmDevice dev(env, kSize);
+  const PmDevice& cdev = dev;
+  RefDevice ref(cdev, 0x5eedULL);  // sim::Env's fixed rng seed
+  Rng rng(seed);
+  const u64 base = dev.data_base();
+  const u64 nlines = kSize / kCacheLine;
+  auto any_line = [&] {
+    return base / kCacheLine + rng.next_below(nlines - base / kCacheLine);
+  };
+  // Most traffic hits a few hot lines so states interact.
+  std::vector<u64> hot;
+  for (int i = 0; i < 24; i++) hot.push_back(any_line());
+  auto pick_off = [&] {
+    const u64 line = rng.chance(0.7) ? hot[rng.next_below(hot.size())] : any_line();
+    return line * kCacheLine + rng.next_below(kCacheLine);
+  };
+  auto pick_len = [&](u64 off) {
+    const u64 len = 1 + rng.next_below(rng.chance(0.2) ? 5 * kCacheLine : 24);
+    return std::min(len, kSize - off);
+  };
+  auto random_bytes = [&](u64 n) {
+    std::vector<u8> v(n);
+    for (auto& b : v) b = static_cast<u8>(rng.next());
+    return v;
+  };
+  const FaultPlan modes[] = {
+      {},                                               // reorder (p = 0.5)
+      {.unfenced_drain_p = 0.3, .tear_p = 0.6},         // tear
+      {.unfenced_drain_p = 0.5, .evict_dirty_p = 0.4},  // drop with eviction
+      {.unfenced_drain_p = 0.2, .tear_p = 0.5, .evict_dirty_p = 0.5},  // all
+  };
+  auto start_round = [&] {
+    // Baseline crash() or an armed plan, sometimes with a scheduled cut.
+    const u64 m = rng.next_below(std::size(modes) + 1);
+    if (m == std::size(modes)) {
+      dev.clear_fault_plan();
+      ref.plan.reset();
+      return;
+    }
+    FaultPlan p = modes[m];
+    p.seed = rng.next();
+    p.crash_at_event = rng.chance(0.5) ? 1 + rng.next_below(200) : 0;
+    dev.set_fault_plan(p);
+    ref.arm(p);
+  };
+  start_round();
+  for (int step = 0; step < 3000; step++) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const u64 op = rng.next_below(100);
+    int cut = 0;
+    if (op < 22) {
+      const u64 off = pick_off();
+      const auto d = random_bytes(pick_len(off));
+      cut = both([&] { dev.store(off, d); }, [&] { ref.store(off, d); });
+    } else if (op < 32) {
+      // In-place write through at(); usually declared, sometimes not.
+      const u64 off = pick_off();
+      const auto d = random_bytes(pick_len(off));
+      const bool declare = rng.chance(0.8);
+      std::memcpy(dev.at(off, d.size()), d.data(), d.size());
+      std::copy(d.begin(), d.end(), ref.mem.begin() + static_cast<long>(off));
+      if (declare) {
+        dev.mark_dirty(off, d.size());
+        ref.mark_dirty(off, d.size());
+      }
+    } else if (op < 52) {
+      const u64 off = pick_off();
+      const u64 len = pick_len(off);
+      cut = both([&] { dev.clwb(off, len); }, [&] { ref.clwb(off, len); });
+    } else if (op < 62) {
+      cut = both([&] { dev.sfence(); }, [&] { ref.sfence(); });
+    } else if (op < 72) {
+      const u64 off = pick_off();
+      const auto d = random_bytes(pick_len(off));
+      cut = both([&] { dev.store_dma(off, d); },
+           [&] {
+             if (ref.dma_hits_deferred(off, d.size())) {
+               throw std::logic_error("deferred");
+             }
+             ref.store_dma(off, d);
+           });
+    } else if (op < 82) {
+      const u64 off = pick_off() / 8 * 8;
+      const u64 v = rng.next();
+      dev.store_u64_deferred(off, v);
+      ref.store_u64_deferred(off, v);
+    } else if (op < 94) {
+      u64 off = pick_off() / 8 * 8;
+      if (!ref.deferred.empty() && rng.chance(0.8)) {
+        auto it = ref.deferred.begin();
+        std::advance(it, static_cast<long>(rng.next_below(ref.deferred.size())));
+        off = *it;
+      }
+      cut = both([&] { dev.apply_deferred(off); },
+                 [&] { ref.apply_deferred(off); });
+    } else if (op < 98) {
+      dev.crash();
+      ref.crash();
+      cut = 1;
+    } else {
+      // Scheduled cuts land here too (PowerFailure above): new round.
+      start_round();
+    }
+    if (::testing::Test::HasFailure()) return;
+    ASSERT_EQ(dev.dirty_lines(), ref.dirty.size());
+    ASSERT_EQ(dev.pending_lines(), ref.pending.size());
+    ASSERT_EQ(dev.deferred_words(), ref.deferred.size());
+    ASSERT_EQ(dev.fault_events(), ref.events);
+    for (u64 l = 0; l < nlines; l++) {
+      ASSERT_EQ(dev.line_in_flight(l * kCacheLine), ref.pending.count(l) != 0)
+          << l;
+    }
+    if (cut == 1) {
+      expect_images_equal(cdev, ref);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  expect_images_equal(cdev, ref);
+}
+
+TEST(PmDeviceFuzz, MatchesReferenceModel) {
+  for (u64 seed : {1, 2, 3, 4}) {
+    fuzz_against_reference(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---------- PmPool ----------
