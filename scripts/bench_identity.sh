@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Byte-identity oracle for host-side changes: runs the simulated benches
+# from two build trees and diffs their outputs. Simulated time is a pure
+# function of the code's cost charges, so a change that only makes the
+# host faster must reproduce every record byte for byte.
+#
+#   scripts/bench_identity.sh <parent-build> <change-build>
+#
+# Each argument is a CMake build tree of this repository (the directory
+# holding bench/). Benches with a --json record are compared on that
+# record with its git_sha field removed; the others (mica, ablations,
+# homa, transport) on their stdout. Prints one line per bench and exits
+# non-zero if any output differs or any bench fails. Takes about 10 s per
+# build tree on a 4-core machine.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 <parent-build> <change-build>" >&2
+  exit 2
+fi
+parent=$1
+change=$2
+for b in "$parent" "$change"; do
+  if [ ! -x "$b/bench/bench_table1" ]; then
+    echo "$0: $b/bench/bench_table1 not found (build the tree first)" >&2
+    exit 2
+  fi
+done
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# name | binary | arguments | compared output ("json" or "stdout")
+runs=(
+  "table1|bench_table1||json"
+  "fig2|bench_fig2||json"
+  "pktstore|bench_pktstore||json"
+  "scaling|bench_scaling|--quick|json"
+  "slicer|bench_slicer|--quick|json"
+  "repl|bench_repl|--quick|json"
+  "recovery|bench_recovery|--flightrec|json"
+  "openloop|bench_openloop|--conns 1000 --seconds 1|json"
+  "mica|bench_mica||stdout"
+  "ablations|bench_ablations||stdout"
+  "homa|bench_homa||stdout"
+  "transport|bench_transport||stdout"
+)
+
+# run <build> <side> <name> <binary> <args> <kind>: leaves the compared
+# output in $out/<side>.<name>.
+run() {
+  local build=$1 side=$2 name=$3 bin=$4 args=$5 kind=$6
+  local dst="$out/$side.$name"
+  # $args is deliberately unquoted: it is a word list.
+  if [ "$kind" = json ]; then
+    "$build/bench/$bin" $args --json "$dst.raw" >/dev/null || return 1
+    sed 's/"git_sha": "[^"]*", //' "$dst.raw" >"$dst"
+  else
+    "$build/bench/$bin" $args >"$dst" || return 1
+  fi
+}
+
+status=0
+for entry in "${runs[@]}"; do
+  IFS='|' read -r name bin args kind <<<"$entry"
+  if ! run "$parent" parent "$name" "$bin" "$args" "$kind" ||
+     ! run "$change" change "$name" "$bin" "$args" "$kind"; then
+    echo "FAIL       $name ($bin $args): bench exited non-zero"
+    status=1
+  elif cmp -s "$out/parent.$name" "$out/change.$name"; then
+    echo "identical  $name ($kind)"
+  else
+    echo "DIFFERENT  $name ($kind)"
+    diff "$out/parent.$name" "$out/change.$name" | head -20 || true
+    status=1
+  fi
+done
+
+if [ $status -eq 0 ]; then
+  echo "bench_identity: all ${#runs[@]} benches byte-identical"
+else
+  echo "bench_identity: outputs differ" >&2
+fi
+exit $status

@@ -69,10 +69,9 @@ void WrkClient::issue(ConnCtx& ctx) {
 
 void WrkClient::on_readable(ConnCtx& ctx) {
   auto& env = host_.env();
-  std::vector<u8> buf(4096);
   std::size_t n;
-  while ((n = ctx.conn->read(buf)) > 0) {
-    const auto resp = ctx.parser.feed(std::span<const u8>(buf.data(), n));
+  while ((n = ctx.conn->read(rx_buf_)) > 0) {
+    const auto resp = ctx.parser.feed(std::span<const u8>(rx_buf_.data(), n));
     if (resp.has_value()) {
       env.clock().advance(env.cost.scaled(env.cost.client_http_parse_ns));
       if (resp->status >= 400) {

@@ -76,6 +76,7 @@ class WrkClient {
   Host& host_;
   ClientConfig cfg_;
   std::vector<std::unique_ptr<ConnCtx>> conns_;
+  std::vector<u8> rx_buf_ = std::vector<u8>(4096);  // on_readable scratch
   Stats rtt_;
   u64 completed_ = 0;
   u64 http_errors_ = 0;

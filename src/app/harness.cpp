@@ -59,10 +59,9 @@ class AdminProbe {
     (void)conn_->send(http::serialize(req));
   }
   void on_readable() {
-    std::vector<u8> buf(4096);
     std::size_t n;
-    while ((n = conn_->read(buf)) > 0) {
-      const auto resp = parser_.feed(std::span<const u8>(buf.data(), n));
+    while ((n = conn_->read(rx_buf_)) > 0) {
+      const auto resp = parser_.feed(std::span<const u8>(rx_buf_.data(), n));
       if (!resp.has_value()) continue;
       in_flight_ = false;
       scrapes_++;
@@ -76,6 +75,7 @@ class AdminProbe {
   SimTime period_;
   net::TcpConn* conn_ = nullptr;
   http::ResponseParser parser_;
+  std::vector<u8> rx_buf_ = std::vector<u8>(4096);  // on_readable scratch
   std::size_t next_ = 0;
   bool in_flight_ = false;
   bool stopped_ = false;

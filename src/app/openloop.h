@@ -94,6 +94,7 @@ class OpenLoopClient {
   OpenLoopConfig cfg_;
   double mean_gap_ns_ = 0;  // per-connection mean interarrival
   std::vector<std::unique_ptr<ConnCtx>> conns_;
+  std::vector<u8> rx_buf_ = std::vector<u8>(4096);  // on_readable scratch
   Stats sojourn_;
   u64 arrivals_ = 0;
   u64 completed_ = 0;

@@ -104,13 +104,17 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
 }
 
 void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
-  conns_[&conn].shard = shard;
-  conn.on_readable = [this](net::TcpConn& c) { on_readable(c); };
+  auto& owned = conns_[conn_key(&conn)];
+  owned = std::make_unique<ConnState>();
+  ConnState& st = *owned;
+  st.shard = shard;
+  conn.on_readable = [this, &st](net::TcpConn& c) { on_readable(c, st); };
   conn.on_closed = [this](net::TcpConn& c) {
-    auto it = conns_.find(&c);
-    if (it != conns_.end()) {
-      for (auto* pb : it->second.pkts) net::PktBufPool::release(pb);
-      conns_.erase(it);
+    // A closed connection may still see a data segment (one that also
+    // acks our FIN): the hook must not outlive the state it points at.
+    c.on_readable = nullptr;
+    if (const auto st = conns_.take(conn_key(&c))) {
+      for (auto* pb : st->pkts) net::PktBufPool::release(pb);
     }
   };
 }
@@ -149,7 +153,11 @@ void KvServer::reject(net::TcpConn& conn, ConnState& st) {
   obs::inc(&host_.metrics(st.shard).counter("http.parse_errors"));
   respond(conn, 400);
   for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
-  conns_.erase(&conn);
+  // Segments may still arrive on this connection before the close
+  // completes; with the hook gone they are dropped instead of reaching
+  // the erased state.
+  conn.on_readable = nullptr;
+  conns_.erase(conn_key(&conn));  // `st` dies here
   conn.close();
 }
 
@@ -207,11 +215,11 @@ void KvServer::arm_epoch_drain_check(u32 shard) {
 }
 
 void KvServer::on_flow_migrated(net::TcpConn& conn, u32 new_shard) {
-  auto it = conns_.find(&conn);
-  if (it == conns_.end() || new_shard >= shards_.size()) return;
+  const auto* st = conns_.find(conn_key(&conn));
+  if (st == nullptr || new_shard >= shards_.size()) return;
   // Buffered segments keep their old-pool buffers until the store re-homes
   // them (PktStore::put_pkts) or reads them owner-routed (lsm/raw).
-  it->second.shard = new_shard;
+  (*st)->shard = new_shard;
 }
 
 bool KvServer::prime(std::string_view key, std::span<const u8> value) {
@@ -254,7 +262,7 @@ void KvServer::gate_release(const std::shared_ptr<ReplGate>& g) {
                                  end - g->local_at);
   }
   // The connection may have closed while its ack waited on the quorum.
-  if (conns_.contains(g->conn)) respond(*g->conn, g->status);
+  if (open(g->conn)) respond(*g->conn, g->status);
 }
 
 void KvServer::close_epoch(u32 shard) {
@@ -263,15 +271,14 @@ void KvServer::close_epoch(u32 shard) {
   host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
 }
 
-void KvServer::on_readable(net::TcpConn& conn) {
-  auto it = conns_.find(&conn);
-  if (it == conns_.end()) return;
-  ConnState& st = it->second;
-
-  for (net::PktBuf* pb : conn.read_pkts()) {
-    if (st.pkts.empty()) st.rx_start = pb->tstamp;  // NIC ingress stamp
-    st.have_bytes += pb->payload_len();
-    st.pkts.push_back(pb);
+void KvServer::on_readable(net::TcpConn& conn, ConnState& st) {
+  const std::size_t had = st.pkts.size();
+  conn.read_pkts(st.pkts);
+  if (had == 0 && !st.pkts.empty()) {
+    st.rx_start = st.pkts[0]->tstamp;  // NIC ingress stamp
+  }
+  for (std::size_t i = had; i < st.pkts.size(); i++) {
+    st.have_bytes += st.pkts[i]->payload_len();
   }
   if (!st.head_parsed) {
     switch (try_parse_head(st)) {
@@ -331,9 +338,7 @@ bool KvServer::admin_dispatch(net::TcpConn& conn, ConnState& st) {
                               body.size()));
 
   for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
-  ConnState fresh;
-  fresh.shard = st.shard;
-  std::swap(conns_[&conn], fresh);
+  st.reset();
   return true;
 }
 
@@ -591,7 +596,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       sh.batcher->on_committed(
           [this, c, status, body = std::move(resp_body)] {
             // The connection may have closed while its ack was queued.
-            if (conns_.contains(c)) respond(*c, status, body);
+            if (open(c)) respond(*c, status, body);
           });
     } else {
       respond(conn, status, resp_body);
@@ -610,9 +615,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   breakdown_ops_++;
 
   for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
-  ConnState fresh;
-  fresh.shard = st.shard;
-  std::swap(conns_[&conn], fresh);
+  st.reset();
 }
 
 std::vector<u8> KvServer::scan_response(std::string_view target) {

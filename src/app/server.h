@@ -30,11 +30,12 @@
 // server.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "app/host.h"
+#include "common/flat_map.h"
 #include "core/pktstore.h"
 #include "http/http.h"
 #include "obs/flightrec.h"
@@ -228,6 +229,18 @@ class KvServer {
     SimTime rx_start = 0;
     SimTime parse_ts = 0;
     SimTime parse_dur = 0;
+
+    // Ready for the connection's next request (same shard); keeps the
+    // segment list's and key's capacity.
+    void reset() noexcept {
+      pkts.clear();
+      have_bytes = 0;
+      head_parsed = false;
+      method = http::Method::other;
+      key.clear();
+      head_len = body_len = 0;
+      rx_start = parse_ts = parse_dur = 0;
+    }
   };
 
   // Quorum-gated client ack: respond() fires only once both the local
@@ -258,10 +271,12 @@ class KvServer {
   // clients are all blocked on the held acks) and the epoch closes
   // without waiting out the full deadline. Stale checks no-op.
   void arm_epoch_drain_check(u32 shard);
-  void on_readable(net::TcpConn& conn);
+  // `st` is the connection's state, bound into its on_readable hook.
+  void on_readable(net::TcpConn& conn, ConnState& st);
   // Parses the request head in segment 0 once it is complete.
   http::RequestHead::Status try_parse_head(ConnState& st);
-  // Answers a malformed head 400 and closes the connection.
+  // Answers a malformed head 400 and closes the connection; unbinds its
+  // on_readable hook before dropping the state the hook refers to.
   void reject(net::TcpConn& conn, ConnState& st);
   // Serves /stats, /metrics and /trace/recent from merged snapshots.
   // Returns true when the request was an admin target and a response
@@ -288,7 +303,16 @@ class KvServer {
   u64 repl_tax_ns_ = 0;
   u64 repl_gated_ops_ = 0;
 
-  std::unordered_map<net::TcpConn*, ConnState> conns_;
+  // Open connections, keyed by TcpConn address. Each ConnState is its own
+  // allocation, stable for the connection's life: the connection's
+  // on_readable hook holds a reference to it.
+  [[nodiscard]] static u64 conn_key(const net::TcpConn* c) noexcept {
+    return reinterpret_cast<std::uintptr_t>(c);
+  }
+  [[nodiscard]] bool open(const net::TcpConn* c) noexcept {
+    return conns_.find(conn_key(c)) != nullptr;
+  }
+  FlatMap<std::unique_ptr<ConnState>> conns_;
   u64 ops_ = 0;
   u64 errors_ = 0;
   u64 admin_requests_ = 0;

@@ -1,5 +1,6 @@
 #include "net/pktbuf.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -7,24 +8,74 @@ namespace papm::net {
 
 // --- HeapArena -------------------------------------------------------------
 
+namespace {
+
+// Size classes: 64 bytes and below share class 0; above, each power of
+// two (2^(e-1), 2^e] splits into four equal steps.
+constexpr u64 kMinClassBytes = 64;
+
+u8 size_class(u64 size) noexcept {
+  if (size <= kMinClassBytes) return 0;
+  const int e = std::bit_width(size - 1);  // 2^(e-1) < size <= 2^e
+  const u64 step = u64{1} << (e - 3);
+  const u64 sub = (size - (u64{1} << (e - 1)) + step - 1) / step;  // 1..4
+  return static_cast<u8>((e - 7) * 4 + sub);
+}
+
+u64 class_bytes(u8 cls) noexcept {
+  if (cls == 0) return kMinClassBytes;
+  const int e = (cls - 1) / 4 + 7;
+  const u64 sub = (cls - 1) % 4 + 1;
+  return (u64{1} << (e - 1)) + sub * (u64{1} << (e - 3));
+}
+
+}  // namespace
+
 Result<u64> HeapArena::alloc(u64 size) {
   env_->clock().advance(env_->cost.pool_alloc_ns);
-  const u64 h = next_handle_++;
-  blocks_.emplace(h, std::vector<u8>(size));
-  return h;
+  const u8 cls = size_class(size);
+  if (cls >= free_.size()) free_.resize(cls + 1);
+  u32 slot;
+  if (!free_[cls].empty()) {
+    slot = free_[cls].back();
+    free_[cls].pop_back();
+  } else {
+    slot = static_cast<u32>(blocks_.size());
+    blocks_.emplace_back();
+    blocks_.back().mem = std::make_unique_for_overwrite<u8[]>(class_bytes(cls));
+    blocks_.back().cls = cls;
+  }
+  Block& b = blocks_[slot];
+  std::memset(b.mem.get(), 0, size);
+  b.size = size;
+  b.live = true;
+  live_++;
+  return static_cast<u64>(b.gen) << 32 | (slot + 1);
+}
+
+HeapArena::Block* HeapArena::resolve(u64 handle) noexcept {
+  const u64 slot = (handle & 0xffffffffu) - 1;
+  if (slot >= blocks_.size()) return nullptr;
+  Block& b = blocks_[slot];
+  return b.live && b.gen == (handle >> 32) ? &b : nullptr;
 }
 
 void HeapArena::free(u64 handle, u64 /*size*/) {
   env_->clock().advance(env_->cost.pool_alloc_ns / 2);
-  blocks_.erase(handle);
+  Block* b = resolve(handle);
+  if (b == nullptr) return;
+  b->live = false;
+  b->gen++;
+  live_--;
+  free_[b->cls].push_back(static_cast<u32>(b - blocks_.data()));
 }
 
 u8* HeapArena::data(u64 handle, u64 len) {
-  auto it = blocks_.find(handle);
-  if (it == blocks_.end() || len > it->second.size()) {
+  Block* b = resolve(handle);
+  if (b == nullptr || len > b->size) {
     throw std::out_of_range("HeapArena: bad handle or length");
   }
-  return it->second.data();
+  return b->mem.get();
 }
 
 void HeapArena::store_dma(u64 handle, std::span<const u8> data) {
@@ -136,13 +187,14 @@ Status PktBufPool::add_frag(PktBuf& pb, u64 data_h, u32 len, u32 off, u32 cap) {
 void PktBufPool::ref_data(u64 handle) { data_refs_[handle]++; }
 
 bool PktBufPool::unref(u64 handle) {
-  auto it = data_refs_.find(handle);
-  assert(it != data_refs_.end());
-  if (--it->second == 0) {
-    data_refs_.erase(it);
-    return true;
+  u32* refs = data_refs_.find(handle);
+  assert(refs != nullptr);
+  if (*refs > 1) {
+    --*refs;
+    return false;
   }
-  return false;
+  data_refs_.erase(handle);  // before the count would read as empty
+  return true;
 }
 
 }  // namespace papm::net

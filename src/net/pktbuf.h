@@ -22,9 +22,10 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "container/rbtree.h"
 #include "net/headers.h"
@@ -62,6 +63,13 @@ class BufArena {
 };
 
 // DRAM-backed arena: the ordinary kernel packet allocator.
+//
+// A slab of recycled blocks: a freed block goes on the free list of its
+// size class (four classes per power of two, so at most 25% slack) and
+// the next alloc of that class takes it back, zero-filled again like a
+// fresh block. A handle is {generation, slot + 1}; freeing bumps the
+// slot's generation, so a stale handle still throws in data() after its
+// slot is reused.
 class HeapArena final : public BufArena {
  public:
   explicit HeapArena(sim::Env& env) : env_(&env) {}
@@ -72,10 +80,24 @@ class HeapArena final : public BufArena {
   [[nodiscard]] bool persistent() const noexcept override { return false; }
   void store_dma(u64 handle, std::span<const u8> data) override;
 
+  // Introspection for tests: blocks currently allocated.
+  [[nodiscard]] std::size_t live_blocks() const noexcept { return live_; }
+
  private:
+  struct Block {
+    std::unique_ptr<u8[]> mem;  // capacity: class_bytes(cls)
+    u64 size = 0;               // bytes of the current allocation
+    u32 gen = 1;
+    u8 cls = 0;
+    bool live = false;
+  };
+  // Null when the handle is not a live block's current handle.
+  [[nodiscard]] Block* resolve(u64 handle) noexcept;
+
   sim::Env* env_;
-  u64 next_handle_ = 1;
-  std::unordered_map<u64, std::vector<u8>> blocks_;
+  std::vector<Block> blocks_;
+  std::vector<std::vector<u32>> free_;  // per size class: free slots
+  std::size_t live_ = 0;
 };
 
 // PM-backed arena: packet data (and, in pktstore, metadata) allocated
@@ -294,7 +316,7 @@ class PktBufPool {
   BufArena* arena_;
   std::deque<PktBuf> slab_;
   std::vector<PktBuf*> free_meta_;
-  std::unordered_map<u64, u32> data_refs_;
+  FlatMap<u32> data_refs_;  // data handle -> references (never 0)
   std::size_t live_meta_ = 0;
   std::size_t meta_limit_ = 0;  // 0 = unlimited
 };

@@ -70,7 +70,7 @@ TcpConn* TcpStack::connect(u32 dst_ip, u16 dst_port) {
   auto conn = std::unique_ptr<TcpConn>(
       new TcpConn(*this, opts_.ip, lport, dst_ip, dst_port));
   TcpConn* c = conn.get();
-  conns_.emplace(FlowKey{dst_ip, dst_port, lport}, std::move(conn));
+  conns_[flow_key(dst_ip, dst_port, lport)] = std::move(conn);
 
   c->iss_ = next_iss_;
   next_iss_ += 1 << 20;
@@ -95,19 +95,18 @@ Status TcpStack::listen(u16 port, std::function<void(TcpConn&)> on_accept) {
 
 std::unique_ptr<TcpConn> TcpStack::extract(TcpConn* c) {
   if (c == nullptr) return nullptr;
-  const FlowKey key{c->peer_ip_, c->peer_port_, c->local_port_};
-  auto it = conns_.find(key);
-  if (it == conns_.end() || it->second.get() != c) return nullptr;
-  std::unique_ptr<TcpConn> conn = std::move(it->second);
-  conns_.erase(it);
-  return conn;
+  const u64 key = flow_key(c->peer_ip_, c->peer_port_, c->local_port_);
+  std::unique_ptr<TcpConn>* slot = conns_.find(key);
+  if (slot == nullptr || slot->get() != c) return nullptr;
+  return conns_.take(key);
 }
 
 void TcpStack::adopt(std::unique_ptr<TcpConn> conn) {
   if (conn == nullptr) return;
   conn->stack_ = this;  // timers and TX resolve the new stack from here on
-  const FlowKey key{conn->peer_ip_, conn->peer_port_, conn->local_port_};
-  conns_.emplace(key, std::move(conn));
+  std::unique_ptr<TcpConn>& slot =
+      conns_[flow_key(conn->peer_ip_, conn->peer_port_, conn->local_port_)];
+  if (slot == nullptr) slot = std::move(conn);
 }
 
 void TcpStack::rx(PktBuf* pb) {
@@ -140,10 +139,9 @@ void TcpStack::rx_locked(PktBuf* pb) {
                         (h.flags & (kTcpSyn | kTcpFin | kTcpRst)) == 0;
   charge_rx(pure_ack);
 
-  const FlowKey key{pb->ip.src, h.src_port, h.dst_port};
-  auto it = conns_.find(key);
-  if (it != conns_.end()) {
-    it->second->rx(pb);
+  const u64 key = flow_key(pb->ip.src, h.src_port, h.dst_port);
+  if (std::unique_ptr<TcpConn>* c = conns_.find(key)) {
+    (*c)->rx(pb);
     return;
   }
   // New flow: a SYN for a listening port?
@@ -154,7 +152,7 @@ void TcpStack::rx_locked(PktBuf* pb) {
         new TcpConn(*this, opts_.ip, h.dst_port, pb->ip.src, h.src_port));
     TcpConn* c = conn.get();
     c->acceptor_cb_ = lit->second;
-    conns_.emplace(key, std::move(conn));
+    conns_[key] = std::move(conn);
     c->rx_listen_syn(pb);
     return;
   }
@@ -376,8 +374,7 @@ void TcpConn::process_ack(const TcpHeader& h) {
     }
     snd_una_ = ack;
     if (rtx_q_.empty()) {
-      rto_armed_ = false;
-      rto_generation_++;
+      disarm_rto();
     } else {
       arm_rto();
     }
@@ -473,6 +470,14 @@ Status TcpConn::send(std::span<const u8> data) {
   if (fin_queued_) return Errc::invalid_argument;
   // User-to-kernel copy.
   stack_->env().clock().advance(stack_->env().cost.copy_cost(data.size()));
+  if (snd_head_ == snd_buf_.size()) {
+    snd_buf_.clear();
+    snd_head_ = 0;
+  } else if (snd_head_ >= 4096 && snd_head_ * 2 >= snd_buf_.size()) {
+    snd_buf_.erase(snd_buf_.begin(),
+                   snd_buf_.begin() + static_cast<long>(snd_head_));
+    snd_head_ = 0;
+  }
   snd_buf_.insert(snd_buf_.end(), data.begin(), data.end());
   try_send();
   return Errc::ok;
@@ -483,7 +488,7 @@ Status TcpConn::send_pkt(PktBuf* pb) {
     PktBufPool::release(pb);
     return Errc::not_connected;
   }
-  if (!snd_buf_.empty() || fin_queued_) {
+  if (unsent() != 0 || fin_queued_) {
     PktBufPool::release(pb);
     return Errc::would_block;  // cannot interleave with buffered bytes
   }
@@ -514,24 +519,25 @@ void TcpConn::try_send() {
     return;
   }
   const u32 wnd = std::min(cwnd_, snd_wnd_);
-  while (!snd_buf_.empty()) {
+  while (unsent() != 0) {
     const u32 inflight = snd_nxt_ - snd_una_;
     if (inflight >= wnd) break;
     const u32 room = wnd - inflight;
     const u32 take = std::min<u32>(
-        {static_cast<u32>(kMss), static_cast<u32>(snd_buf_.size()), room});
+        {static_cast<u32>(kMss), static_cast<u32>(unsent()), room});
     if (take == 0) break;
-    std::vector<u8> payload(snd_buf_.begin(),
-                            snd_buf_.begin() + static_cast<long>(take));
-    snd_buf_.erase(snd_buf_.begin(), snd_buf_.begin() + static_cast<long>(take));
+    const std::span<const u8> payload(snd_buf_.data() + snd_head_, take);
+    snd_head_ += take;
     const u32 seq = snd_nxt_;
     snd_nxt_ += take;
     snd_buf_seq_ = snd_nxt_;
     stack_->charge_tx();
+    // output() copies the payload into the segment before anything can
+    // append to snd_buf_.
     send_segment(kTcpAck | kTcpPsh, seq, payload, /*queue_rtx=*/true);
   }
   // Queue the FIN once the send buffer drains.
-  if (fin_queued_ && !fin_sent_ && snd_buf_.empty()) {
+  if (fin_queued_ && !fin_sent_ && unsent() == 0) {
     const u32 inflight = snd_nxt_ - snd_una_;
     if (inflight < wnd || rtx_q_.empty()) {
       fin_sent_ = true;
@@ -545,20 +551,17 @@ void TcpConn::try_send() {
   // byte beyond the window; the ACK it elicits reports the reopened
   // window. (A pending FIN with an empty buffer probes via the FIN
   // branch above, which fires when nothing is in flight.)
-  if (snd_wnd_ == 0 && !snd_buf_.empty() && rtx_q_.empty()) {
-    const u64 gen = ++rto_generation_;
-    rto_armed_ = true;
-    stack_->env().engine.schedule_in(rto_, [this, gen] {
-      if (gen != rto_generation_) return;
+  if (snd_wnd_ == 0 && unsent() != 0 && rtx_q_.empty()) {
+    disarm_rto();
+    rto_timer_ = stack_->env().engine.schedule_in(rto_, [this] {
+      rto_timer_ = 0;
       stack_->run_cpu([this] {
-        rto_armed_ = false;
-        if (snd_wnd_ != 0 || snd_buf_.empty() || !rtx_q_.empty() ||
+        if (snd_wnd_ != 0 || unsent() == 0 || !rtx_q_.empty() ||
             state_ == TcpState::closed) {
           try_send();
           return;
         }
-        const u8 byte = snd_buf_.front();
-        snd_buf_.pop_front();
+        const u8 byte = snd_buf_[snd_head_++];
         const u32 seq = snd_nxt_;
         snd_nxt_ += 1;
         snd_buf_seq_ = snd_nxt_;
@@ -616,12 +619,17 @@ std::size_t TcpConn::read(std::span<u8> out) {
 }
 
 std::vector<PktBuf*> TcpConn::read_pkts() {
+  std::vector<PktBuf*> out;
+  read_pkts(out);
+  return out;
+}
+
+void TcpConn::read_pkts(std::vector<PktBuf*>& out) {
   // Partial copying reads and zero-copy reads do not mix.
   assert(rcv_consumed_front_ == 0);
-  std::vector<PktBuf*> out(rcv_q_.begin(), rcv_q_.end());
+  out.insert(out.end(), rcv_q_.begin(), rcv_q_.end());
   rcv_q_.clear();
   rcv_queued_ = 0;
-  return out;
 }
 
 void TcpConn::close() {
@@ -648,7 +656,7 @@ void TcpConn::close() {
 void TcpConn::become_closed() {
   if (state_ == TcpState::closed) return;
   state_ = TcpState::closed;
-  rto_generation_++;  // cancel timers
+  disarm_rto();
   for (auto& e : rtx_q_) PktBufPool::release(e.clone);
   rtx_q_.clear();
   while (PktBuf* p = ooo_tree_.first()) {
@@ -659,16 +667,19 @@ void TcpConn::become_closed() {
 }
 
 void TcpConn::arm_rto() {
-  const u64 gen = ++rto_generation_;
-  rto_armed_ = true;
-  stack_->env().engine.schedule_in(rto_, [this, gen] {
-    if (gen != rto_generation_ || !rto_armed_) return;
+  disarm_rto();
+  rto_timer_ = stack_->env().engine.schedule_in(rto_, [this] {
+    rto_timer_ = 0;
     stack_->run_cpu([this] { on_rto(); });
   });
 }
 
+void TcpConn::disarm_rto() noexcept {
+  stack_->env().engine.cancel(rto_timer_);
+  rto_timer_ = 0;
+}
+
 void TcpConn::on_rto() {
-  rto_armed_ = false;
   if (rtx_q_.empty() || state_ == TcpState::closed) return;
   RtxEntry& e = rtx_q_.front();
   retransmits_++;

@@ -29,6 +29,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "container/rbtree.h"
 #include "net/headers.h"
@@ -117,6 +118,8 @@ class TcpConn {
   // Zero-copy read: transfers ownership of the queued payload-bearing
   // packets (payload via pool().payload(*pb)). Caller frees them.
   std::vector<PktBuf*> read_pkts();
+  // The same, appending to `out` (no allocation once `out` has grown).
+  void read_pkts(std::vector<PktBuf*>& out);
 
   [[nodiscard]] std::size_t readable_bytes() const noexcept { return rcv_queued_; }
 
@@ -149,6 +152,8 @@ class TcpConn {
   void send_ctl(u8 flags);  // pure control segment at snd_nxt
   void enter_established();
   void arm_rto();
+  // Cancels the pending RTO or zero-window-probe timer, if any.
+  void disarm_rto() noexcept;
   void on_rto();
   void update_rtt(SimTime sample);
   void maybe_send_pending_ack();
@@ -172,8 +177,14 @@ class TcpConn {
   u32 dup_acks_ = 0;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
-  std::deque<u8> snd_buf_;  // unsent bytes; snd_nxt_ marks the boundary
-  u32 snd_buf_seq_ = 0;     // seq of snd_buf_.front()
+  // Unsent bytes are snd_buf_[snd_head_, size); snd_nxt_ marks the
+  // boundary. The consumed prefix is dropped once it dominates.
+  std::vector<u8> snd_buf_;
+  std::size_t snd_head_ = 0;
+  u32 snd_buf_seq_ = 0;  // seq of snd_buf_[snd_head_]
+  [[nodiscard]] std::size_t unsent() const noexcept {
+    return snd_buf_.size() - snd_head_;
+  }
 
   struct RtxEntry {
     PktBuf* clone;  // holds the data alive until acked
@@ -202,8 +213,9 @@ class TcpConn {
   // exceed self-inflicted queueing delay at full window or zero-loss
   // transfers suffer spurious timeouts.
   SimTime rto_ = 1 * kNsPerMs;
-  u64 rto_generation_ = 0;
-  bool rto_armed_ = false;
+  // The one pending RTO or zero-window-probe timer (0 = none); arming a
+  // new one cancels the one it supersedes.
+  sim::EventId rto_timer_ = 0;
 
   bool ack_pending_ = false;
   u64 retransmits_ = 0;
@@ -255,10 +267,11 @@ class TcpStack {
   // doorbell. Queued packet buffers keep their original owner pool
   // (every free in the connection is owner-routed).
   void adopt(std::unique_ptr<TcpConn> conn);
-  // Iterates live connections (migration-group selection).
+  // Iterates live connections (migration-group selection), in no
+  // particular order.
   template <typename Fn>
   void each_conn(Fn&& fn) {
-    for (auto& [key, c] : conns_) fn(*c);
+    conns_.for_each([&](u64, std::unique_ptr<TcpConn>& c) { fn(*c); });
   }
   [[nodiscard]] std::size_t conn_count() const noexcept {
     return conns_.size();
@@ -293,18 +306,12 @@ class TcpStack {
  private:
   friend class TcpConn;
 
-  struct FlowKey {
-    u32 peer_ip;
-    u16 peer_port;
-    u16 local_port;
-    bool operator==(const FlowKey&) const = default;
-  };
-  struct FlowHash {
-    std::size_t operator()(const FlowKey& k) const noexcept {
-      return std::hash<u64>()((static_cast<u64>(k.peer_ip) << 32) ^
-                              (static_cast<u64>(k.peer_port) << 16) ^ k.local_port);
-    }
-  };
+  // Flow-table key: the 4-tuple minus our own (fixed) address.
+  [[nodiscard]] static constexpr u64 flow_key(u32 peer_ip, u16 peer_port,
+                                              u16 local_port) noexcept {
+    return static_cast<u64>(peer_ip) << 32 |
+           static_cast<u64>(peer_port) << 16 | local_port;
+  }
 
   // Builds and transmits a segment on behalf of a connection.
   void output(TcpConn& c, u8 flags, u32 seq, u32 ack,
@@ -324,7 +331,7 @@ class TcpStack {
   sim::HostCpu own_cpu_;
   sim::HostCpu* cpu_;
 
-  std::unordered_map<FlowKey, std::unique_ptr<TcpConn>, FlowHash> conns_;
+  FlatMap<std::unique_ptr<TcpConn>> conns_;  // flow_key -> connection
   std::unordered_map<u16, std::function<void(TcpConn&)>> listeners_;
   u16 next_ephemeral_;
   u32 next_iss_ = 1000;

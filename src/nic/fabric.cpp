@@ -2,8 +2,31 @@
 
 namespace papm::nic {
 
-void Fabric::attach(u32 ip, std::function<void(WireFrame)> deliver) {
+void Fabric::attach(u32 ip, Deliver deliver) {
   ports_[ip] = std::move(deliver);
+}
+
+std::vector<u8> Fabric::take_buffer() {
+  if (spare_.empty()) return {};
+  std::vector<u8> bytes = std::move(spare_.back());
+  spare_.pop_back();
+  return bytes;
+}
+
+void Fabric::recycle(std::vector<u8>&& bytes) {
+  if (spare_.size() >= kMaxSpare) return;
+  bytes.clear();
+  spare_.push_back(std::move(bytes));
+}
+
+void Fabric::schedule_delivery(SimTime at, const Deliver& deliver,
+                               WireFrame frame) {
+  // 48 bytes of captures: fits the engine's inline callback slot.
+  env_->engine.schedule_at(
+      at, [this, &deliver, f = std::move(frame)]() mutable {
+        deliver(f);
+        recycle(std::move(f.bytes));
+      });
 }
 
 Rng& Fabric::link_rng(u32 dst_ip, u64 seed) {
@@ -18,10 +41,14 @@ Rng& Fabric::link_rng(u32 dst_ip, u64 seed) {
 
 void Fabric::inject(u32 dst_ip, WireFrame frame, SimTime depart_at) {
   auto it = ports_.find(dst_ip);
-  if (it == ports_.end()) return;  // no route: silently dropped
+  if (it == ports_.end()) {  // no route: silently dropped
+    recycle(std::move(frame.bytes));
+    return;
+  }
 
   if (drop_hook_ && drop_hook_(dst_ip, frame)) {
     dropped_++;
+    recycle(std::move(frame.bytes));
     return;
   }
 
@@ -35,6 +62,7 @@ void Fabric::inject(u32 dst_ip, WireFrame frame, SimTime depart_at) {
 
   if (o.loss_p > 0 && rng->chance(o.loss_p)) {
     dropped_++;
+    recycle(std::move(frame.bytes));
     return;
   }
   if (o.corrupt_p > 0 && !frame.bytes.empty() && rng->chance(o.corrupt_p)) {
@@ -56,15 +84,14 @@ void Fabric::inject(u32 dst_ip, WireFrame frame, SimTime depart_at) {
     // flapping LAG member re-forwarding). Receivers must dedup.
     duplicated_++;
     delivered_++;
-    env_->engine.schedule_at(
-        arrive + env_->cost.scaled(env_->cost.fabric_propagation_ns),
-        [&deliver, f = frame]() mutable { deliver(std::move(f)); });
+    WireFrame dup{take_buffer(), frame.tx_hw_tstamp};
+    dup.bytes.assign(frame.bytes.begin(), frame.bytes.end());
+    schedule_delivery(
+        arrive + env_->cost.scaled(env_->cost.fabric_propagation_ns), deliver,
+        std::move(dup));
   }
   delivered_++;
-  env_->engine.schedule_at(arrive,
-                           [&deliver, f = std::move(frame)]() mutable {
-                             deliver(std::move(f));
-                           });
+  schedule_delivery(arrive, deliver, std::move(frame));
 }
 
 }  // namespace papm::nic

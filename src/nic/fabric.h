@@ -45,8 +45,15 @@ class Fabric {
   explicit Fabric(sim::Env& env, Options opts = Options()) : env_(&env), opts_(opts) {}
 
   // Registers a port: frames whose IP destination equals `ip` are
-  // delivered to `deliver`.
-  void attach(u32 ip, std::function<void(WireFrame)> deliver);
+  // delivered to `deliver`. The frame is only valid during the call: its
+  // byte vector goes back to the fabric's spare list afterwards.
+  using Deliver = std::function<void(const WireFrame&)>;
+  void attach(u32 ip, Deliver deliver);
+
+  // An empty byte vector for a new frame, reusing the capacity of a
+  // delivered frame when one is spare (so steady-state traffic allocates
+  // no frame buffers).
+  [[nodiscard]] std::vector<u8> take_buffer();
 
   // Injects a frame from a NIC. `depart_at` is when the last bit leaves
   // the sender (the NIC handles link serialization); delivery happens
@@ -75,10 +82,17 @@ class Fabric {
 
  private:
   Rng& link_rng(u32 dst_ip, u64 seed);
+  void schedule_delivery(SimTime at, const Deliver& deliver, WireFrame frame);
+  void recycle(std::vector<u8>&& bytes);
+
+  // Spare frame buffers kept at most; beyond it delivered buffers are
+  // freed (bounds the pool after a burst).
+  static constexpr std::size_t kMaxSpare = 1024;
 
   sim::Env* env_;
   Options opts_;
-  std::unordered_map<u32, std::function<void(WireFrame)>> ports_;
+  std::unordered_map<u32, Deliver> ports_;
+  std::vector<std::vector<u8>> spare_;
   std::unordered_map<u32, Options> link_opts_;
   std::unordered_map<u64, Rng> link_rng_;  // (seed ^ mixed dst) -> stream
   DropHook drop_hook_;

@@ -12,36 +12,62 @@ using net::kEthHdrLen;
 using net::kIpHdrLen;
 using net::kTcpHdrLen;
 
+namespace {
+
+// The Microsoft RSS verification-suite key (the default programmed by
+// most drivers, e.g. ixgbe/i40e).
+constexpr u8 kRssKey[40] = {
+    0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
+    0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,
+    0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
+    0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
+
+// The Toeplitz hash is linear over GF(2): input bit j contributes the
+// 32-bit key window starting at key bit j. So the hash of a 12-byte
+// tuple is the XOR of one precomputed entry per input byte — entry
+// [i][b] is the XOR of the windows of the set bits of byte value b at
+// input byte i. Exact, and 12 loads instead of 96 conditional XORs.
+struct ToeplitzTable {
+  u32 t[12][256];
+};
+
+constexpr ToeplitzTable make_toeplitz_table() {
+  ToeplitzTable tab{};
+  for (int i = 0; i < 12; i++) {
+    u32 window[8] = {};  // window of bit 7 - k of byte i (MSB first)
+    for (int k = 0; k < 8; k++) {
+      const int bit = 8 * i + k;  // key bit the window starts at
+      u32 w = 0;
+      for (int j = 0; j < 32; j++) {
+        const int kb = bit + j;
+        w = (w << 1) | ((kRssKey[kb / 8] >> (7 - kb % 8)) & 1u);
+      }
+      window[k] = w;
+    }
+    for (int b = 0; b < 256; b++) {
+      u32 h = 0;
+      for (int k = 0; k < 8; k++) {
+        if (((b >> (7 - k)) & 1) != 0) h ^= window[k];
+      }
+      tab.t[i][b] = h;
+    }
+  }
+  return tab;
+}
+
+constexpr ToeplitzTable kToeplitz = make_toeplitz_table();
+
+}  // namespace
+
 u32 rss_toeplitz(u32 src_ip, u32 dst_ip, u16 src_port,
                  u16 dst_port) noexcept {
-  // The Microsoft RSS verification-suite key (the default programmed by
-  // most drivers, e.g. ixgbe/i40e).
-  static constexpr u8 kKey[40] = {
-      0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
-      0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,
-      0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
-      0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
-  const u8 in[12] = {
-      static_cast<u8>(src_ip >> 24),   static_cast<u8>(src_ip >> 16),
-      static_cast<u8>(src_ip >> 8),    static_cast<u8>(src_ip),
-      static_cast<u8>(dst_ip >> 24),   static_cast<u8>(dst_ip >> 16),
-      static_cast<u8>(dst_ip >> 8),    static_cast<u8>(dst_ip),
-      static_cast<u8>(src_port >> 8),  static_cast<u8>(src_port),
-      static_cast<u8>(dst_port >> 8),  static_cast<u8>(dst_port)};
-  // 64-bit sliding window: the high 32 bits are the current key window,
-  // the low bits are lookahead replenished a byte at a time.
-  u64 win = 0;
-  for (int i = 0; i < 8; i++) win = (win << 8) | kKey[i];
-  u32 hash = 0;
-  std::size_t next_key = 8;
-  for (int i = 0; i < 12; i++) {
-    for (int bit = 7; bit >= 0; bit--) {
-      if (((in[i] >> bit) & 1) != 0) hash ^= static_cast<u32>(win >> 32);
-      win <<= 1;
-    }
-    win |= kKey[next_key++];
-  }
-  return hash;
+  const auto& t = kToeplitz.t;
+  return t[0][src_ip >> 24] ^ t[1][(src_ip >> 16) & 0xff] ^
+         t[2][(src_ip >> 8) & 0xff] ^ t[3][src_ip & 0xff] ^
+         t[4][dst_ip >> 24] ^ t[5][(dst_ip >> 16) & 0xff] ^
+         t[6][(dst_ip >> 8) & 0xff] ^ t[7][dst_ip & 0xff] ^
+         t[8][src_port >> 8] ^ t[9][src_port & 0xff] ^
+         t[10][dst_port >> 8] ^ t[11][dst_port & 0xff];
 }
 
 Nic::Nic(sim::Env& env, Fabric& fabric, u32 ip, net::PktBufPool& pool,
@@ -54,7 +80,7 @@ Nic::Nic(sim::Env& env, Fabric& fabric, u32 ip, net::PktBufPool& pool,
   mac_.b[5] = static_cast<u8>(ip);
   queues_.push_back(Queue{&pool, nullptr});
   reset_indirection();
-  fabric_.attach(ip, [this](WireFrame f) { on_frame(std::move(f)); });
+  fabric_.attach(ip, [this](const WireFrame& f) { on_frame(f); });
 }
 
 u32 Nic::add_queue(net::PktBufPool& pool) {
@@ -101,7 +127,7 @@ void Nic::transmit(net::PktBuf* pb) {
   // Resolve data through the packet's owning pool: a cross-shard
   // zero-copy response carries buffers of another core's arena.
   net::PktBufPool& pool = *pb->owner;
-  WireFrame frame;
+  WireFrame frame{fabric_.take_buffer()};
   const u8* base = pool.data(*pb);
   frame.bytes.assign(base, base + pb->len);  // DMA read; not CPU time
   for (int i = 0; i < pb->nr_frags; i++) {
@@ -149,7 +175,7 @@ void Nic::transmit(net::PktBuf* pb) {
   fabric_.inject(dst_ip, std::move(frame), depart);
 }
 
-void Nic::on_frame(WireFrame frame) {
+void Nic::on_frame(const WireFrame& frame) {
   if (!link_up_) return;  // dead host: in-flight frames hit a dark port
   // Parse L2-L4 from the wire bytes first: the RSS engine hashes the
   // 4-tuple *before* DMA so the frame lands in the right queue's

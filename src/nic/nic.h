@@ -176,7 +176,7 @@ class Nic final : public net::NetIf {
     obs::Counter* m_sliced_frames = nullptr;
   };
 
-  void on_frame(WireFrame frame);
+  void on_frame(const WireFrame& frame);
   // Restores the even default spread (entry i -> i % queues); called when
   // the queue set grows so explicit remaps only exist once traffic flows.
   void reset_indirection() noexcept;

@@ -226,6 +226,19 @@ class KvRig {
                         reinterpret_cast<const u8*>(bytes.data()), bytes.size()),
                     conn);
   }
+  // Sends each chunk as its own segment, all in flight at once, then runs
+  // the simulation until idle; the last response, if one arrived.
+  std::optional<http::Response> send_segments(
+      const std::vector<std::string_view>& chunks, std::size_t conn = 0) {
+    Client& c = *clients_[conn];
+    c.last.reset();
+    for (const std::string_view chunk : chunks) {
+      (void)c.conn->send(std::span<const u8>(
+          reinterpret_cast<const u8*>(chunk.data()), chunk.size()));
+    }
+    env_.engine.run_until_idle();
+    return std::move(c.last);
+  }
 
   // The server shard connection `conn` lands on: the one whose request
   // count a probe GET moves.
@@ -301,6 +314,32 @@ TEST(KvServerParse, MalformedHeadIs400AndCloses) {
     EXPECT_EQ(rig.server_counter("http.parse_errors"), 1u);
     EXPECT_EQ(rig.server().ops(), 0u);
   }
+}
+
+// Segments that follow a malformed head on the same connection — already
+// in flight when the server answers 400, or sent after the client saw the
+// 400 — must not reach the rejected connection's freed request state
+// (an ASan build turns such a use-after-free into a failure). The server
+// keeps serving other connections.
+TEST(KvServerParse, SegmentsAfterMalformedHeadAreDropped) {
+  KvRig rig(Backend::pktstore);
+  const auto r = rig.send_segments({"NONSENSE\r\n\r\n",
+                                    "PUT /kv/a HTTP/1.1\r\n",
+                                    "Content-Length: 3\r\n\r\nabc"});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 400);
+  EXPECT_FALSE(rig.connected());
+  // The client has the server's FIN but may still send.
+  EXPECT_FALSE(
+      rig.send_raw(std::string_view("GET /kv/a HTTP/1.1\r\n\r\n")).has_value());
+  EXPECT_EQ(rig.server().errors(), 1u);
+  EXPECT_EQ(rig.server().ops(), 0u);
+  const std::size_t other = rig.connect();
+  const auto put = rig.request(http::Method::put, "/kv/b",
+                               std::vector<u8>{'x', 'y'}, other);
+  ASSERT_TRUE(put.has_value());
+  EXPECT_EQ(put->status, 201);
+  EXPECT_EQ(rig.server().ops(), 1u);
 }
 
 // Content-Length is matched case-insensitively: an upper-case header

@@ -1,14 +1,17 @@
 // Unit tests for common/: Result/Status, CRC32C, Internet checksum, RNG,
-// stats. Checksum vectors come from the relevant RFCs and known-good
-// implementations.
+// stats, the flat hash table. Checksum vectors come from the relevant RFCs
+// and known-good implementations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/flat_map.h"
 #include "common/hexdump.h"
 #include "common/inet_csum.h"
 #include "common/rng.h"
@@ -183,6 +186,149 @@ TEST(InetCsum, IncrementalUpdateRfc1624) {
 }
 
 // ---------- RNG ----------
+
+// The plain 16-bit big-endian word loop inet_sum must reproduce exactly:
+// the unfolded 32-bit result, not just the folded checksum.
+u32 inet_sum_reference(std::span<const u8> data) {
+  u64 sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<u32>(data[i]) << 8 | data[i + 1];
+  }
+  if (i < data.size()) sum += static_cast<u32>(data[i]) << 8;
+  while (sum >> 32) sum = (sum & 0xffffffff) + (sum >> 32);
+  return static_cast<u32>(sum);
+}
+
+// Lengths 0..70 000 at every start offset mod 8, over all-0xFF (largest
+// lane sums), all-zero and random bytes: every length up to 4200 (two
+// full 2 KB lane blocks and every tail), every length within 24 of the
+// 2^16 and 70 000 marks, and a stride across the rest.
+TEST(InetCsum, LaneSumMatchesWordLoop) {
+  constexpr std::size_t kMax = 70'000;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 4200; n++) lengths.push_back(n);
+  for (std::size_t n = 4201; n < kMax; n += 997) lengths.push_back(n);
+  for (const std::size_t mark : {std::size_t{65536}, kMax}) {
+    for (std::size_t n = mark - 24; n <= std::min(mark + 24, kMax); n++) {
+      lengths.push_back(n);
+    }
+  }
+  Rng rng(77);
+  std::vector<u8> random(kMax + 8);
+  for (auto& b : random) b = static_cast<u8>(rng.next());
+  const std::vector<std::vector<u8>> patterns = {
+      std::vector<u8>(kMax + 8, 0xff), std::vector<u8>(kMax + 8, 0), random};
+  for (std::size_t p = 0; p < patterns.size(); p++) {
+    for (std::size_t off = 0; off < 8; off++) {
+      for (const std::size_t n : lengths) {
+        const std::span<const u8> d(patterns[p].data() + off, n);
+        ASSERT_EQ(inet_sum(d), inet_sum_reference(d))
+            << "pattern " << p << " offset " << off << " length " << n;
+      }
+    }
+  }
+}
+
+// ---------- FlatMap ----------
+
+// Random insert / erase / take churn over a small key space (long probe
+// runs, constant backward-shift deletion) against std::unordered_map,
+// for both value kinds the datapath stores: a refcount and an owning
+// pointer (the TCP flow table).
+TEST(FlatMap, RefcountChurnMatchesUnorderedMap) {
+  FlatMap<u32> m;
+  std::unordered_map<u64, u32> ref;
+  Rng rng(5);
+  for (int op = 0; op < 200'000; op++) {
+    // Keys 0..2999 plus a few far apart (PM offsets, heap handles).
+    const u64 key = rng.next_below(3000) << (rng.next_below(8) == 0 ? 32 : 0);
+    switch (rng.next_below(3)) {
+      case 0:  // ref
+        m[key]++;
+        ref[key]++;
+        break;
+      case 1: {  // unref
+        u32* v = m.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << op;
+        if (v == nullptr) break;
+        if (*v > 1) {
+          --*v;
+          --it->second;
+        } else {
+          ASSERT_TRUE(m.erase(key));
+          ref.erase(it);
+        }
+        break;
+      }
+      default: {  // lookup
+        const u32* v = m.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << op;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second) << op;
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), ref.size()) << op;
+    if (op % 20'000 == 0) {  // full sweep: nothing lost in a shift
+      for (const auto& [k, v] : ref) {
+        const u32* got = m.find(k);
+        ASSERT_NE(got, nullptr) << k;
+        EXPECT_EQ(*got, v);
+      }
+      std::size_t seen = 0;
+      m.for_each([&](u64 k, u32& v) {
+        seen++;
+        EXPECT_EQ(ref.at(k), v);
+      });
+      EXPECT_EQ(seen, ref.size());
+    }
+  }
+  EXPECT_FALSE(m.erase(u64{1} << 60));
+}
+
+TEST(FlatMap, OwningChurnMatchesUnorderedMap) {
+  FlatMap<std::unique_ptr<u64>> m;
+  std::unordered_map<u64, u64> ref;  // key -> pointee
+  Rng rng(6);
+  for (int op = 0; op < 100'000; op++) {
+    const u64 key = rng.next_below(2000) * 65537;  // (ip, port)-like spread
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1:
+        if (!ref.contains(key)) {
+          m[key] = std::make_unique<u64>(op);
+          ref[key] = static_cast<u64>(op);
+        }
+        break;
+      case 2: {
+        std::unique_ptr<u64> got = m.take(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << op;
+        if (got != nullptr) {
+          EXPECT_EQ(*got, it->second);
+          ref.erase(it);
+        }
+        break;
+      }
+      default: {
+        std::unique_ptr<u64>* got = m.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << op;
+        if (got != nullptr) {
+          ASSERT_EQ(**got, it->second) << op;
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), ref.size()) << op;
+  }
+  for (const auto& [k, v] : ref) {
+    ASSERT_NE(m.find(k), nullptr);
+    EXPECT_EQ(**m.find(k), v);
+  }
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);

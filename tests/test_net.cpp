@@ -1,12 +1,15 @@
-// Tests for net/ + nic/: header codecs, PktBuf clone semantics, GSO, and
-// end-to-end TCP between two simulated hosts over the fabric — including
-// loss, reordering and corruption recovery.
+// Tests for net/ + nic/: header codecs, the RSS hash, PktBuf clone
+// semantics and refcounts, the heap arena, GSO, and end-to-end TCP between
+// two simulated hosts over the fabric — including loss, reordering and
+// corruption recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <unordered_map>
 
 #include "net/gso.h"
 #include "net/tcp.h"
@@ -136,6 +139,73 @@ TEST(PayloadCsum, AllZeroPayloadNormalized) {
             inet_checksum(payload));
 }
 
+// ---------- RSS ----------
+
+// The Toeplitz hash computed bit by bit, as the Microsoft RSS
+// specification defines it: for every set input bit (MSB first), XOR in
+// the 32-bit key window starting at that bit's position.
+u32 toeplitz_reference(u32 src_ip, u32 dst_ip, u16 src_port, u16 dst_port) {
+  static constexpr u8 kKey[40] = {
+      0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
+      0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,
+      0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
+      0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
+  const u8 in[12] = {
+      static_cast<u8>(src_ip >> 24),  static_cast<u8>(src_ip >> 16),
+      static_cast<u8>(src_ip >> 8),   static_cast<u8>(src_ip),
+      static_cast<u8>(dst_ip >> 24),  static_cast<u8>(dst_ip >> 16),
+      static_cast<u8>(dst_ip >> 8),   static_cast<u8>(dst_ip),
+      static_cast<u8>(src_port >> 8), static_cast<u8>(src_port),
+      static_cast<u8>(dst_port >> 8), static_cast<u8>(dst_port)};
+  u32 hash = 0;
+  for (int bit = 0; bit < 96; bit++) {
+    if (((in[bit / 8] >> (7 - bit % 8)) & 1) == 0) continue;
+    u32 window = 0;
+    for (int j = 0; j < 32; j++) {
+      const int kb = bit + j;
+      window = (window << 1) | ((kKey[kb / 8] >> (7 - kb % 8)) & 1u);
+    }
+    hash ^= window;
+  }
+  return hash;
+}
+
+constexpr u32 ip4(u32 a, u32 b, u32 c, u32 d) {
+  return a << 24 | b << 16 | c << 8 | d;
+}
+
+// The IPv4 + TCP vectors of Microsoft's "Verifying the RSS Hash
+// Calculation", then random 4-tuples against the bitwise reference.
+TEST(Rss, ToeplitzTableMatchesReference) {
+  struct Vec {
+    u32 src_ip, dst_ip;
+    u16 src_port, dst_port;
+    u32 hash;
+  };
+  const Vec vecs[] = {
+      {ip4(66, 9, 149, 187), ip4(161, 142, 100, 80), 2794, 1766, 0x51ccc178},
+      {ip4(199, 92, 111, 2), ip4(65, 69, 140, 83), 14230, 4739, 0xc626b0ea},
+      {ip4(24, 19, 198, 95), ip4(12, 22, 207, 184), 12898, 38024, 0x5c2b394a},
+      {ip4(38, 27, 205, 30), ip4(209, 142, 163, 6), 48228, 2217, 0xafc7327f},
+      {ip4(153, 39, 163, 191), ip4(202, 188, 127, 2), 44251, 1303, 0x10e828a2},
+  };
+  for (const Vec& v : vecs) {
+    EXPECT_EQ(toeplitz_reference(v.src_ip, v.dst_ip, v.src_port, v.dst_port),
+              v.hash);
+    EXPECT_EQ(nic::rss_toeplitz(v.src_ip, v.dst_ip, v.src_port, v.dst_port),
+              v.hash);
+  }
+  Rng rng(12);
+  for (int i = 0; i < 100'000; i++) {
+    const auto sip = static_cast<u32>(rng.next());
+    const auto dip = static_cast<u32>(rng.next());
+    const auto sp = static_cast<u16>(rng.next());
+    const auto dp = static_cast<u16>(rng.next());
+    ASSERT_EQ(nic::rss_toeplitz(sip, dip, sp, dp),
+              toeplitz_reference(sip, dip, sp, dp));
+  }
+}
+
 // ---------- PktBuf pool ----------
 
 class PktBufTest : public ::testing::Test {
@@ -221,6 +291,88 @@ TEST_F(PktBufTest, FragsRefcounted) {
 }
 
 // ---------- GSO ----------
+
+// A freed HeapArena handle stays dead after its slot is recycled: data()
+// on it throws, the slot's new handle differs and reads back zero-filled
+// whatever the previous tenant wrote.
+TEST_F(PktBufTest, HeapArenaStaleHandleThrowsAfterReuse) {
+  const u64 old = arena.alloc(1000).value();
+  std::memset(arena.data(old, 1000), 0xab, 1000);
+  arena.free(old, 1000);
+  EXPECT_THROW((void)arena.data(old, 1), std::out_of_range);
+  const u64 reused = arena.alloc(990).value();  // same size class
+  EXPECT_NE(reused, old);
+  EXPECT_EQ(reused & 0xffffffffu, old & 0xffffffffu);  // the same slot
+  EXPECT_THROW((void)arena.data(old, 1), std::out_of_range);
+  EXPECT_THROW((void)arena.data(reused, 991), std::out_of_range);
+  const u8* p = arena.data(reused, 990);
+  EXPECT_TRUE(std::all_of(p, p + 990, [](u8 b) { return b == 0; }));
+  arena.free(old, 1000);  // a stale free is ignored...
+  EXPECT_EQ(arena.live_blocks(), 1u);
+  EXPECT_NO_THROW((void)arena.data(reused, 990));  // ...and harms nothing
+  arena.free(reused, 990);
+  EXPECT_EQ(arena.live_blocks(), 0u);
+}
+
+// Refcount table churn: random alloc / clone / adopt / frag / unref / free
+// against a std::unordered_map model of every data block's references.
+TEST_F(PktBufTest, RefcountChurnMatchesModel) {
+  Rng rng(11);
+  std::vector<PktBuf*> live;
+  std::vector<std::pair<u64, u32>> adopted;  // (handle, cap) refs we hold
+  std::unordered_map<u64, u32> refs;
+  const auto model_free = [&](PktBuf* pb) {
+    const auto drop = [&](u64 h) {
+      if (--refs.at(h) == 0) refs.erase(h);
+    };
+    drop(pb->data_h);
+    for (int i = 0; i < pb->nr_frags; i++) drop(pb->frags[i].data_h);
+  };
+  for (int op = 0; op < 20'000; op++) {
+    const u64 r = rng.next_below(10);
+    if (r < 3 || live.empty()) {
+      PktBuf* pb = pool.alloc(64 + static_cast<u32>(rng.next_below(2000)));
+      ASSERT_NE(pb, nullptr);
+      refs[pb->data_h]++;
+      live.push_back(pb);
+    } else if (r < 5) {
+      PktBuf* c = pool.clone(*live[rng.next_below(live.size())]);
+      refs[c->data_h]++;
+      for (int i = 0; i < c->nr_frags; i++) refs[c->frags[i].data_h]++;
+      live.push_back(c);
+    } else if (r < 6) {
+      PktBuf* pb = live[rng.next_below(live.size())];
+      adopted.emplace_back(pool.adopt_data(*pb), pb->cap);
+      refs[pb->data_h]++;
+    } else if (r < 7) {
+      // Frag another packet's data block onto a fresh packet.
+      PktBuf* src = live[rng.next_below(live.size())];
+      PktBuf* pb = pool.alloc(64);
+      refs[pb->data_h]++;
+      ASSERT_TRUE(pool.add_frag(*pb, src->data_h, 8, 0, src->cap).ok());
+      refs[src->data_h]++;
+      live.push_back(pb);
+    } else if (r < 8 && !adopted.empty()) {
+      const std::size_t i = rng.next_below(adopted.size());
+      pool.unref_data(adopted[i].first, adopted[i].second);
+      if (--refs.at(adopted[i].first) == 0) refs.erase(adopted[i].first);
+      adopted[i] = adopted.back();
+      adopted.pop_back();
+    } else {
+      const std::size_t i = rng.next_below(live.size());
+      model_free(live[i]);
+      pool.free(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(pool.live_data_blocks(), refs.size()) << "op " << op;
+    ASSERT_EQ(arena.live_blocks(), refs.size()) << "op " << op;
+  }
+  for (PktBuf* pb : live) pool.free(pb);
+  for (const auto& [h, cap] : adopted) pool.unref_data(h, cap);
+  EXPECT_EQ(pool.live_data_blocks(), 0u);
+  EXPECT_EQ(arena.live_blocks(), 0u);
+}
 
 TEST_F(PktBufTest, SuperPacketRoundTrip) {
   const auto payload = rand_bytes(10000, 11);
