@@ -6,8 +6,10 @@
 //
 // One closed-loop client; request message = [u8 op][u8 klen][key][value];
 // response message = [u8 status]. Storage backends: NoveLSM-like vs
-// pktstore (which ingests the request's packets in place).
+// pktstore (which ingests the request's packets in place), both written
+// through the storage::KvStore contract the HTTP server uses.
 #include <cstdio>
+#include <memory>
 
 #include "app/host.h"
 #include "common/stats.h"
@@ -48,17 +50,18 @@ Result run(bool use_pktstore, std::size_t value_size, int requests) {
   net::HomaEndpoint shoma(server.udp(), kPort);
   net::HomaEndpoint choma(client.udp(), kPort);
 
-  std::optional<core::PktStore> pktstore;
   std::optional<pm::PmPool> store_pool;
-  std::optional<storage::LsmStore> lsm;
+  std::unique_ptr<storage::KvStore> store;
   if (use_pktstore) {
-    pktstore = core::PktStore::create(server.pool(), "db");
+    store = std::make_unique<core::PktStore>(
+        core::PktStore::create(server.pool(), "db"));
   } else {
     auto span = server.pm_pool().alloc(128u << 20);
     store_pool = pm::PmPool::create(server.pm_device(), "storepool",
                                     align_up(span.value(), kCacheLine),
                                     (128u << 20) - kCacheLine);
-    lsm = storage::LsmStore::create(server.pm_device(), *store_pool, "db");
+    store = std::make_unique<storage::LsmStore>(
+        storage::LsmStore::create(server.pm_device(), *store_pool, "db"));
   }
 
   storage::OpBreakdown bd_sum;
@@ -68,19 +71,15 @@ Result run(bool use_pktstore, std::size_t value_size, int requests) {
     const u8* first = server.pool().data(*d.pkts[0]) + d.offs[0];
     const std::size_t klen = first[1];
     const std::string key(reinterpret_cast<const char*>(first + 2), klen);
+    // The value is the message past the op header: skip the header
+    // within the first segment. The store adopts or copies the rest.
+    auto offs = d.offs;
+    auto lens = d.lens;
+    const u32 skip = static_cast<u32>(2 + klen);
+    offs[0] += skip;
+    lens[0] -= skip;
     storage::OpBreakdown bd;
-    if (use_pktstore) {
-      // Skip the op header within the first segment; adopt the rest.
-      auto offs = d.offs;
-      auto lens = d.lens;
-      const u32 skip = static_cast<u32>(2 + klen);
-      offs[0] += skip;
-      lens[0] -= skip;
-      (void)pktstore->put_pkts(key, d.pkts, offs, lens, &bd);
-    } else {
-      const auto bytes = d.bytes(server.pool());
-      (void)lsm->put(key, std::span<const u8>(bytes).subspan(2 + klen), &bd);
-    }
+    (void)store->put_pkts(key, d.pkts, offs, lens, &bd);
     bd_sum += bd;
     bd_ops++;
     for (auto* pb : d.pkts) server.pool().free(pb);

@@ -8,10 +8,14 @@
 #
 # Each argument is a CMake build tree of this repository (the directory
 # holding bench/). Benches with a --json record are compared on that
-# record with its git_sha field removed; the others (mica, ablations,
-# homa, transport) on their stdout. Prints one line per bench and exits
-# non-zero if any output differs or any bench fails. Takes about 10 s per
-# build tree on a 4-core machine.
+# record with its git_sha field removed; the others on their stdout, with
+# the output paths they echo normalised. A run whose arguments name a
+# trace file (@TRACE@) has that file compared too. The flagged runs cover
+# the harness's optional branches: replication inside run_experiment,
+# span tracing and attribution, the metrics sections, the admin scrape
+# probe and the rebalancer. Prints one line per run and exits non-zero if
+# any output differs or any bench fails. Takes about 13 s per build tree
+# on a 4-core machine.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -44,20 +48,35 @@ runs=(
   "ablations|bench_ablations||stdout"
   "homa|bench_homa||stdout"
   "transport|bench_transport||stdout"
+  "table1-flags|bench_table1|--repl --check-attribution --metrics --trace @TRACE@|stdout"
+  "fig2-metrics|bench_fig2|--metrics|stdout"
+  "openloop-admin|bench_openloop|--conns 1000 --seconds 1 --admin-overhead|stdout"
+  "openloop-rebalance|bench_openloop|--conns 1000 --seconds 1 --rebalance --metrics|stdout"
+  "scaling-rebalance|bench_scaling|--quick --rebalance|json"
+  "repl-trace|bench_repl|--quick --trace @TRACE@|stdout"
 )
 
 # run <build> <side> <name> <binary> <args> <kind>: leaves the compared
-# output in $out/<side>.<name>.
+# output in $out/<side>.<name> (and a trace in $out/<side>.<name>.trace).
 run() {
   local build=$1 side=$2 name=$3 bin=$4 args=$5 kind=$6
   local dst="$out/$side.$name"
+  args=${args//@TRACE@/$dst.trace}
   # $args is deliberately unquoted: it is a word list.
   if [ "$kind" = json ]; then
     "$build/bench/$bin" $args --json "$dst.raw" >/dev/null || return 1
     sed 's/"git_sha": "[^"]*", //' "$dst.raw" >"$dst"
   else
-    "$build/bench/$bin" $args >"$dst" || return 1
+    "$build/bench/$bin" $args >"$dst.raw" || return 1
+    sed "s|$dst|@OUT@|g" "$dst.raw" >"$dst"
   fi
+}
+
+# same <name>: whether both sides' outputs (and traces, if any) match.
+same() {
+  cmp -s "$out/parent.$1" "$out/change.$1" || return 1
+  [ ! -e "$out/parent.$1.trace" ] ||
+    cmp -s "$out/parent.$1.trace" "$out/change.$1.trace"
 }
 
 status=0
@@ -67,17 +86,20 @@ for entry in "${runs[@]}"; do
      ! run "$change" change "$name" "$bin" "$args" "$kind"; then
     echo "FAIL       $name ($bin $args): bench exited non-zero"
     status=1
-  elif cmp -s "$out/parent.$name" "$out/change.$name"; then
+  elif same "$name"; then
     echo "identical  $name ($kind)"
   else
     echo "DIFFERENT  $name ($kind)"
     diff "$out/parent.$name" "$out/change.$name" | head -20 || true
+    if [ -e "$out/parent.$name.trace" ]; then
+      cmp "$out/parent.$name.trace" "$out/change.$name.trace" || true
+    fi
     status=1
   fi
 done
 
 if [ $status -eq 0 ]; then
-  echo "bench_identity: all ${#runs[@]} benches byte-identical"
+  echo "bench_identity: all ${#runs[@]} runs byte-identical"
 else
   echo "bench_identity: outputs differ" >&2
 fi

@@ -13,10 +13,9 @@ WrkClient::WrkClient(Host& host, ClientConfig cfg)
   m_rtt_ns_ = &reg.histogram("client.rtt_ns");
 }
 
-std::vector<u8> WrkClient::value_for(u64 key_idx) const {
-  // Deterministic value per key so GETs can be validated cheaply.
-  Rng rng(cfg_.seed * 1315423911ULL + key_idx);
-  std::vector<u8> v(cfg_.value_size);
+std::vector<u8> value_for(u64 seed, u64 key_idx, std::size_t size) {
+  Rng rng(seed * 1315423911ULL + key_idx);
+  std::vector<u8> v(size);
   for (auto& b : v) b = static_cast<u8>(rng.next());
   return v;
 }
@@ -63,7 +62,7 @@ void WrkClient::issue(ConnCtx& ctx) {
   http::Request req;
   req.method = is_get ? http::Method::get : http::Method::put;
   req.target = "/kv/key" + std::to_string(key_idx);
-  if (!is_get) req.body = value_for(key_idx);
+  if (!is_get) req.body = value_for(cfg_.seed, key_idx, cfg_.value_size);
   (void)ctx.conn->send(http::serialize(req));
 }
 

@@ -19,6 +19,11 @@
 
 namespace papm::app {
 
+// The per-key value rule: every PUT of key k carries these bytes, so
+// priming, both load generators and the failover readback agree on them.
+[[nodiscard]] std::vector<u8> value_for(u64 seed, u64 key_idx,
+                                        std::size_t size);
+
 struct ClientConfig {
   u32 server_ip = 0;
   u16 port = 9000;
@@ -71,7 +76,6 @@ class WrkClient {
 
   void issue(ConnCtx& ctx);
   void on_readable(ConnCtx& ctx);
-  [[nodiscard]] std::vector<u8> value_for(u64 key_idx) const;
 
   Host& host_;
   ClientConfig cfg_;

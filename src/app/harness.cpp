@@ -1,25 +1,39 @@
 #include "app/harness.h"
 
-#include <map>
-
-#include "repl/replica.h"
+#include <algorithm>
+#include <numeric>
+#include <set>
 
 namespace papm::app {
 
 namespace {
-constexpr u32 kClientIp = 0x0a000001;
+
+// The server (pm_size > 0) polls its cores; clients take interrupts.
+HostConfig host_config(u32 ip, int cores, const nic::Nic::Options& nic,
+                       u64 pm_size = 0) {
+  HostConfig c;
+  c.ip = ip;
+  c.cores = cores;
+  c.busy_poll = c.pm_backed = pm_size > 0;
+  c.pm_size = pm_size;
+  c.nic = nic;
+  return c;
+}
+
+// The addressing plan: server 10.0.0.2, backups 10.0.0.241+, and each
+// driver's own clients — closed loop 10.0.0.1, open loop 10.1.0.h,
+// failover 10.1.0.0, and the admin probe on a machine of its own at
+// 10.0.0.3, so its client-side costs never touch the load generators.
+// RSS hashes addresses: moving a client moves its flows between queues,
+// and with them the simulated results.
 constexpr u32 kServerIp = 0x0a000002;
-// Backup hosts for cfg.repl: 10.0.0.241+, clear of clients and server.
-constexpr u32 kReplicaIpBase = 0x0a0000f1;
-// Open-loop client hosts: 10.1.0.x, clear of the closed-loop pair above.
+constexpr u32 kBackupIpBase = 0x0a0000f1;
+constexpr u32 kClientIp = 0x0a000001;
 constexpr u32 kOpenLoopClientBase = 0x0a010000;
+constexpr u32 kAdminIp = 0x0a000003;
 // Connections one client host may open (u16 ephemeral ports from 33000
 // leave ~32k; half that keeps a comfortable margin).
 constexpr int kMaxConnsPerClientHost = 16'000;
-
-// Admin host: 10.0.0.3, a dedicated machine for the scrape probe so its
-// (tiny) client-side costs never touch the load generators.
-constexpr u32 kAdminIp = 0x0a000003;
 
 // Periodic scrape of the admin plane — the Prometheus-sidecar role. One
 // connection cycling GET /stats -> /metrics -> /trace/recent at a fixed
@@ -27,11 +41,11 @@ constexpr u32 kAdminIp = 0x0a000003;
 // measured load; whatever it costs the tail is the admin overhead.
 class AdminProbe {
  public:
-  AdminProbe(Host& host, u32 server_ip, u16 port, SimTime period)
-      : host_(host), server_ip_(server_ip), port_(port), period_(period) {}
+  AdminProbe(Host& host, u16 port, SimTime period)
+      : host_(host), port_(port), period_(period) {}
 
   void start() {
-    conn_ = host_.stack().connect(server_ip_, port_);
+    conn_ = host_.stack().connect(kServerIp, port_);
     conn_->on_established = [this](net::TcpConn&) { tick(); };
     conn_->on_readable = [this](net::TcpConn&) { on_readable(); };
   }
@@ -70,7 +84,6 @@ class AdminProbe {
   }
 
   Host& host_;
-  u32 server_ip_;
   u16 port_;
   SimTime period_;
   net::TcpConn* conn_ = nullptr;
@@ -83,73 +96,121 @@ class AdminProbe {
   u64 bytes_ = 0;
 };
 
-// The server machine of every testbed: busy-polling, PM-backed, one
-// datapath shard per core.
-HostConfig server_host_config(int cores, u64 pm_size,
-                              const nic::Nic::Options& nic) {
-  HostConfig c;
-  c.ip = kServerIp;
-  c.cores = cores;
-  c.busy_poll = true;
-  c.pm_backed = true;
-  c.pm_size = pm_size;
-  c.nic = nic;
-  return c;
-}
-
-// max/mean of the per-shard request counts (1.0 when even or trivial).
-double shard_imbalance(const std::vector<u64>& reqs) {
-  if (reqs.size() < 2) return 1.0;
-  u64 total = 0, peak = 0;
-  for (u64 r : reqs) {
-    total += r;
-    peak = std::max(peak, r);
-  }
-  if (total == 0) return 1.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(reqs.size());
-  return static_cast<double>(peak) / mean;
-}
 }  // namespace
 
+Testbed::Testbed(const TestbedConfig& cfg)
+    : cfg_(cfg),
+      env_{.engine = {}, .cost = cfg.cost, .rng = Rng(cfg.seed)},
+      fabric_(env_, cfg.fabric),
+      server_host_(env_, fabric_,
+                   host_config(kServerIp, cfg.server_cores, cfg.nic,
+                               cfg.pm_size)) {}
+
+KvServer& Testbed::start_server(const ServerConfig& cfg) {
+  return server_.emplace(server_host_, cfg);
+}
+
+Host& Testbed::add_client(u32 ip, bool measured) {
+  Host& h = clients_.emplace_back(env_, fabric_, host_config(ip, 0, cfg_.nic));
+  if (measured) measured_.push_back(&h);
+  return h;
+}
+
+repl::Replicator& Testbed::add_backups(u32 n, const repl::ReplOptions& opts,
+                                       const core::PktStoreOptions& store_opts,
+                                       bool monitor) {
+  std::vector<u32> peer_ips;
+  for (u32 i = 0; i < n; i++) {
+    repl::ReplicaConfig rc;
+    rc.ip = kBackupIpBase + i;
+    rc.primary_ip = kServerIp;
+    rc.index = i;
+    rc.opts = opts;
+    rc.store_opts = store_opts;
+    rc.nic = cfg_.nic;
+    auto& node = backups_.emplace_back(
+        std::make_unique<repl::ReplicaNode>(env_, fabric_, rc));
+    if (monitor) node->monitor_primary();
+    peer_ips.push_back(rc.ip);
+  }
+  replicator_.emplace(env_, server_host_.udp(), opts, std::move(peer_ips));
+  replicator_->start_heartbeats();
+  server_->set_replicator(&*replicator_);
+  return *replicator_;
+}
+
+void Testbed::start_rebalancer(const RebalanceConfig& cfg) {
+  if (cfg_.server_cores <= 1) return;
+  rebalancer_.emplace(server_host_, *server_, cfg);
+  rebalancer_->start();
+}
+
+void Testbed::prime(u64 keyspace, std::size_t value_size) {
+  for (u64 k = 0; k < keyspace; k++) {
+    server_->prime("key" + std::to_string(k), value_for(cfg_.seed, k, value_size));
+  }
+}
+
+void Testbed::begin_measurement() {
+  server_->reset_stats();
+  server_host_.reset_obs();
+  for (Host* h : measured_) h->reset_obs();
+  for (auto& node : backups_) node->trace().clear();
+  busy_before_ = server_host_.cpu().busy_ns();
+  flightrec_before_ = server_->flightrec_records();
+}
+
+obs::TraceLog Testbed::trace(const obs::TraceLog* client) const {
+  obs::TraceLog t = server_host_.merged_trace();
+  if (client != nullptr) t.merge_from(*client);
+  for (const auto& node : backups_) t.merge_from(node->trace());
+  return t;
+}
+
+void Testbed::collect(TestbedResult& r, u64 completed, SimTime measure_ns,
+                      bool metrics) {
+  const double window_s = static_cast<double>(measure_ns) / 1e9;
+  r.kreq_per_s = static_cast<double>(completed) / window_s / 1000.0;
+  r.server_cpu_util =
+      static_cast<double>(server_host_.cpu().busy_ns() - busy_before_) /
+      static_cast<double>(measure_ns * std::max(1, cfg_.server_cores));
+  for (u32 i = 0; i < server_host_.datapaths(); i++) {
+    r.shard_requests.push_back(server_->shard_requests(i));
+  }
+  const auto& q = r.shard_requests;
+  const u64 total = std::accumulate(q.begin(), q.end(), u64{0});
+  if (q.size() > 1 && total > 0) {
+    r.imbalance = static_cast<double>(*std::max_element(q.begin(), q.end())) /
+                  (static_cast<double>(total) / static_cast<double>(q.size()));
+  }
+  if (rebalancer_.has_value()) {
+    rebalancer_->stop();
+    r.rebalance_rounds = rebalancer_->rounds();
+    r.bucket_moves = rebalancer_->bucket_moves();
+    r.conns_migrated = rebalancer_->conns_moved();
+  }
+  r.flightrec_records = server_->flightrec_records() - flightrec_before_;
+  r.flightrec_wraps = server_->flightrec_wraps();
+  r.trace_dropped = trace().dropped();
+  if (metrics) {
+    const obs::MetricRegistry sm = server_host_.merged_metrics();
+    obs::MetricRegistry cm;
+    for (Host* h : measured_) cm.merge_from(h->merged_metrics());
+    r.metrics_report =
+        "== server ==\n" + sm.report() + "== client ==\n" + cm.report();
+    r.metrics_json =
+        "{\"server\": " + sm.to_json() + ", \"client\": " + cm.to_json() + "}";
+  }
+}
+
 RunResult run_experiment(const RunConfig& cfg) {
-  sim::Env env;
-  env.cost = cfg.cost;
-  env.rng = Rng(cfg.seed);
-
-  nic::Fabric fabric(env, cfg.fabric);
-
-  Host server_host(env, fabric,
-                   server_host_config(cfg.server_cores, cfg.pm_size, cfg.nic));
-
-  HostConfig client_cfg;
-  client_cfg.ip = kClientIp;
-  client_cfg.cores = 0;  // the client machine is not the bottleneck
-  client_cfg.busy_poll = false;
-  client_cfg.nic = cfg.nic;
-  Host client_host(env, fabric, client_cfg);
-
-  KvServer server(server_host, cfg.server);
-
-  // Replication testbed: R backup hosts plus the primary-side forwarder.
-  std::vector<std::unique_ptr<repl::ReplicaNode>> replicas;
-  std::optional<repl::Replicator> replicator;
+  Testbed tb(cfg);
+  Host& client_host = tb.add_client(kClientIp);
+  KvServer& server = tb.start_server(cfg.server);
+  const repl::Replicator* rep = nullptr;
   if (cfg.repl && cfg.server.backend == Backend::pktstore) {
-    std::vector<u32> peer_ips;
-    for (u32 i = 0; i < cfg.repl_replicas; i++) {
-      repl::ReplicaConfig rc;
-      rc.ip = kReplicaIpBase + i;
-      rc.primary_ip = kServerIp;
-      rc.index = i;
-      rc.opts = cfg.repl_opts;
-      rc.store_opts = cfg.server.pkt_opts;
-      replicas.push_back(std::make_unique<repl::ReplicaNode>(env, fabric, rc));
-      peer_ips.push_back(rc.ip);
-    }
-    replicator.emplace(env, server_host.udp(), cfg.repl_opts,
-                       std::move(peer_ips));
-    replicator->start_heartbeats();
-    server.set_replicator(&*replicator);
+    rep = &tb.add_backups(cfg.repl_replicas, cfg.repl_opts,
+                          cfg.server.pkt_opts, /*monitor=*/false);
   }
 
   ClientConfig ccfg;
@@ -162,139 +223,70 @@ RunResult run_experiment(const RunConfig& cfg) {
   ccfg.seed = cfg.seed;
   WrkClient client(client_host, ccfg);
   client.set_tracing(cfg.server.trace);
-
-  std::optional<Rebalancer> rebalancer;
-  if (cfg.rebalance && cfg.server_cores > 1) {
-    rebalancer.emplace(server_host, server, cfg.rebalance_cfg);
-    rebalancer->start();
-  }
+  if (cfg.rebalance) tb.start_rebalancer(cfg.rebalance_cfg);
 
   client.start();
-  env.engine.run_until(cfg.warmup_ns);
+  tb.env().engine.run_until(cfg.warmup_ns);
   client.reset_stats();
-  server.reset_stats();
-  // Warmup/measure boundary: zero every counter and span so the exported
-  // observability covers exactly the measurement window. The replica
-  // hosts' logs too — a stitched trace must not carry warmup-era apply
-  // spans that no longer have a primary-side counterpart.
-  server_host.reset_obs();
-  client_host.reset_obs();
-  for (auto& node : replicas) node->trace().clear();
-  const SimTime busy_before = server_host.cpu().busy_ns();
-
-  env.engine.run_until(cfg.warmup_ns + cfg.measure_ns);
+  tb.begin_measurement();
+  tb.env().engine.run_until(cfg.warmup_ns + cfg.measure_ns);
   client.stop();
 
   RunResult r;
   r.rtt = client.latencies();
   r.ops = client.completed();
-  r.kreq_per_s = static_cast<double>(client.completed()) /
-                 (static_cast<double>(cfg.measure_ns) / 1e9) / 1000.0;
   if (server.breakdown_ops() > 0) {
     r.avg_breakdown = server.breakdown_sum();
     r.avg_breakdown /= static_cast<SimTime>(server.breakdown_ops());
   }
-  r.server_cpu_util =
-      static_cast<double>(server_host.cpu().busy_ns() - busy_before) /
-      static_cast<double>(cfg.measure_ns * std::max(1, cfg.server_cores));
   r.server_errors = server.errors() + client.http_errors();
-  r.retransmits_hint = fabric.dropped();
-  for (u32 i = 0; i < server_host.datapaths(); i++) {
-    r.shard_requests.push_back(server.shard_requests(i));
-  }
-  r.imbalance = shard_imbalance(r.shard_requests);
-  if (rebalancer.has_value()) {
-    rebalancer->stop();
-    r.rebalance_rounds = rebalancer->rounds();
-    r.bucket_moves = rebalancer->bucket_moves();
-    r.conns_migrated = rebalancer->conns_moved();
-  }
-
-  if (replicator.has_value()) {
-    r.repl_forwards = replicator->forwards();
-    r.repl_acks_rx = replicator->acks_rx();
-    r.repl_retransmits = replicator->retransmits();
-    r.repl_degraded_acks = replicator->degraded_acks();
+  r.retransmits_hint = tb.fabric().dropped();
+  tb.collect(r, r.ops, cfg.measure_ns, cfg.collect_metrics);
+  if (rep != nullptr) {
+    r.repl_forwards = rep->forwards();
+    r.repl_acks_rx = rep->acks_rx();
+    r.repl_retransmits = rep->retransmits();
+    r.repl_degraded_acks = rep->degraded_acks();
     if (server.repl_gated_ops() > 0) {
       r.repl_tax_ns = server.repl_tax_ns() / server.repl_gated_ops();
     }
   }
 
-  r.flush = server_host.pm_device().obs_epoch();
-  if (cfg.collect_metrics) {
-    // Server and client are distinct machines: report them as separate
-    // sections so same-named metrics (http.parse_errors) don't merge.
-    const obs::MetricRegistry sm = server_host.merged_metrics();
-    const obs::MetricRegistry cm = client_host.merged_metrics();
-    r.metrics_report =
-        "== server ==\n" + sm.report() + "== client ==\n" + cm.report();
-    r.metrics_json =
-        "{\"server\": " + sm.to_json() + ", \"client\": " + cm.to_json() + "}";
-  }
+  r.flush = tb.server_host().pm_device().obs_epoch();
   if (cfg.server.trace) {
-    obs::TraceLog merged = server_host.merged_trace();
-    merged.merge_from(client.trace());
-    // Cross-host stitching: the replicas' apply spans carry the primary's
-    // trace ids, so merging their logs puts primary, client and replicas
-    // in one Perfetto trace — the quorum tax as a cross-track span.
-    for (const auto& node : replicas) merged.merge_from(node->trace());
+    // Primary, client and replicas in one Perfetto trace — the quorum
+    // tax as a cross-track span.
+    const obs::TraceLog merged = tb.trace(&client.trace());
     r.attribution = obs::attribute(merged);
     r.trace_json = obs::chrome_trace_json(merged);
-    r.trace_dropped = merged.dropped();
   }
-  r.flightrec_records = server.flightrec_records();
-  r.flightrec_wraps = server.flightrec_wraps();
   return r;
 }
 
 FailoverResult run_failover(const FailoverConfig& cfg) {
   FailoverResult r;
-  sim::Env env;
-  env.cost = cfg.cost;
-  env.rng = Rng(cfg.seed);
-  nic::Fabric fabric(env, cfg.fabric);
-
-  Host server_host(env, fabric,
-                   server_host_config(cfg.server_cores, cfg.pm_size, cfg.nic));
-
+  Testbed tb(cfg);
+  sim::Env& env = tb.env();
   ServerConfig scfg;
   scfg.backend = Backend::pktstore;
   scfg.pkt_opts = cfg.pkt_opts;
-  KvServer server(server_host, scfg);
+  tb.start_server(scfg);
 
   // Backups, armed to detect the primary's silence.
-  std::vector<std::unique_ptr<repl::ReplicaNode>> replicas;
-  std::vector<u32> peer_ips;
-  std::vector<SimTime> suspect_at(cfg.replicas, 0);
-  for (u32 i = 0; i < cfg.replicas; i++) {
-    repl::ReplicaConfig rc;
-    rc.ip = kReplicaIpBase + i;
-    rc.primary_ip = kServerIp;
-    rc.index = i;
-    rc.opts = cfg.repl;
-    rc.store_opts = cfg.pkt_opts;
-    rc.nic = cfg.nic;
-    auto node = std::make_unique<repl::ReplicaNode>(env, fabric, rc);
-    node->on_primary_suspect = [&env, &suspect_at, i] {
-      suspect_at[i] = env.now();
+  repl::Replicator& replicator =
+      tb.add_backups(cfg.replicas, cfg.repl, cfg.pkt_opts, /*monitor=*/true);
+  auto& replicas = tb.backups();
+  SimTime first_suspect = 0;  // earliest suspect declaration
+  for (auto& node : replicas) {
+    node->on_primary_suspect = [&env, &first_suspect] {
+      if (first_suspect == 0 || env.now() < first_suspect) {
+        first_suspect = env.now();
+      }
     };
-    node->monitor_primary();
-    replicas.push_back(std::move(node));
-    peer_ips.push_back(rc.ip);
   }
-  repl::Replicator replicator(env, server_host.udp(), cfg.repl,
-                              std::move(peer_ips));
-  replicator.start_heartbeats();
-  server.set_replicator(&replicator);
 
   // One PUT-only open-loop client host; its acked-key set is what the
   // promoted store must fully contain.
-  HostConfig chc;
-  chc.ip = kOpenLoopClientBase;
-  chc.cores = 0;
-  chc.busy_poll = false;
-  chc.nic = cfg.nic;
-  Host client_host(env, fabric, chc);
   OpenLoopConfig occ;
   occ.server_ip = kServerIp;
   occ.connections = cfg.connections;
@@ -304,10 +296,10 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   occ.keyspace = cfg.keyspace;
   occ.seed = cfg.seed;
   occ.connect_window_ns = static_cast<SimTime>(cfg.connections) * 5 * kNsPerUs;
-  OpenLoopClient client(client_host, occ);
-  std::map<u64, u64> acked;  // key idx -> acked-put count
+  OpenLoopClient client(tb.add_client(kOpenLoopClientBase), occ);
+  std::set<u64> acked;  // key indices
   client.on_put_ok = [&acked, &r](u64 key_idx) {
-    acked[key_idx]++;
+    acked.insert(key_idx);
     r.acked_puts++;
   };
 
@@ -320,23 +312,14 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   // survivors set keeps growing for one propagation delay. That is the
   // honest accounting: those writes WERE quorum-durable when acked.
   const SimTime cut = env.now();
-  server_host.nic().set_link_up(false);
+  tb.server_host().nic().set_link_up(false);
   replicator.stop();
   client.stop();
 
   // Detection: run until some backup declares the primary suspect.
   while (env.now() < cut + cfg.detect_budget_ns) {
     env.engine.run_until(env.now() + 20 * kNsPerUs);
-    bool fired = false;
-    for (u32 i = 0; i < cfg.replicas; i++) fired = fired || suspect_at[i] != 0;
-    if (fired) break;
-  }
-  SimTime first_suspect = 0;
-  for (u32 i = 0; i < cfg.replicas; i++) {
-    if (suspect_at[i] != 0 &&
-        (first_suspect == 0 || suspect_at[i] < first_suspect)) {
-      first_suspect = suspect_at[i];
-    }
+    if (first_suspect != 0) break;
   }
   if (first_suspect == 0) return r;  // budget blown: report the failure
   r.detected = true;
@@ -352,14 +335,11 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
 
   // Settle: the winner's in-flight apply epochs drain (group-commit
   // watchdogs close them without new traffic).
-  while (env.now() < cut + cfg.detect_budget_ns + cfg.settle_budget_ns) {
-    if (winner->durable_seq() == winner->applied_seq()) {
-      r.settled = true;
-      break;
-    }
+  while (env.now() < cut + cfg.detect_budget_ns + cfg.settle_budget_ns &&
+         winner->durable_seq() != winner->applied_seq()) {
     env.engine.run_until(env.now() + 20 * kNsPerUs);
   }
-  r.settled = r.settled || winner->durable_seq() == winner->applied_seq();
+  r.settled = winner->durable_seq() == winner->applied_seq();
   r.failover_us = static_cast<double>(env.now() - cut) / 1000.0;
   r.winner_ip = winner->ip();
   r.winner_durable_seq = winner->durable_seq();
@@ -368,12 +348,11 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   // The contract check: every client-acked key must read back from the
   // promoted store with exactly the deterministic per-key value.
   r.acked_keys = acked.size();
-  for (const auto& [key_idx, n] : acked) {
-    Rng vr(cfg.seed * 1315423911ULL + key_idx);
-    std::vector<u8> want(cfg.value_size);
-    for (auto& b : want) b = static_cast<u8>(vr.next());
+  for (const u64 key_idx : acked) {
     const auto got = winner->store().get("key" + std::to_string(key_idx));
-    if (!got.ok() || got.value() != want) r.acked_lost++;
+    if (!got.ok() || got.value() != value_for(cfg.seed, key_idx, cfg.value_size)) {
+      r.acked_lost++;
+    }
   }
 
   r.repl_forwards = replicator.forwards();
@@ -384,16 +363,8 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
 }
 
 OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
-  sim::Env env;
-  env.cost = cfg.cost;
-  env.rng = Rng(cfg.seed);
-
-  nic::Fabric fabric(env, cfg.fabric);
-
-  Host server_host(env, fabric,
-                   server_host_config(cfg.server_cores, cfg.pm_size, cfg.nic));
-
-  KvServer server(server_host, cfg.server);
+  Testbed tb(cfg);
+  KvServer& server = tb.start_server(cfg.server);
 
   // Big sweeps need their SYNs spread out and the warmup stretched to
   // cover establishment: 100k handshakes cannot hide inside a 50 ms
@@ -415,17 +386,10 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   // space), each with its own IP and its own slice of the offered load.
   const int n_hosts =
       (cfg.connections + kMaxConnsPerClientHost - 1) / kMaxConnsPerClientHost;
-  std::vector<std::unique_ptr<Host>> client_hosts;
   std::vector<std::unique_ptr<OpenLoopClient>> clients;
   int assigned = 0;
   for (int h = 0; h < n_hosts; h++) {
-    HostConfig chc;
-    chc.ip = kOpenLoopClientBase + static_cast<u32>(h);
-    chc.cores = 0;  // client machines are not the bottleneck
-    chc.busy_poll = false;
-    chc.nic = cfg.nic;
-    client_hosts.push_back(std::make_unique<Host>(env, fabric, chc));
-
+    Host& host = tb.add_client(kOpenLoopClientBase + static_cast<u32>(h));
     const int remaining_hosts = n_hosts - h;
     const int conns = (cfg.connections - assigned) / remaining_hosts;
     assigned += conns;
@@ -441,55 +405,29 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
     occ.seed = cfg.seed + static_cast<u64>(h) * 86243;
     occ.deadline_ns = cfg.deadline_ns;
     occ.connect_window_ns = connect_window;
-    clients.push_back(
-        std::make_unique<OpenLoopClient>(*client_hosts.back(), occ));
+    clients.push_back(std::make_unique<OpenLoopClient>(host, occ));
   }
+  if (cfg.rebalance) tb.start_rebalancer(cfg.rebalance_cfg);
 
-  std::optional<Rebalancer> rebalancer;
-  if (cfg.rebalance && cfg.server_cores > 1) {
-    rebalancer.emplace(server_host, server, cfg.rebalance_cfg);
-    rebalancer->start();
-  }
-
-  // The scrape probe, on its own machine. Only with a nonzero period:
-  // cfg.admin alone arms the endpoints without generating any traffic
-  // (the byte-identity configuration).
-  std::optional<Host> admin_host;
+  // The scrape probe, on its own (unmeasured) machine. Only with a
+  // nonzero period: cfg.admin alone arms the endpoints without generating
+  // any traffic (the byte-identity configuration).
   std::optional<AdminProbe> probe;
   if (cfg.server.admin && cfg.admin_interval_ns > 0) {
-    HostConfig ahc;
-    ahc.ip = kAdminIp;
-    ahc.cores = 0;
-    ahc.busy_poll = false;
-    ahc.nic = cfg.nic;
-    admin_host.emplace(env, fabric, ahc);
-    probe.emplace(*admin_host, kServerIp, cfg.server.port,
-                  cfg.admin_interval_ns);
+    probe.emplace(tb.add_client(kAdminIp, /*measured=*/false),
+                  cfg.server.port, cfg.admin_interval_ns);
   }
-
-  // Prime the whole keyspace (same per-key value convention as the
-  // generators) so measured GETs read real data instead of 404ing on a
-  // cold store. Priming is setup: it charges no simulated time.
-  for (u64 k = 0; k < cfg.keyspace; k++) {
-    Rng vr(cfg.seed * 1315423911ULL + k);
-    std::vector<u8> v(cfg.value_size);
-    for (auto& b : v) b = static_cast<u8>(vr.next());
-    server.prime("key" + std::to_string(k), v);
-  }
+  tb.prime(cfg.keyspace, cfg.value_size);
 
   for (auto& c : clients) c->start();
   if (probe.has_value()) probe->start();  // scraping spans the warmup too
-  env.engine.run_until(warmup);
+  tb.env().engine.run_until(warmup);
   for (auto& c : clients) c->reset_stats();
-  server.reset_stats();
-  server_host.reset_obs();
-  for (auto& ch : client_hosts) ch->reset_obs();
   if (probe.has_value()) probe->reset_stats();
+  tb.begin_measurement();
   const u64 admin_before = server.admin_requests();
-  const u64 flightrec_before = server.flightrec_records();
-  const SimTime busy_before = server_host.cpu().busy_ns();
 
-  env.engine.run_until(warmup + cfg.measure_ns);
+  tb.env().engine.run_until(warmup + cfg.measure_ns);
   for (auto& c : clients) c->stop();
   if (probe.has_value()) probe->stop();
 
@@ -505,41 +443,14 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   r.miss_rate = r.completed > 0 ? static_cast<double>(r.deadline_misses) /
                                       static_cast<double>(r.completed)
                                 : 0.0;
-  const double window_s = static_cast<double>(cfg.measure_ns) / 1e9;
-  r.kreq_per_s = static_cast<double>(r.completed) / window_s / 1000.0;
-  r.offered_krps = static_cast<double>(r.arrivals) / window_s / 1000.0;
-  r.server_cpu_util =
-      static_cast<double>(server_host.cpu().busy_ns() - busy_before) /
-      static_cast<double>(cfg.measure_ns * std::max(1, cfg.server_cores));
-  for (u32 i = 0; i < server_host.datapaths(); i++) {
-    r.shard_requests.push_back(server.shard_requests(i));
-  }
-  r.imbalance = shard_imbalance(r.shard_requests);
-  r.indir_remaps = server_host.nic().indir_remaps();
-  if (rebalancer.has_value()) {
-    rebalancer->stop();
-    r.rebalance_rounds = rebalancer->rounds();
-    r.bucket_moves = rebalancer->bucket_moves();
-    r.conns_migrated = rebalancer->conns_moved();
-  }
+  r.offered_krps = static_cast<double>(r.arrivals) /
+                   (static_cast<double>(cfg.measure_ns) / 1e9) / 1000.0;
+  tb.collect(r, r.completed, cfg.measure_ns, cfg.collect_metrics);
+  r.indir_remaps = tb.server_host().nic().indir_remaps();
   r.admin_requests = server.admin_requests() - admin_before;
   if (probe.has_value()) {
     r.admin_scrapes = probe->scrapes();
     r.admin_bytes = probe->bytes();
-  }
-  r.flightrec_records = server.flightrec_records() - flightrec_before;
-  r.flightrec_wraps = server.flightrec_wraps();
-  if (cfg.server.trace) {
-    r.trace_dropped = server_host.merged_trace().dropped();
-  }
-  if (cfg.collect_metrics) {
-    const obs::MetricRegistry sm = server_host.merged_metrics();
-    obs::MetricRegistry cm;
-    for (auto& ch : client_hosts) cm.merge_from(ch->merged_metrics());
-    r.metrics_report =
-        "== server ==\n" + sm.report() + "== client ==\n" + cm.report();
-    r.metrics_json =
-        "{\"server\": " + sm.to_json() + ", \"client\": " + cm.to_json() + "}";
   }
   return r;
 }

@@ -94,7 +94,6 @@ class Host {
       so.ip = cfg.ip;
       so.busy_poll = cfg.busy_poll;
       so.csum_offload_tx = cfg.nic.csum_offload_tx;
-      so.csum_offload_rx = cfg.nic.csum_offload_rx;
       so.rcv_buf = cfg.rcv_buf;
       // Distinct ephemeral ranges keep active opens collision-free.
       so.ephemeral_base = static_cast<u16>(33000 + 2000 * i);
@@ -111,7 +110,6 @@ class Host {
     uo.ip = cfg.ip;
     uo.kernel_bypass = cfg.busy_poll;  // bypass hosts poll datagrams too
     uo.csum_offload_tx = cfg.nic.csum_offload_tx;
-    uo.csum_offload_rx = cfg.nic.csum_offload_rx;
     udp_.emplace(env, *nic_, *shards_[0].pool, uo);
     udp_->attach_cpu(cpu_);
 

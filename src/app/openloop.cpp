@@ -1,5 +1,7 @@
 #include "app/openloop.h"
 
+#include "app/client.h"
+
 namespace papm::app {
 
 OpenLoopClient::OpenLoopClient(Host& host, OpenLoopConfig cfg)
@@ -13,15 +15,6 @@ OpenLoopClient::OpenLoopClient(Host& host, OpenLoopConfig cfg)
   m_misses_ = &reg.counter("client.deadline_misses");
   m_http_errors_ = &reg.counter("client.http_errors");
   m_sojourn_ns_ = &reg.histogram("client.sojourn_ns");
-}
-
-std::vector<u8> OpenLoopClient::value_for(u64 key_idx) const {
-  // Same per-key deterministic values as WrkClient, so both generators
-  // can prime/read the same store contents.
-  Rng rng(cfg_.seed * 1315423911ULL + key_idx);
-  std::vector<u8> v(cfg_.value_size);
-  for (auto& b : v) b = static_cast<u8>(rng.next());
-  return v;
 }
 
 void OpenLoopClient::start() {
@@ -97,7 +90,7 @@ void OpenLoopClient::issue(ConnCtx& ctx, SimTime arrival) {
   http::Request req;
   req.method = is_get ? http::Method::get : http::Method::put;
   req.target = "/kv/key" + std::to_string(key_idx);
-  if (!is_get) req.body = value_for(key_idx);
+  if (!is_get) req.body = value_for(cfg_.seed, key_idx, cfg_.value_size);
   (void)ctx.conn->send(http::serialize(req));
 }
 
@@ -105,8 +98,19 @@ void OpenLoopClient::on_readable(ConnCtx& ctx) {
   auto& env = host_.env();
   std::size_t n;
   while ((n = ctx.conn->read(rx_buf_)) > 0) {
+    if (ctx.parser.failed()) continue;  // stalled connection: drain, drop
     const auto resp = ctx.parser.feed(std::span<const u8>(rx_buf_.data(), n));
-    if (!resp.has_value()) continue;
+    if (!resp.has_value()) {
+      // An unparseable response stalls its connection for good: count it
+      // once, as an error and (registered on first use, as the server
+      // does) under http.parse_errors.
+      if (ctx.parser.failed()) {
+        http_errors_++;
+        obs::inc(m_http_errors_);
+        obs::inc(&host_.metrics(0).counter("http.parse_errors"));
+      }
+      continue;
+    }
     env.clock().advance(env.cost.scaled(env.cost.client_http_parse_ns));
     if (resp->status >= 400) {
       http_errors_++;

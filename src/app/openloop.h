@@ -63,6 +63,8 @@ class OpenLoopClient {
   [[nodiscard]] u64 arrivals() const noexcept { return arrivals_; }
   [[nodiscard]] u64 completed() const noexcept { return completed_; }
   [[nodiscard]] u64 deadline_misses() const noexcept { return misses_; }
+  // Responses with status >= 400, plus unparseable responses (each
+  // stalls its connection for the rest of the run).
   [[nodiscard]] u64 http_errors() const noexcept { return http_errors_; }
   void reset_stats() {
     sojourn_.clear();
@@ -88,7 +90,6 @@ class OpenLoopClient {
   void arrive(ConnCtx& ctx);       // one Poisson arrival; schedules the next
   void issue(ConnCtx& ctx, SimTime arrival);
   void on_readable(ConnCtx& ctx);
-  [[nodiscard]] std::vector<u8> value_for(u64 key_idx) const;
 
   Host& host_;
   OpenLoopConfig cfg_;

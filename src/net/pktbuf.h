@@ -245,7 +245,7 @@ class PktBufPool {
   // Caps live metadata at `n` descriptors (0 = unlimited, the default).
   // Models a real driver's fixed descriptor pool: at the cap, alloc() and
   // clone() fail (nullptr) instead of growing the slab — best-effort
-  // consumers like PktTap drop their capture rather than stall RX.
+  // consumers such as a capture tap drop their copy rather than stall RX.
   void set_meta_limit(std::size_t n) noexcept { meta_limit_ = n; }
   [[nodiscard]] std::size_t meta_limit() const noexcept { return meta_limit_; }
 

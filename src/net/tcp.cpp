@@ -109,6 +109,18 @@ void TcpStack::adopt(std::unique_ptr<TcpConn> conn) {
   if (slot == nullptr) slot = std::move(conn);
 }
 
+bool verify_l4_csum(sim::Env& env, PktBufPool& pool, PktBuf& pb) {
+  const u8* base = pool.data(pb);
+  const std::span<const u8> seg(base + pb.l4_off, pb.len - pb.l4_off);
+  env.clock().advance(env.cost.inet_csum_cost(seg.size()));
+  const u32 sum = l4_pseudo_sum(pb.ip.src, pb.ip.dst, pb.l4_proto, seg.size());
+  if (inet_fold(sum + inet_sum(seg)) != 0xffff) return false;
+  pb.csum_verified = true;
+  pb.payload_csum = inet_checksum(
+      std::span<const u8>(base + pb.payload_off, pb.payload_len()));
+  return true;
+}
+
 void TcpStack::rx(PktBuf* pb) {
   run_cpu([&] { rx_locked(pb); });
 }
@@ -117,21 +129,11 @@ void TcpStack::rx_locked(PktBuf* pb) {
   segments_rx_++;
   obs::inc(m_seg_rx_);
 
-  // Software checksum verification when the NIC did not already do it.
-  if (!pb->csum_verified) {
-    const u8* base = pool_.data(*pb);
-    const std::span<const u8> tcp_seg(base + pb->l4_off, pb->len - pb->l4_off);
-    env_.clock().advance(env_.cost.inet_csum_cost(tcp_seg.size()));
-    const u32 sum = tcp_pseudo_sum(pb->ip.src, pb->ip.dst, tcp_seg.size());
-    if (inet_fold(sum + inet_sum(tcp_seg)) != 0xffff) {
-      csum_failures_++;
-      obs::inc(m_csum_fail_);
-      pool_.free(pb);
-      return;
-    }
-    pb->csum_verified = true;
-    pb->payload_csum = inet_checksum(
-        std::span<const u8>(base + pb->payload_off, pb->payload_len()));
+  if (!pb->csum_verified && !verify_l4_csum(env_, pool_, *pb)) {
+    csum_failures_++;
+    obs::inc(m_csum_fail_);
+    pool_.free(pb);
+    return;
   }
 
   const TcpHeader& h = pb->tcp;

@@ -48,6 +48,12 @@ class NetIf {
   [[nodiscard]] virtual MacAddr mac() const noexcept = 0;
 };
 
+// Software L4 checksum check (TCP or UDP, per pb.l4_proto) for a packet
+// the NIC did not verify: charges the pass over the segment and, when it
+// holds, marks the packet verified and derives its payload checksum.
+// False = corrupt.
+[[nodiscard]] bool verify_l4_csum(sim::Env& env, PktBufPool& pool, PktBuf& pb);
+
 // Sequence-number arithmetic (wrap-safe).
 [[nodiscard]] constexpr bool seq_lt(u32 a, u32 b) noexcept {
   return static_cast<i32>(a - b) < 0;
@@ -228,8 +234,10 @@ class TcpStack {
     // Busy-polling PASTE-style host (server) vs interrupt-driven kernel
     // host (client): selects the per-segment stack charges.
     bool busy_poll = false;
-    bool csum_offload_tx = true;  // NIC fills the TCP checksum
-    bool csum_offload_rx = true;  // NIC verifies + provides csum-complete
+    // NIC fills the TCP checksum. Verification needs no option: a
+    // segment the NIC did not verify (PktBuf::csum_verified) is checked
+    // in software.
+    bool csum_offload_tx = true;
     u32 rcv_buf = 1 << 20;        // receive buffer bytes (window basis)
     u16 ephemeral_base = 33000;
     // Multi-queue datapath: pin all of this stack's work (RX processing,

@@ -158,6 +158,13 @@ void UdpStack::rx(PktBuf* pb) {
 }
 
 void UdpStack::rx_locked(PktBuf* pb) {
+  // A zero UDP checksum means the sender computed none.
+  if (!pb->csum_verified && pb->tcp.checksum != 0 &&
+      !verify_l4_csum(env_, pool_, *pb)) {
+    csum_failures_++;
+    pool_.free(pb);
+    return;
+  }
   charge_rx();
   rx_count_++;
   auto it = ports_.find(pb->tcp.dst_port);

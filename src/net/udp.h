@@ -40,7 +40,6 @@ class UdpStack {
     // the per-datagram stack charges.
     bool kernel_bypass = false;
     bool csum_offload_tx = true;
-    bool csum_offload_rx = true;
   };
 
   // Datagram delivery: (source ip, source port, packet). The handler
@@ -71,6 +70,8 @@ class UdpStack {
   [[nodiscard]] u64 datagrams_rx() const noexcept { return rx_count_; }
   [[nodiscard]] u64 datagrams_tx() const noexcept { return tx_count_; }
   [[nodiscard]] u64 rx_dropped() const noexcept { return rx_dropped_; }
+  // Datagrams dropped by the software checksum check (NIC RX offload off).
+  [[nodiscard]] u64 csum_failures() const noexcept { return csum_failures_; }
 
  private:
   void rx_locked(PktBuf* pb);
@@ -87,6 +88,7 @@ class UdpStack {
   u64 rx_count_ = 0;
   u64 tx_count_ = 0;
   u64 rx_dropped_ = 0;
+  u64 csum_failures_ = 0;
 };
 
 }  // namespace papm::net

@@ -65,6 +65,7 @@ void ReplicaNode::wire_up(nic::Fabric& fabric) {
   net::UdpStack::Options uo;
   uo.ip = cfg_.ip;
   uo.kernel_bypass = true;
+  uo.csum_offload_tx = cfg_.nic.csum_offload_tx;
   udp_.emplace(env_, *nic_, *pool_, uo);
   nic_->set_sink([this](net::PktBuf* pb) { udp_->rx(pb); });
   homa_.emplace(*udp_, cfg_.opts.port, cfg_.opts.homa);

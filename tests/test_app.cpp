@@ -487,6 +487,47 @@ TEST_P(DeleteTest, HitIs204MissIs404) {
 INSTANTIATE_TEST_SUITE_P(Backends, DeleteTest,
                          ::testing::Values(Backend::lsm, Backend::pktstore));
 
+// An unparseable response is an error the open-loop run reports, not a
+// silent stall: a raw listener answers every request with garbage.
+TEST(OpenLoopClient, UnparseableResponseCountsAsError) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  HostConfig sc;
+  sc.ip = 2;
+  Host server(env, fabric, sc);
+  HostConfig cc;
+  cc.ip = 1;
+  cc.cores = 0;
+  Host client_host(env, fabric, cc);
+  ASSERT_TRUE(server.stack()
+                  .listen(9000,
+                          [](net::TcpConn& c) {
+                            c.on_readable = [](net::TcpConn& conn) {
+                              std::vector<u8> buf(4096);
+                              while (conn.read(buf) > 0) {
+                              }
+                              const std::string_view junk = "NONSENSE\r\n\r\n";
+                              (void)conn.send(std::span<const u8>(
+                                  reinterpret_cast<const u8*>(junk.data()),
+                                  junk.size()));
+                            };
+                          })
+                  .ok());
+  OpenLoopConfig oc;
+  oc.server_ip = 2;
+  oc.connections = 1;
+  oc.rate_rps = 10'000;
+  oc.connect_window_ns = 0;
+  OpenLoopClient client(client_host, oc);
+  client.start();
+  env.engine.run_until(5 * kNsPerMs);
+  EXPECT_GT(client.arrivals(), 1u);
+  EXPECT_EQ(client.completed(), 0u);
+  EXPECT_EQ(client.http_errors(), 1u);  // one stalled connection, once
+  EXPECT_EQ(client_host.merged_metrics().counter("http.parse_errors").value(),
+            1u);
+}
+
 TEST(Harness, DeterministicForSeed) {
   const auto a = run_experiment(base_config(Backend::lsm));
   const auto b = run_experiment(base_config(Backend::lsm));

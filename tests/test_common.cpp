@@ -12,11 +12,11 @@
 
 #include "common/crc32c.h"
 #include "common/flat_map.h"
-#include "common/hexdump.h"
 #include "common/inet_csum.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "hexdump.h"
 
 namespace papm {
 namespace {

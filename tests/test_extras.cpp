@@ -6,9 +6,9 @@
 #include <cstring>
 #include <string>
 
-#include "net/pkttap.h"
 #include "net/tcp.h"
 #include "nic/nic.h"
+#include "pkttap.h"
 
 namespace papm {
 namespace {

@@ -438,7 +438,6 @@ struct TestHost {
                 o.ip = ip;
                 o.busy_poll = busy_poll;
                 o.csum_offload_tx = nic_opts.csum_offload_tx;
-                o.csum_offload_rx = nic_opts.csum_offload_rx;
                 return o;
               }()) {
     nic.set_sink([this](PktBuf* pb) { stack.rx(pb); });

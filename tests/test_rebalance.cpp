@@ -22,7 +22,7 @@ namespace {
 // Two-machine testbed with a multi-shard server, plus one raw client
 // connection whose responses are collected in arrival order — the
 // instrument for observing per-flow FIFO across a migration.
-struct Testbed {
+struct RebalanceRig {
   sim::Env env;
   nic::Fabric fabric{env};
   Host server;
@@ -32,7 +32,7 @@ struct Testbed {
   http::ResponseParser parser;
   std::vector<http::Response> responses;
 
-  explicit Testbed(const ServerConfig& sc, int server_cores = 4)
+  explicit RebalanceRig(const ServerConfig& sc, int server_cores = 4)
       : server(env, fabric, server_cfg(server_cores)),
         client(env, fabric, client_cfg()),
         srv(server, sc) {
@@ -107,7 +107,7 @@ std::vector<u8> body_for(int i) {
 TEST(Indirection, DefaultTableMatchesModuloSteering) {
   ServerConfig sc;
   sc.backend = Backend::pktstore;
-  Testbed t(sc, /*server_cores=*/4);
+  RebalanceRig t(sc, /*server_cores=*/4);
   nic::Nic& nic = t.server.nic();
   for (u32 b = 0; b < nic::Nic::kIndirEntries; b++) {
     EXPECT_EQ(nic.indirection(b), b % 4u);
@@ -121,7 +121,7 @@ TEST(Indirection, DefaultTableMatchesModuloSteering) {
 TEST(Indirection, RemapIsDeterministicClampedAndCounted) {
   ServerConfig sc;
   sc.backend = Backend::pktstore;
-  Testbed t(sc, /*server_cores=*/4);
+  RebalanceRig t(sc, /*server_cores=*/4);
   nic::Nic& nic = t.server.nic();
   EXPECT_EQ(nic.indir_remaps(), 0u);
 
@@ -151,7 +151,7 @@ TEST(Indirection, RemapIsDeterministicClampedAndCounted) {
 TEST(Migration, PreservesFifoAndAckedWrites) {
   ServerConfig sc;
   sc.backend = Backend::pktstore;
-  Testbed t(sc);
+  RebalanceRig t(sc);
   Rebalancer rebal(t.server, t.srv);
 
   const u32 from = t.queue();
@@ -209,7 +209,7 @@ TEST(Migration, DrainsOpenGroupCommitEpoch) {
   // Deadlines far beyond the test horizon: only migrate_bucket's
   // close_epoch (or the idle-drain check) can release held acks.
   sc.knobs.group_commit.max_deferral_ns = 500 * kNsPerMs;
-  Testbed t(sc);
+  RebalanceRig t(sc);
   Rebalancer rebal(t.server, t.srv);
 
   const u32 from = t.queue();
@@ -241,7 +241,7 @@ TEST(Migration, DrainsOpenGroupCommitEpoch) {
 TEST(Migration, SameQueueIsNoOp) {
   ServerConfig sc;
   sc.backend = Backend::pktstore;
-  Testbed t(sc);
+  RebalanceRig t(sc);
   Rebalancer rebal(t.server, t.srv);
   const u32 q = t.queue();
   rebal.migrate_bucket(t.bucket(), q, q);

@@ -24,10 +24,11 @@ std::vector<u8> rand_bytes(std::size_t n, u64 seed) {
 }
 
 struct UdpHost {
-  UdpHost(sim::Env& env, nic::Fabric& fabric, u32 ip, bool bypass)
+  UdpHost(sim::Env& env, nic::Fabric& fabric, u32 ip, bool bypass,
+          nic::Nic::Options nic_opts = {})
       : arena(env),
         pool(env, arena),
-        nic(env, fabric, ip, pool),
+        nic(env, fabric, ip, pool, nic_opts),
         udp(env, nic, pool,
             [&] {
               UdpStack::Options o;
@@ -106,7 +107,23 @@ TEST_F(UdpTest, DoubleBindRejected) {
             Errc::already_exists);
 }
 
-TEST_F(UdpTest, CorruptionCaughtByUdpChecksum) {
+// Parameter: the receiving NIC's RX checksum offload. With it the NIC
+// drops the corrupted frame; without it the UDP stack must verify in
+// software.
+class UdpCorruptionTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static nic::Nic::Options rx_offload(bool on) {
+    nic::Nic::Options o;
+    o.csum_offload_rx = on;
+    return o;
+  }
+  sim::Env env;
+  nic::Fabric fabric{env};
+  UdpHost a{env, fabric, kAIp, false};
+  UdpHost b{env, fabric, kBIp, true, rx_offload(GetParam())};
+};
+
+TEST_P(UdpCorruptionTest, CorruptionCaughtByUdpChecksum) {
   fabric.set_options({.corrupt_p = 1.0});
   int delivered = 0;
   ASSERT_TRUE(b.udp
@@ -119,7 +136,32 @@ TEST_F(UdpTest, CorruptionCaughtByUdpChecksum) {
   ASSERT_TRUE(a.udp.send_to(kBIp, 5000, 6000, rand_bytes(600, 5)).ok());
   env.engine.run_until_idle();
   EXPECT_EQ(delivered, 0);  // corrupted frame never reaches the app
-  EXPECT_GT(b.nic.rx_csum_errors() + b.nic.rx_drops(), 0u);
+  EXPECT_GT(b.nic.rx_csum_errors() + b.nic.rx_drops() + b.udp.csum_failures(),
+            0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RxOffload, UdpCorruptionTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "on" : "off";
+                         });
+
+TEST(UdpSoftwareChecksum, CleanDatagramVerifiedAndDerived) {
+  sim::Env env;
+  nic::Fabric fabric{env};
+  UdpHost a{env, fabric, kAIp, false};
+  nic::Nic::Options no_rx_offload;
+  no_rx_offload.csum_offload_rx = false;
+  UdpHost b{env, fabric, kBIp, true, no_rx_offload};
+  PktBuf* got = nullptr;
+  ASSERT_TRUE(b.udp.bind(5000, [&](u32, u16, PktBuf* pb) { got = pb; }).ok());
+  const auto data = rand_bytes(512, 7);
+  ASSERT_TRUE(a.udp.send_to(kBIp, 5000, 6000, data).ok());
+  env.engine.run_until_idle();
+  ASSERT_NE(got, nullptr);
+  EXPECT_TRUE(got->csum_verified);
+  EXPECT_EQ(got->payload_csum, inet_checksum(data));
+  EXPECT_EQ(b.udp.csum_failures(), 0u);
+  b.pool.free(got);
 }
 
 TEST_F(UdpTest, BypassIsCheaperThanKernel) {
