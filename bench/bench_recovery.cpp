@@ -263,7 +263,7 @@ FrRow flightrec_point(u64 cut) {
   pol.max_deferral_ns = 1'000'000'000;
   pm::FlushBatcher batcher(dev, pol);
   batcher.register_pool(pool);
-  fr.set_batcher(&batcher);
+  fr.set_batcher(batcher);
   dev.set_fault_plan(crashpoint_plan(cut));
   std::set<u64> acked;
   u64 appended = 0;

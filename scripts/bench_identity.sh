@@ -13,9 +13,12 @@
 # trace file (@TRACE@) has that file compared too. The flagged runs cover
 # the harness's optional branches: replication inside run_experiment,
 # span tracing and attribution, the metrics sections, the admin scrape
-# probe and the rebalancer. Prints one line per run and exits non-zero if
-# any output differs or any bench fails. Takes about 13 s per build tree
-# on a 4-core machine.
+# probe and the rebalancer. The three recovery runs drive PChain,
+# PSkipList, PmMemtable and the WAL outside any server; --crashpoints
+# prints the flush/fence index each cut landed at, so any change in the
+# persistence event sequence shows. Prints one line per run and exits
+# non-zero if any output differs or any bench fails. Takes about 16 s per
+# build tree on a 4-core machine.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -54,6 +57,9 @@ runs=(
   "openloop-rebalance|bench_openloop|--conns 1000 --seconds 1 --rebalance --metrics|stdout"
   "scaling-rebalance|bench_scaling|--quick --rebalance|json"
   "repl-trace|bench_repl|--quick --trace @TRACE@|stdout"
+  "recovery-a3|bench_recovery||stdout"
+  "recovery-unshadowed|bench_recovery|--shadow-index off|stdout"
+  "recovery-crashpoints|bench_recovery|--crashpoints|stdout"
 )
 
 # run <build> <side> <name> <binary> <args> <kind>: leaves the compared

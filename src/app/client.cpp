@@ -70,27 +70,35 @@ void WrkClient::on_readable(ConnCtx& ctx) {
   auto& env = host_.env();
   std::size_t n;
   while ((n = ctx.conn->read(rx_buf_)) > 0) {
+    if (ctx.parser.failed()) continue;  // stalled connection: drain, drop
     const auto resp = ctx.parser.feed(std::span<const u8>(rx_buf_.data(), n));
-    if (resp.has_value()) {
-      env.clock().advance(env.cost.scaled(env.cost.client_http_parse_ns));
-      if (resp->status >= 400) {
+    if (!resp.has_value()) {
+      // An unparseable response stalls its connection for good: count it
+      // once as an error (the parser counts http.parse_errors).
+      if (ctx.parser.failed()) {
         http_errors_++;
         obs::inc(m_http_errors_);
       }
-      if (ctx.in_flight) {
-        const SimTime rtt = env.now() - ctx.issued_at;
-        rtt_.add(static_cast<double>(rtt));
-        completed_++;
-        ctx.in_flight = false;
-        obs::observe(m_rtt_ns_, rtt);
-        if (tracing_) {
-          trace_.record(next_req_, obs::Stage::rtt, ctx.issued_at, rtt);
-        }
-        next_req_++;
-      }
-      issue(ctx);  // closed loop: next request immediately
-      return;      // one response per readable burst in practice
+      continue;
     }
+    env.clock().advance(env.cost.scaled(env.cost.client_http_parse_ns));
+    if (resp->status >= 400) {
+      http_errors_++;
+      obs::inc(m_http_errors_);
+    }
+    if (ctx.in_flight) {
+      const SimTime rtt = env.now() - ctx.issued_at;
+      rtt_.add(static_cast<double>(rtt));
+      completed_++;
+      ctx.in_flight = false;
+      obs::observe(m_rtt_ns_, rtt);
+      if (tracing_) {
+        trace_.record(next_req_, obs::Stage::rtt, ctx.issued_at, rtt);
+      }
+      next_req_++;
+    }
+    issue(ctx);  // closed loop: next request immediately
+    return;      // one response per readable burst in practice
   }
 }
 

@@ -333,8 +333,8 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   }
   winner->promote();
 
-  // Settle: the winner's in-flight apply epochs drain (group-commit
-  // watchdogs close them without new traffic).
+  // Settle: the winner's in-flight apply epochs drain (its batcher's idle
+  // and deadline checks close them without new traffic).
   while (env.now() < cut + cfg.detect_budget_ns + cfg.settle_budget_ns &&
          winner->durable_seq() != winner->applied_seq()) {
     env.engine.run_until(env.now() + 20 * kNsPerUs);

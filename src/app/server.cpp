@@ -29,13 +29,15 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
     sh.m_req_ns = &reg.histogram("server.req_ns");
     // Group/epoch commit rides the stores' batcher hooks. The policy
     // travels in StoreKnobs for both indexed backends (pkt_opts carries no
-    // persistence policy of its own).
+    // persistence policy of its own); timer-driven closes run on the
+    // shard's core.
     if (host_.pm_backed() &&
         (cfg.backend == Backend::lsm || cfg.backend == Backend::pktstore)) {
-      sh.batcher.emplace(host_.pm_device(), cfg.knobs.group_commit);
+      sh.batcher = std::make_unique<pm::FlushBatcher>(host_.pm_device(),
+                                                      cfg.knobs.group_commit);
       sh.batcher->register_pool(host_.pm_pool(i));
+      sh.batcher->attach_cpu(host_.cpu(), i);
     }
-    pm::FlushBatcher* batcher = sh.batcher.has_value() ? &*sh.batcher : nullptr;
     switch (cfg.backend) {
       case Backend::discard:
         break;
@@ -60,13 +62,13 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
         sh.store_pool = pm::PmPool::create(
             host_.pm_device(), shard_name("storepool", i),
             align_up(span.value(), kCacheLine), carve - kCacheLine);
-        if (batcher != nullptr) batcher->register_pool(*sh.store_pool);
+        sh.batcher->register_pool(*sh.store_pool);
         storage::LsmOptions o;
         o.knobs = cfg.knobs;
         o.use_wal = cfg.lsm_wal;
         auto lsm = std::make_unique<storage::LsmStore>(storage::LsmStore::create(
             host_.pm_device(), *sh.store_pool, shard_name("db", i), o));
-        lsm->set_batcher(batcher);
+        lsm->set_batcher(*sh.batcher);
         lsm->set_metrics(&reg);
         sh.store = std::move(lsm);
         break;
@@ -74,7 +76,7 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
       case Backend::pktstore: {
         auto pkt = std::make_unique<core::PktStore>(core::PktStore::create(
             host_.pool(i), shard_name("store", i), cfg.pkt_opts));
-        pkt->set_batcher(batcher);
+        pkt->set_batcher(*sh.batcher);
         pkt->set_metrics(&reg);
         sh.store = std::move(pkt);
         break;
@@ -94,7 +96,7 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
         throw std::runtime_error("KvServer: no PM for flight recorder");
       }
       sh.flightrec.emplace(std::move(fr.value()));
-      if (batcher != nullptr) sh.flightrec->set_batcher(batcher);
+      if (sh.store != nullptr) sh.flightrec->set_batcher(*sh.batcher);
       sh.flightrec->set_metrics(&reg);
     }
     const Status st = host_.stack(i).listen(
@@ -161,59 +163,6 @@ void KvServer::reject(net::TcpConn& conn, ConnState& st) {
   conn.close();
 }
 
-void KvServer::arm_epoch_watchdog(u32 shard) {
-  Shard& sh = shards_[shard];
-  if (!sh.batcher.has_value() || sh.watchdog_armed ||
-      !sh.batcher->epoch_open()) {
-    return;
-  }
-  sh.watchdog_armed = true;
-  auto& env = host_.env();
-  const u64 serial = sh.batcher->epoch_serial();
-  const u64 deadline =
-      sh.batcher->epoch_opened_ns() + sh.batcher->policy().max_deferral_ns;
-  const u64 now = static_cast<u64>(env.now());
-  env.engine.schedule_in(static_cast<SimTime>(deadline > now ? deadline - now : 1),
-                         [this, shard, serial] {
-                           epoch_watchdog_fire(shard, serial);
-                         });
-}
-
-void KvServer::epoch_watchdog_fire(u32 shard, u64 serial) {
-  Shard& sh = shards_[shard];
-  sh.watchdog_armed = false;
-  if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-  if (sh.batcher->epoch_serial() != serial) {
-    // A newer epoch opened since this watchdog was armed; give it its
-    // own deadline instead of cutting it short.
-    arm_epoch_watchdog(shard);
-    return;
-  }
-  // Deadline passed with the epoch still open (the request stream dried
-  // up): retire it as pinned CPU work — the fences and the deferred acks
-  // queue behind this shard's core like any request would.
-  host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
-}
-
-void KvServer::arm_epoch_drain_check(u32 shard) {
-  Shard& sh = shards_[shard];
-  if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-  auto& env = host_.env();
-  const u64 serial = sh.batcher->epoch_serial();
-  const u32 ops = sh.batcher->ops_in_epoch();
-  env.engine.schedule_in(
-      static_cast<SimTime>(sh.batcher->policy().idle_close_ns),
-      [this, shard, serial, ops] {
-        Shard& sh = shards_[shard];
-        if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-        if (sh.batcher->epoch_serial() != serial ||
-            sh.batcher->ops_in_epoch() != ops) {
-          return;  // a newer op joined; its own drain check follows
-        }
-        host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
-      });
-}
-
 void KvServer::on_flow_migrated(net::TcpConn& conn, u32 new_shard) {
   const auto* st = conns_.find(conn_key(&conn));
   if (st == nullptr || new_shard >= shards_.size()) return;
@@ -267,8 +216,7 @@ void KvServer::gate_release(const std::shared_ptr<ReplGate>& g) {
 
 void KvServer::close_epoch(u32 shard) {
   Shard& sh = shards_[shard];
-  if (!sh.batcher.has_value() || !sh.batcher->epoch_open()) return;
-  host_.cpu().run_on(shard, [&sh] { sh.batcher->close(); });
+  if (sh.store != nullptr) sh.batcher->close_on_core();
 }
 
 void KvServer::on_readable(net::TcpConn& conn, ConnState& st) {
@@ -353,7 +301,7 @@ void KvServer::flight_record(ConnState& st, const storage::OpBreakdown& bd,
   obs::FlightRecord fr;
   fr.req = req;
   fr.t0_ns = static_cast<u64>(st.rx_start);
-  fr.epoch = sh.batcher.has_value() && sh.batcher->batching()
+  fr.epoch = sh.store != nullptr && sh.batcher->batching()
                  ? sh.batcher->epoch_serial()
                  : 0;
   if (st.rx_start != 0 && st.parse_ts >= st.rx_start) {
@@ -415,10 +363,10 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   Shard& sh = shards_[st.shard];
   // Group-commit / cache-warmth regime: requests queued behind the core.
   const bool batched = host_.cpu().backlogged();
-  if (sh.batcher.has_value()) {
+  if (sh.store != nullptr) {
     sh.batcher->begin_op(batched, static_cast<u64>(env.now()));
+    sh.store->set_batched(batched);
   }
-  if (sh.store != nullptr) sh.store->set_batched(batched);
   storage::OpBreakdown bd;
   int status = 200;
   std::vector<u8> resp_body;
@@ -543,13 +491,13 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   // response — either way an acked op is always recoverable.
   flight_record(st, bd, tr.req(), status);
 
-  // Durable mutations inside an open epoch ack only once the epoch's
-  // fences retire (group commit's correctness condition); reads and
-  // failures that never touched durable state respond immediately.
+  // Store mutations ack through the batcher: inside an open epoch only
+  // once its fences retire (group commit's correctness condition), at
+  // once otherwise. Reads, and backends without a store, respond
+  // immediately.
   const bool mutation =
-      st.method == http::Method::put || st.method == http::Method::del;
-  const bool defer_ack =
-      mutation && sh.batcher.has_value() && sh.batcher->batching();
+      sh.store != nullptr &&
+      (st.method == http::Method::put || st.method == http::Method::del);
   const bool replicate =
       repl_ != nullptr && mutation && (status == 201 || status == 204);
   {
@@ -566,16 +514,11 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       gate->shard = st.shard;
       gate->req = tr.req();
       gate->traced = tr.active();
-      if (defer_ack) {
-        sh.batcher->on_committed([this, gate] {
-          gate->local = true;
-          gate->local_at = host_.env().now();
-          gate_release(gate);
-        });
-      } else {
+      sh.batcher->on_committed([this, gate] {
         gate->local = true;
-        gate->local_at = env.now();
-      }
+        gate->local_at = host_.env().now();
+        gate_release(gate);
+      });
       auto done = [this, gate](bool /*degraded*/) {
         gate->remote = true;
         gate->remote_at = host_.env().now();
@@ -591,7 +534,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
         repl_->submit_erase(st.key, std::move(done), trace_id);
       }
       gate_release(gate);  // quorum=1 resolves synchronously
-    } else if (defer_ack) {
+    } else if (mutation) {
       net::TcpConn* c = &conn;
       sh.batcher->on_committed(
           [this, c, status, body = std::move(resp_body)] {
@@ -602,11 +545,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       respond(conn, status, resp_body);
     }
   }
-  if (sh.batcher.has_value()) {
-    sh.batcher->end_op();
-    arm_epoch_watchdog(st.shard);
-    arm_epoch_drain_check(st.shard);
-  }
+  if (sh.store != nullptr) sh.batcher->end_op();
   ops_++;
   sh.requests++;
   obs::inc(sh.m_requests);

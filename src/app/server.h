@@ -182,13 +182,12 @@ class KvServer {
     std::optional<pm::PmPool> store_pool;
     // The shard's store; null for discard and raw_persist.
     std::unique_ptr<storage::KvStore> store;
-    // Group/epoch commit for this shard's datapath (lsm and pktstore
-    // backends on a PM host): content fences deferred, publications
-    // withheld, acks released at epoch close. A deadline watchdog event
-    // closes an epoch whose request stream dried up, so deferred acks can
-    // never stall a closed-loop client.
-    std::optional<pm::FlushBatcher> batcher;
-    bool watchdog_armed = false;
+    // Group/epoch commit for this shard's store (set exactly when `store`
+    // is): content fences deferred, publications withheld, acks released
+    // at epoch close. The batcher's own deadline and idle checks close an
+    // epoch whose request stream dried up, on this shard's core, so
+    // deferred acks can never stall a closed-loop client.
+    std::unique_ptr<pm::FlushBatcher> batcher;
     // PM flight recorder (ServerConfig::flight_recorder): the last N
     // requests of this shard survive a power cut.
     std::optional<obs::FlightRecorder> flightrec;
@@ -262,15 +261,6 @@ class KvServer {
   void gate_release(const std::shared_ptr<ReplGate>& g);
 
   void on_accept(net::TcpConn& conn, u32 shard);
-  // Schedules (or re-schedules) the epoch-deadline close for `shard`'s
-  // open epoch; fires as pinned CPU work at open + max_deferral.
-  void arm_epoch_watchdog(u32 shard);
-  void epoch_watchdog_fire(u32 shard, u64 serial);
-  // Schedules a drain check at now + idle_close_ns: if no newer op has
-  // joined the shard's epoch by then, the burst drained (closed-loop
-  // clients are all blocked on the held acks) and the epoch closes
-  // without waiting out the full deadline. Stale checks no-op.
-  void arm_epoch_drain_check(u32 shard);
   // `st` is the connection's state, bound into its on_readable hook.
   void on_readable(net::TcpConn& conn, ConnState& st);
   // Parses the request head in segment 0 once it is complete.

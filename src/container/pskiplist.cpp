@@ -58,22 +58,17 @@ void PSkipList::note_fresh(u64 n) {
 }
 
 void PSkipList::publish_word(u64 off, u64 value, bool fresh) {
-  if (batching()) {
-    if (fresh) {
-      // The target word lives in a node born this epoch: its line is
-      // plain epoch content, covered by the close's first fence, and the
-      // node itself only becomes reachable through a withheld publication
-      // that retires at the second fence — so an early drain of this word
-      // can never dangle.
-      dev_->store_u64(off, value);
-      batcher_->flush(off, 8);
-    } else {
-      batcher_->publish_u64(off, value);
-    }
+  if (fresh) {
+    // The target word lives in a node born this epoch: its line is plain
+    // epoch content, covered by the close's first fence, and the node
+    // itself only becomes reachable through a withheld publication that
+    // retires at the second fence — so an early drain of this word can
+    // never dangle.
+    dev_->store_u64(off, value);
+    batcher_->flush(off, 8);
     return;
   }
-  dev_->store_u64(off, value);
-  dev_->persist(off, 8);
+  batcher_->publish_u64(off, value);
 }
 
 int PSkipList::random_height() {
@@ -264,12 +259,8 @@ Status PSkipList::put(std::string_view key, u64 payload, u64* old_payload) {
   }
   dev_->store(n + kOffTower + 8 * static_cast<u64>(h),
               std::span<const u8>(reinterpret_cast<const u8*>(key.data()), key.size()));
-  if (batching()) {
-    batcher_->persist(n, bytes);  // clwb now, fence at epoch close
-    note_fresh(n);
-  } else {
-    dev_->persist(n, bytes);
-  }
+  batcher_->persist(n, bytes);  // batching: clwb now, fence at epoch close
+  if (batching()) note_fresh(n);
 
   if (h > height_) height_ = h;
 
@@ -280,19 +271,13 @@ Status PSkipList::put(std::string_view key, u64 payload, u64* old_payload) {
   // flushed, never fenced; recovery rebuilds them from the backbone.
   if (opts_.shadow_towers) {
     for (int i = 1; i < h; i++) set_next_volatile(prev[i], i, n);
-  } else if (batching()) {
+  } else {
     // Hints may drain unordered — recovery overwrites every tower.
     for (int i = 1; i < h; i++) {
       set_next(prev[i], i, n);
       batcher_->flush(prev[i] + kOffTower + 8 * static_cast<u64>(i), 8);
     }
     if (h > 1) batcher_->fence();
-  } else {
-    for (int i = 1; i < h; i++) {
-      set_next(prev[i], i, n);
-      dev_->clwb(prev[i] + kOffTower + 8 * static_cast<u64>(i), 8);
-    }
-    if (h > 1) dev_->sfence();
   }
 
   size_++;

@@ -113,13 +113,15 @@ class PSkipList {
   // stay cache-resident between consecutive operations).
   void set_warm(bool warm) noexcept { warm_ = warm; }
 
-  // Group-commit routing. With a batcher attached, while it is batching:
-  // publications into *durable* nodes are withheld (FlushBatcher
-  // publish_u64), mutations of nodes born in the open epoch stay ordinary
-  // content (re-flushed, covered by the epoch's first fence), node frees
-  // are quarantined past the epoch close, and the level-0 unlink — not
-  // the dead flag — is an erase's linearization point.
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
+  // Group-commit routing. Every flush, fence and publication goes through
+  // the batcher (the device's pass-through one until another is
+  // attached). While it is batching: publications into *durable* nodes
+  // are withheld (FlushBatcher publish_u64), mutations of nodes born in
+  // the open epoch stay ordinary content (re-flushed, covered by the
+  // epoch's first fence), node frees are quarantined past the epoch
+  // close, and the level-0 unlink — not the dead flag — is an erase's
+  // linearization point.
+  void set_batcher(pm::FlushBatcher& b) noexcept { batcher_ = &b; }
 
   // Recovery cost split of the last recover(): the level-0 backbone scan
   // (including dead-node repair) vs. relinking the upper towers.
@@ -162,13 +164,10 @@ class PSkipList {
   }
   // Publish one link durably (store + clwb + sfence).
   void publish_next(u64 n, int level, u64 to);
-  // Routes an 8-byte publication: withheld via the batcher for durable
-  // nodes, plain re-flushed content for epoch-born ones, legacy
-  // store+persist otherwise.
+  // Routes an 8-byte publication: plain re-flushed content for nodes
+  // born in the open epoch, the batcher's publish_u64 otherwise.
   void publish_word(u64 off, u64 value, bool fresh);
-  [[nodiscard]] bool batching() const noexcept {
-    return batcher_ != nullptr && batcher_->batching();
-  }
+  [[nodiscard]] bool batching() const noexcept { return batcher_->batching(); }
   // Nodes allocated in the still-open commit epoch (their content lines
   // have not passed a fence yet). Lazily reset when the epoch changes.
   bool is_fresh(u64 n);
@@ -191,7 +190,7 @@ class PSkipList {
   std::size_t size_ = 0;
   mutable u64 last_visits_ = 0;
   bool warm_ = false;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_ = &dev_->passthrough();
   std::unordered_set<u64> fresh_;  // epoch-born nodes (volatile)
   u64 fresh_serial_ = 0;
   RecoverStats recover_stats_;

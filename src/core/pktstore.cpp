@@ -48,14 +48,9 @@ Result<PktStore> PktStore::recover(net::PktBufPool& pktpool,
 void PktStore::retire_chain(u64 head) {
   // A chain that was durably referenced by the index may still be the
   // recovered value if the crash lands before this epoch's fence retires:
-  // quarantine its free until the epoch commits. Without batching (or for
-  // chains that never became durably reachable) the immediate free is safe.
-  pm::FlushBatcher* b = chain_.batcher();
-  if (b != nullptr && b->batching()) {
-    b->defer([chain = &chain_, head] { chain->free_chain(head); });
-  } else {
-    chain_.free_chain(head);
-  }
+  // quarantine its free until the epoch commits. Without batching the
+  // batcher frees at once.
+  chain_.batcher().defer([chain = &chain_, head] { chain->free_chain(head); });
 }
 
 void PktStore::charge_prep(storage::OpBreakdown* bd) const {
@@ -197,9 +192,7 @@ Status PktStore::put_pkts_offloaded(std::string_view key,
   const SimTime engine_done =
       t_doorbell + env.cost.nic_insert_cmd_ns +
       static_cast<SimTime>(pkts.size()) * env.cost.nic_insert_meta_ns;
-  pm::FlushBatcher* b = chain_.batcher();
-  const bool batching = b != nullptr && b->batching();
-  if (!batching && engine_done > env.now()) {
+  if (!chain_.batcher().batching() && engine_done > env.now()) {
     env.clock().advance(engine_done - env.now());
   }
   env.clock().advance(env.cost.nic_insert_completion_ns);

@@ -147,7 +147,7 @@ class PktStore final : public storage::KvStore {
   // Group-commit routing: value/metadata flushes and index publications
   // ride the per-shard epoch fences; chain frees of durably-referenced
   // heads are quarantined until their epoch retires.
-  void set_batcher(pm::FlushBatcher* b) noexcept {
+  void set_batcher(pm::FlushBatcher& b) noexcept {
     chain_.set_batcher(b);
     index_.set_batcher(b);
   }

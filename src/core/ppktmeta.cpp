@@ -27,20 +27,12 @@ PPktMeta* PChain::meta(u64 off) {
   return reinterpret_cast<PPktMeta*>(dev_->at(off, sizeof(PPktMeta)));
 }
 
-void PChain::persist_range(u64 off, u64 len) {
-  if (batcher_ != nullptr && batcher_->batching()) {
-    batcher_->persist(off, len);  // clwb now, fence at epoch close
-  } else {
-    dev_->persist(off, len);
-  }
-}
-
 Result<u64> PChain::alloc_meta(const PPktMeta& m) {
   auto off = pmpool_->alloc(sizeof(PPktMeta));
   if (!off.ok()) return off.errc();
   dev_->store(off.value(),
               std::span<const u8>(reinterpret_cast<const u8*>(&m), sizeof(m)));
-  persist_range(off.value(), sizeof(m));
+  batcher_->persist(off.value(), sizeof(m));
   return off.value();
 }
 
@@ -135,7 +127,7 @@ Result<u64> PChain::ingest_pkts(std::span<net::PktBuf* const> pkts,
     {
       Phase p(env, bd != nullptr ? &bd->persist_ns : nullptr);
       if (opts.persistence && !dma_durable) {
-        persist_range(m.data_off + m.val_off, m.val_len);
+        batcher_->persist(m.data_off + m.val_off, m.val_len);
       }
     }
 
@@ -197,7 +189,7 @@ Result<u64> PChain::ingest_bytes(std::span<const u8> data,
     m.hw_tstamp = opts.reuse_timestamp ? env.now() : 0;
     {
       Phase p(env, bd != nullptr ? &bd->persist_ns : nullptr);
-      if (opts.persistence) persist_range(m.data_off + m.val_off, m.val_len);
+      if (opts.persistence) batcher_->persist(m.data_off + m.val_off, m.val_len);
     }
     {
       Phase p(env, bd != nullptr ? &bd->alloc_insert_ns : nullptr);

@@ -106,17 +106,16 @@ class PChain {
 
   // Group-commit routing: value-byte and metadata flushes ride the epoch
   // fences while the batcher is batching.
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
-  [[nodiscard]] pm::FlushBatcher* batcher() const noexcept { return batcher_; }
+  void set_batcher(pm::FlushBatcher& b) noexcept { batcher_ = &b; }
+  [[nodiscard]] pm::FlushBatcher& batcher() const noexcept { return *batcher_; }
 
  private:
   Result<u64> alloc_meta(const PPktMeta& m);
-  void persist_range(u64 off, u64 len);
 
   pm::PmDevice* dev_;
   pm::PmPool* pmpool_;
   net::PktBufPool* pktpool_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_ = &dev_->passthrough();
 };
 
 }  // namespace papm::core

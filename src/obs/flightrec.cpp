@@ -98,15 +98,8 @@ u64 FlightRecorder::append(const FlightRecord& rec) {
   // content fence is absorbed by the epoch and the publication withheld
   // to its close — the slot can never point at un-durable bytes.
   dev_->store(off + 8, {buf, kBodyLen});
-  if (batcher_ != nullptr && batcher_->batching()) {
-    batcher_->flush(off + 8, kBodyLen);
-    batcher_->fence();
-    batcher_->publish_u64(off, seq);
-  } else {
-    dev_->persist(off + 8, kBodyLen);
-    dev_->store_u64(off, seq);
-    dev_->persist(off, 8);
-  }
+  batcher_->persist(off + 8, kBodyLen);
+  batcher_->publish_u64(off, seq);
   seq_ = seq;
   inc(m_records_);
   return seq;

@@ -87,9 +87,10 @@ class FlightRecorder {
   [[nodiscard]] static Result<FlightRecorder> recover(pm::PmDevice& dev,
                                                       u16 shard);
 
-  /// Routes flush/fence/publication through the group-commit path when
-  /// `b` is batching; null (or idle) falls back to fence-per-record.
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
+  /// Routes flush/fence/publication through `b` (the device's
+  /// pass-through batcher until set): withheld to the epoch close while
+  /// it is batching, fence-per-record otherwise.
+  void set_batcher(pm::FlushBatcher& b) noexcept { batcher_ = &b; }
 
   /// Registers obs.flightrec_records / obs.flightrec_wraps counters.
   void set_metrics(MetricRegistry* r);
@@ -139,7 +140,7 @@ class FlightRecorder {
   u16 shard_;
   u64 seq_ = 0;    // last published seq (next append publishes seq_+1)
   u64 wraps_ = 0;  // appends that overwrote a previously written slot
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_ = &dev_->passthrough();
   Counter* m_records_ = nullptr;
   Counter* m_wraps_ = nullptr;
 };

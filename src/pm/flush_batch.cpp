@@ -3,8 +3,11 @@
 #include <utility>
 
 #include "pm/pm_pool.h"
+#include "sim/cpu.h"
 
 namespace papm::pm {
+
+FlushBatcher::~FlushBatcher() { abandon(); }
 
 void FlushBatcher::open_epoch(u64 now_ns) {
   epoch_open_ = true;
@@ -22,7 +25,7 @@ void FlushBatcher::open_epoch(u64 now_ns) {
 }
 
 void FlushBatcher::begin_op(bool backlogged, u64 now_ns) {
-  if (!policy_.enabled || !backlogged) {
+  if (!backlogged) {
     // Pass-through op. Close any open epoch (its acks must not wait
     // behind an idle stream), but keep the pools sealed across momentary
     // load dips: restoring and re-sealing the freelists writes a clwb per
@@ -52,7 +55,43 @@ void FlushBatcher::end_op() {
   if (!epoch_open_) return;
   ops_in_epoch_++;
   if (ops_in_epoch_ > max_epoch_ops_seen_) max_epoch_ops_seen_ = ops_in_epoch_;
-  if (ops_in_epoch_ >= policy_.max_epoch_ops) close();
+  if (ops_in_epoch_ >= policy_.max_epoch_ops) {
+    close();
+    return;
+  }
+  arm_deadline();
+  arm_idle();
+}
+
+void FlushBatcher::arm_deadline() {
+  if (deadline_timer_ != 0) return;
+  sim::Engine& engine = dev_->env().engine;
+  const u64 serial = epoch_serial_;
+  const u64 due = epoch_opened_ns_ + policy_.max_deferral_ns;
+  const u64 now = static_cast<u64>(engine.now());
+  deadline_timer_ = engine.schedule_in(
+      static_cast<SimTime>(due > now ? due - now : 1), [this, serial] {
+        deadline_timer_ = 0;
+        if (!epoch_open_) return;
+        // A newer epoch opened since this check was armed: give it its
+        // own deadline instead of cutting it short.
+        if (epoch_serial_ != serial) {
+          arm_deadline();
+          return;
+        }
+        close_on_core();
+      });
+}
+
+void FlushBatcher::arm_idle() {
+  // The check this one replaces could only have found a newer op in the
+  // epoch and done nothing.
+  sim::Engine& engine = dev_->env().engine;
+  engine.cancel(idle_timer_);
+  idle_timer_ = engine.schedule_in(static_cast<SimTime>(kIdleCloseNs), [this] {
+    idle_timer_ = 0;
+    close_on_core();
+  });
 }
 
 void FlushBatcher::flush(u64 offset, u64 len) {
@@ -148,12 +187,13 @@ void FlushBatcher::close() {
   for (auto& fn : quarantine) fn();
 }
 
-void FlushBatcher::maybe_close(u64 now_ns, bool idle) {
-  if (epoch_open_ &&
-      (idle || now_ns - epoch_opened_ns_ >= policy_.max_deferral_ns)) {
+void FlushBatcher::close_on_core() {
+  if (!epoch_open_) return;
+  if (cpu_ == nullptr) {
     close();
+    return;
   }
-  if (active_ && idle && !epoch_open_) deactivate();
+  cpu_->run_on(core_, [this] { close(); });
 }
 
 void FlushBatcher::deactivate() {
@@ -161,6 +201,16 @@ void FlushBatcher::deactivate() {
   if (!active_) return;
   active_ = false;
   for (PmPool* p : pools_) p->exit_commit_epoch();
+}
+
+void FlushBatcher::abandon() noexcept {
+  // A batcher that never armed a check (the device's pass-through one)
+  // need not reach the engine: it may outlive the Env.
+  if (deadline_timer_ == 0 && idle_timer_ == 0) return;
+  sim::Engine& engine = dev_->env().engine;
+  engine.cancel(deadline_timer_);
+  engine.cancel(idle_timer_);
+  deadline_timer_ = idle_timer_ = 0;
 }
 
 }  // namespace papm::pm

@@ -1,5 +1,8 @@
 // Group/epoch commit: amortizing persistence ordering points across
-// queued requests.
+// queued requests. This is the one place that decides how a PM write is
+// ordered (fenced now, or deferred to a commit epoch) and when an epoch
+// closes; every PM structure routes its flushes, fences, publications,
+// acks and frees through a FlushBatcher.
 //
 // The flush accounting (EXPERIMENTS.md, Fig 2 metrics) shows the stores
 // pay ~27 clwb + ~11 sfence per 1 KB op — and most of those fences order
@@ -27,18 +30,32 @@
 // old/new/absent under the existing crash invariants (I1–I4) — the sweep
 // in tests/test_crash_recovery.cpp cuts at every boundary inside epochs.
 //
+// The batcher closes its own epochs: end_op keeps one deadline check
+// (open + max_deferral_ns) and one idle check (kIdleCloseNs after the
+// last op) pending on the event engine, and a check that fires closes
+// the epoch as work on the core given to attach_cpu (inline without
+// one).
+//
 // When the server is idle (not backlogged) every call passes straight
-// through to the device, so single-connection latency and the Table 1
-// reproduction are bit-identical to the unbatched protocol.
-// GroupCommitPolicy::enabled = false pins that fence-per-op pass-through
-// at runtime.
+// through to the device — persist is clwb + sfence, publish_u64 is
+// store_u64 + persist, acks and deferred frees run at once — so
+// single-connection latency and the Table 1 reproduction are
+// bit-identical to the unbatched protocol. Each PmDevice owns one
+// batcher that never batches (PmDevice::passthrough()); every structure
+// starts on it until its owner attaches a batching one.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
 #include "common/types.h"
 #include "pm/pm_device.h"
+#include "sim/event_queue.h"
+
+namespace papm::sim {
+class HostCpu;
+}
 
 namespace papm::pm {
 
@@ -47,28 +64,32 @@ class PmPool;
 // Policy knobs (see storage/knobs.h: StoreKnobs carries one of these from
 // the harness RunConfig down to the per-shard batchers).
 struct GroupCommitPolicy {
-  bool enabled = true;       // master switch; false = always pass-through
   u32 max_epoch_ops = 64;    // close after this many ops joined the epoch
   // Close when the open epoch gets older than this. Sized so the op-count
   // limit, not the deadline, closes epochs at saturation (a 1 KB put costs
   // ~12 µs of core time); the deadline is the trickle-traffic backstop
   // that bounds how long an ack can wait.
   u64 max_deferral_ns = 800'000;
-  // Close when no new op has joined the epoch for this long: the burst
-  // drained and every queued ack is waiting on the close. With closed-loop
-  // clients the stream stalls *because* the acks are held, so without this
-  // the epoch would sit until max_deferral_ns. A burst's arrivals all
-  // dispatch before any drain check fires (the checks are scheduled past
-  // the ops' charged completion times), so this only needs to cover the
-  // arrival jitter within a burst, not the per-op service time; it is the
-  // whole ack-latency overhead a drained burst pays.
-  u64 idle_close_ns = 2'000;
 };
 
 class FlushBatcher {
  public:
+  // Close when no new op has joined the epoch for this long: the burst
+  // drained and every queued ack is waiting on the close. With closed-loop
+  // clients the stream stalls *because* the acks are held, so without this
+  // the epoch would sit until max_deferral_ns. A burst's arrivals all
+  // dispatch before any idle check fires (the checks are scheduled past
+  // the ops' charged completion times), so this only needs to cover the
+  // arrival jitter within a burst, not the per-op service time; it is the
+  // whole ack-latency overhead a drained burst pays.
+  static constexpr u64 kIdleCloseNs = 2'000;
+
   explicit FlushBatcher(PmDevice& dev, GroupCommitPolicy policy = {})
       : dev_(&dev), policy_(policy) {}
+  // Cancels the pending close checks: they hold `this`.
+  ~FlushBatcher();
+  FlushBatcher(const FlushBatcher&) = delete;
+  FlushBatcher& operator=(const FlushBatcher&) = delete;
 
   // Pools whose freelists are sealed while batching (heads durably zeroed
   // at activation; freed blocks recycle through DRAM; real heads restored
@@ -76,15 +97,22 @@ class FlushBatcher {
   // from.
   void register_pool(PmPool& pool) { pools_.push_back(&pool); }
 
-  void set_policy(const GroupCommitPolicy& p) { policy_ = p; }
-  [[nodiscard]] const GroupCommitPolicy& policy() const { return policy_; }
+  /// Timer-driven closes run as pinned work on `core` of `cpu` (the core
+  /// that issued the epoch's ops), so their fences and acks queue behind
+  /// it like any request. Without a core they run inline in the event.
+  void attach_cpu(sim::HostCpu& cpu, std::size_t core) noexcept {
+    cpu_ = &cpu;
+    core_ = core;
+  }
 
-  // --- Op bracketing (the server calls these around each request) ------
+  // --- Op bracketing (the owner calls these around each request) -------
   /// Joins the current request to an epoch when `backlogged`; otherwise
   /// closes any open epoch and drops to pass-through. Opening the first
   /// epoch seals the registered pools (one fence).
   void begin_op(bool backlogged, u64 now_ns);
-  /// Marks the request complete; closes the epoch at max_epoch_ops.
+  /// Marks the request complete; closes the epoch at max_epoch_ops, else
+  /// arms the deadline check (if none is pending) and replaces the idle
+  /// check.
   void end_op();
   /// True while ops should route through the batched paths.
   [[nodiscard]] bool batching() const noexcept { return batching_; }
@@ -92,8 +120,8 @@ class FlushBatcher {
   /// Monotonic id of the current/most-recent epoch; lets structures
   /// lazily invalidate per-epoch volatile state (e.g. fresh-node sets).
   [[nodiscard]] u64 epoch_serial() const noexcept { return epoch_serial_; }
-  /// Open time of the current epoch (valid while epoch_open()); lets the
-  /// server arm its deadline watchdog at open + max_deferral.
+  /// Open time of the current epoch (valid while epoch_open()); the
+  /// deadline check fires at open + max_deferral_ns.
   [[nodiscard]] u64 epoch_opened_ns() const noexcept {
     return epoch_opened_ns_;
   }
@@ -122,12 +150,15 @@ class FlushBatcher {
   /// Retires the open epoch: fence #1 (content), apply publications,
   /// fence #2, acks, quarantined work. No-op when no epoch is open.
   void close();
-  /// Deadline/idle check — the host's poll loop calls this so deferred
-  /// acks can never stall when the request stream dries up.
-  void maybe_close(u64 now_ns, bool idle);
+  /// close() as pinned work on the attached core (inline without one).
+  /// No-op when no epoch is open.
+  void close_on_core();
   /// Leaves batching entirely: closes the epoch and restores the sealed
   /// pools' durable freelists. Safe to call when already idle.
   void deactivate();
+  /// Host cut: cancels the pending close checks, so the open epoch never
+  /// becomes durable — its writes die with the host.
+  void abandon() noexcept;
 
   // --- Introspection (tests, benches) ----------------------------------
   [[nodiscard]] u64 epochs_closed() const noexcept { return epochs_closed_; }
@@ -146,10 +177,19 @@ class FlushBatcher {
   static constexpr u32 kIdleOpsBeforeRestore = 64;
 
   void open_epoch(u64 now_ns);
+  // Schedules the deadline check for the open epoch unless one is
+  // pending; a pending check that finds a newer epoch re-arms for it.
+  void arm_deadline();
+  // Replaces the pending idle check with one kIdleCloseNs from now.
+  void arm_idle();
 
   PmDevice* dev_;
   GroupCommitPolicy policy_;
   std::vector<PmPool*> pools_;
+  sim::HostCpu* cpu_ = nullptr;
+  std::size_t core_ = 0;
+  sim::EventId deadline_timer_ = 0;
+  sim::EventId idle_timer_ = 0;
   bool active_ = false;      // pools sealed, batching regime on
   bool batching_ = false;    // current op routes through batched paths
   bool epoch_open_ = false;

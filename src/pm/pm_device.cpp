@@ -8,6 +8,8 @@
 #include <new>
 #include <stdexcept>
 
+#include "pm/flush_batch.h"
+
 namespace papm::pm {
 
 PmDevice::LazyZero::LazyZero(u64 bytes) : bytes_(bytes) {
@@ -34,7 +36,8 @@ PmDevice::PmDevice(sim::Env& env, u64 size)
       mem_(size),
       persisted_(size),
       line_state_(size / kCacheLine * sizeof(LineState)),
-      lines_(reinterpret_cast<LineState*>(line_state_.data())) {
+      lines_(reinterpret_cast<LineState*>(line_state_.data())),
+      passthrough_(std::make_unique<FlushBatcher>(*this)) {
   // Nothing else is written: both images start as untouched zero pages.
   Header* h = header();
   h->magic = kMagic;
@@ -44,6 +47,8 @@ PmDevice::PmDevice(sim::Env& env, u64 size)
   mem_.touch(0, sizeof(Header));
   persisted_.touch(0, sizeof(Header));
 }
+
+PmDevice::~PmDevice() = default;
 
 u64 PmDevice::data_base() const noexcept {
   return align_up(sizeof(Header), kCacheLine);

@@ -43,12 +43,15 @@
 
 namespace papm::pm {
 
+class FlushBatcher;
+
 class PmDevice {
  public:
   /// Creates a zeroed region of `size` bytes. `size` must be a multiple of
   /// the cache-line size and large enough for the root directory header.
   /// The header is born durable (a real device is formatted offline).
   PmDevice(sim::Env& env, u64 size);
+  ~PmDevice();
 
   PmDevice(const PmDevice&) = delete;
   PmDevice& operator=(const PmDevice&) = delete;
@@ -268,6 +271,12 @@ class PmDevice {
 
   sim::Env& env() noexcept { return env_; }
 
+  /// The device's batcher that never batches: every call goes straight
+  /// to the device (persist = clwb + sfence, acks and deferred work run
+  /// at once). PM structures start on it until their owner attaches a
+  /// group-commit batcher (pm/flush_batch.h).
+  [[nodiscard]] FlushBatcher& passthrough() noexcept { return *passthrough_; }
+
  private:
   struct RootEntry {
     char name[kMaxRootName + 1];
@@ -398,6 +407,7 @@ class PmDevice {
   obs::Counter* m_clwb_coalesced_ = nullptr;
   obs::Gauge* m_dirty_hwm_ = nullptr;
   obs::Gauge* m_pending_hwm_ = nullptr;
+  std::unique_ptr<FlushBatcher> passthrough_;
 };
 
 }  // namespace papm::pm

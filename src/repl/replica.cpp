@@ -8,16 +8,6 @@
 
 namespace papm::repl {
 
-namespace {
-
-// Header parsing only — the value bytes are never flattened; they go to
-// the store zero-copy as delivered-packet byte ranges.
-std::vector<u8> head_bytes(const net::HomaDelivery& d, std::size_t n) {
-  return delivery_head(d, n);
-}
-
-}  // namespace
-
 ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
                          const ReplicaConfig& cfg)
     : env_(env), cfg_(cfg) {
@@ -34,7 +24,7 @@ ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
   dev_->persist(applied_root_, 8);
   (void)dev_->set_root("repl.applied", applied_root_);
   store_.emplace(core::PktStore::create(*pool_, "repl-store", cfg.store_opts));
-  store_->set_batcher(&*batcher_);
+  store_->set_batcher(*batcher_);
 }
 
 ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
@@ -53,11 +43,12 @@ ReplicaNode::ReplicaNode(sim::Env& env, nic::Fabric& fabric,
   auto st = core::PktStore::recover(*pool_, "repl-store", cfg.store_opts);
   if (!st.ok()) throw std::runtime_error("ReplicaNode: store recover failed");
   store_.emplace(std::move(st.value()));
-  store_->set_batcher(&*batcher_);
+  store_->set_batcher(*batcher_);
 }
 
 void ReplicaNode::wire_up(nic::Fabric& fabric) {
-  batcher_.emplace(*dev_, cfg_.gc_policy);
+  // Apply epochs close inline: a backup charges no core for them.
+  batcher_.emplace(*dev_);
   batcher_->register_pool(*pm_pool_);
   arena_.emplace(*dev_, *pm_pool_);
   pool_.emplace(env_, *arena_);
@@ -80,12 +71,13 @@ void ReplicaNode::kill() {
   alive_ = false;
   nic_->set_link_up(false);
   homa_->abandon();
+  // The open apply epoch dies with the host: none of its writes may
+  // become durable after the cut.
+  batcher_->abandon();
   dev_->clear_fault_plan();
-  for (auto& [seq, d] : pending_) free_delivery(d);
+  for (auto& [seq, d] : pending_) release_delivery(d);
   pending_.clear();
 }
-
-void ReplicaNode::free_delivery(net::HomaDelivery& d) { release_delivery(d); }
 
 void ReplicaNode::monitor_primary() {
   last_hb_ = env_.now();
@@ -117,10 +109,12 @@ void ReplicaNode::monitor_primary() {
 
 void ReplicaNode::on_msg(net::HomaDelivery d) {
   if (!alive_ || d.total_len == 0) {
-    free_delivery(d);
+    release_delivery(d);
     return;
   }
-  const auto head = head_bytes(d, 1);
+  // Header parsing only — the value bytes are never flattened; they go to
+  // the store zero-copy as delivered-packet byte ranges.
+  const auto head = delivery_head(d, 1);
   switch (static_cast<MsgKind>(head[0])) {
     case MsgKind::data:
       apply_data(d);
@@ -136,24 +130,23 @@ void ReplicaNode::on_msg(net::HomaDelivery d) {
       snap_item(d);
       break;
     case MsgKind::snap_end: {
-      const auto ctl = head_bytes(d, kCtlLen);
+      const auto ctl = delivery_head(d, kCtlLen);
       snap_end(get_u64(ctl.data() + 8));
       break;
     }
     case MsgKind::ack:
       break;  // primary-side message; not ours
   }
-  free_delivery(d);
+  release_delivery(d);
 }
 
 void ReplicaNode::apply_data(net::HomaDelivery& d) {
-  const auto hdr = head_bytes(d, kDataHdrLen);
-  const u64 seq = get_u64(hdr.data() + 8);
+  const u64 seq = get_u64(delivery_head(d, kDataHdrLen).data() + 8);
   if (seq <= applied_seq_) {
     // Idempotent replay: a duplicated or retransmitted forward for an
     // already-applied seq is dropped and the cumulative ack repeated
     // (the original ack may have been lost).
-    free_delivery(d);
+    release_delivery(d);
     acked_seq_ = 0;  // force the re-ack even at an unchanged durable seq
     send_ack();
     return;
@@ -163,39 +156,26 @@ void ReplicaNode::apply_data(net::HomaDelivery& d) {
     if (!pending_.contains(seq)) {
       pending_.emplace(seq, std::move(d));
     } else {
-      free_delivery(d);
+      release_delivery(d);
     }
     return;
   }
-  {
+  // Apply this delivery, then every buffered successor it made
+  // contiguous.
+  net::HomaDelivery next = std::move(d);
+  for (;;) {
+    const auto hdr = delivery_head(next, kDataHdrLen);
     const u16 key_len = get_u16(hdr.data() + 2);
-    const u32 val_len = get_u32(hdr.data() + 4);
-    const u64 trace_id = get_u64(hdr.data() + 16);
-    const auto full = head_bytes(d, kDataHdrLen + key_len);
-    const std::string key(reinterpret_cast<const char*>(full.data()) +
-                              kDataHdrLen,
-                          key_len);
-    apply_one(d, static_cast<OpKind>(hdr[1]), key, kDataHdrLen + key_len,
-              val_len, trace_id);
-    free_delivery(d);
-  }
-  // Drain any buffered successors that are now contiguous.
-  auto it = pending_.find(applied_seq_ + 1);
-  while (it != pending_.end()) {
-    net::HomaDelivery next = std::move(it->second);
+    const auto full = delivery_head(next, kDataHdrLen + key_len);
+    const std::string key(
+        reinterpret_cast<const char*>(full.data()) + kDataHdrLen, key_len);
+    apply_one(next, static_cast<OpKind>(hdr[1]), key, kDataHdrLen + key_len,
+              get_u32(hdr.data() + 4), get_u64(hdr.data() + 16));
+    release_delivery(next);
+    const auto it = pending_.find(applied_seq_ + 1);
+    if (it == pending_.end()) return;
+    next = std::move(it->second);
     pending_.erase(it);
-    const auto h2 = head_bytes(next, kDataHdrLen);
-    const u16 kl = get_u16(h2.data() + 2);
-    const u32 vl = get_u32(h2.data() + 4);
-    const u64 tid2 = get_u64(h2.data() + 16);
-    const auto f2 = head_bytes(next, kDataHdrLen + kl);
-    const std::string k2(reinterpret_cast<const char*>(f2.data()) +
-                             kDataHdrLen,
-                         kl);
-    apply_one(next, static_cast<OpKind>(h2[1]), k2, kDataHdrLen + kl, vl,
-              tid2);
-    free_delivery(next);
-    it = pending_.find(applied_seq_ + 1);
   }
 }
 
@@ -240,26 +220,14 @@ void ReplicaNode::apply_one(const net::HomaDelivery& d, OpKind op,
     trace_.record(trace_id, obs::Stage::repl_apply, t_apply,
                   env_.now() - t_apply);
   }
-  publish_applied(seq);
+  // Deferred publication: the applied-seq word can never be durable
+  // before the content it covers; the ack rides the epoch's commit.
+  batcher_->publish_u64(applied_root_, seq);
+  batcher_->on_committed([this, seq] {
+    durable_seq_ = std::max(durable_seq_, seq);
+    send_ack();
+  });
   batcher_->end_op();
-  arm_epoch_drain();
-}
-
-void ReplicaNode::publish_applied(u64 seq) {
-  if (batcher_->batching()) {
-    // Deferred publication: the applied-seq word can never be durable
-    // before the content it covers; the ack rides the epoch's commit.
-    batcher_->publish_u64(applied_root_, seq);
-    batcher_->on_committed([this, seq] {
-      durable_seq_ = std::max(durable_seq_, seq);
-      send_ack();
-    });
-    return;
-  }
-  dev_->store_u64(applied_root_, seq);
-  dev_->persist(applied_root_, 8);
-  durable_seq_ = std::max(durable_seq_, seq);
-  send_ack();
 }
 
 void ReplicaNode::send_ack() {
@@ -270,28 +238,12 @@ void ReplicaNode::send_ack() {
   obs::inc(m_acks_tx_);
 }
 
-void ReplicaNode::arm_epoch_drain() {
-  if (!batcher_->epoch_open()) return;
-  const u64 serial = batcher_->epoch_serial();
-  const u32 ops = batcher_->ops_in_epoch();
-  env_.engine.schedule_in(
-      static_cast<SimTime>(batcher_->policy().idle_close_ns),
-      [this, serial, ops] {
-        if (!alive_ || !batcher_->epoch_open()) return;
-        if (batcher_->epoch_serial() != serial ||
-            batcher_->ops_in_epoch() != ops) {
-          return;  // a newer apply joined; its own drain check follows
-        }
-        batcher_->close();
-      });
-}
-
 void ReplicaNode::snap_item(const net::HomaDelivery& d) {
   if (!in_resync_) return;
-  const auto hdr = head_bytes(d, kSnapItemHdrLen);
+  const auto hdr = delivery_head(d, kSnapItemHdrLen);
   const u16 key_len = get_u16(hdr.data() + 2);
   const u32 val_len = get_u32(hdr.data() + 4);
-  const auto all = head_bytes(d, kSnapItemHdrLen + key_len + val_len);
+  const auto all = delivery_head(d, kSnapItemHdrLen + key_len + val_len);
   const std::string key(reinterpret_cast<const char*>(all.data()) +
                             kSnapItemHdrLen,
                         key_len);

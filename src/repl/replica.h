@@ -38,9 +38,6 @@ struct ReplicaConfig {
   u64 pm_size = 64u << 20;
   ReplOptions opts;
   core::PktStoreOptions store_opts;
-  // Group-commit epochs on the apply path (enabled = false: every apply
-  // persists synchronously).
-  pm::GroupCommitPolicy gc_policy{};
   nic::Nic::Options nic{};
 };
 
@@ -100,10 +97,7 @@ class ReplicaNode {
   void apply_data(net::HomaDelivery& d);
   void apply_one(const net::HomaDelivery& d, OpKind op, std::string_view key,
                  std::size_t val_at, u32 val_len, u64 trace_id);
-  void publish_applied(u64 seq);
   void send_ack();
-  void arm_epoch_drain();
-  void free_delivery(net::HomaDelivery& d);
   void snap_item(const net::HomaDelivery& d);
   void snap_end(u64 cut_seq);
 

@@ -17,8 +17,7 @@ struct StoreKnobs {
   bool persistence = true;   // flush the value record's cache lines to PM
 
   // Group/epoch-commit policy for the per-shard FlushBatcher (max epoch
-  // size, max ack deferral); enabled is AND'ed with HostCpu::backlogged()
-  // at runtime.
+  // size, max ack deferral); epochs open only while HostCpu::backlogged().
   pm::GroupCommitPolicy group_commit;
 };
 

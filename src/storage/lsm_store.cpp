@@ -208,7 +208,7 @@ Status LsmStore::rotate() {
   obs::inc(m_rotations_);
   frozen_.push_back(std::move(*active_));
   active_ = PmMemtable::create(*dev_, *pool_, table_name(next_table_));
-  if (batcher_ != nullptr) active_->set_batcher(batcher_);
+  active_->set_batcher(*batcher_);
   next_table_++;
   bytes_in_active_ = 0;
   persist_count();
@@ -252,7 +252,7 @@ Status LsmStore::compact() {
   for (auto& t : frozen_) drain(t);
   frozen_.clear();
   active_ = std::move(merged);
-  if (batcher_ != nullptr) active_->set_batcher(batcher_);
+  active_->set_batcher(*batcher_);
   next_table_++;
   bytes_in_active_ = 0;
   persist_count();

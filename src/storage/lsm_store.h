@@ -114,9 +114,9 @@ class LsmStore final : public KvStore {
 
   // Group-commit routing for the active memtable and the WAL; survives
   // rotation/compaction (fresh tables are re-attached). Frozen tables
-  // are only mutated by compact(), which stays on legacy fences.
-  void set_batcher(pm::FlushBatcher* b) noexcept {
-    batcher_ = b;
+  // keep the batcher they were written under.
+  void set_batcher(pm::FlushBatcher& b) noexcept {
+    batcher_ = &b;
     if (active_.has_value()) active_->set_batcher(b);
     if (wal_.has_value()) wal_->set_batcher(b);
   }
@@ -153,7 +153,7 @@ class LsmStore final : public KvStore {
   pm::PmPool* pool_;
   std::string name_;
   LsmOptions opts_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_ = &dev_->passthrough();
   std::optional<Wal> wal_;
   std::optional<PmMemtable> active_;
   std::deque<PmMemtable> frozen_;  // newest at back

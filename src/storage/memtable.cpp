@@ -108,11 +108,7 @@ Status PmMemtable::put_impl(std::string_view key, std::span<const u8> value,
   {
     Phase p(env, bd != nullptr ? &bd->persist_ns : nullptr);
     if (knobs.persistence && rec != 0) {
-      if (batcher_ != nullptr && batcher_->batching()) {
-        batcher_->persist(rec, record_bytes(value.size()));
-      } else {
-        dev_->persist(rec, record_bytes(value.size()));
-      }
+      batcher_->persist(rec, record_bytes(value.size()));
     }
   }
 
@@ -128,14 +124,10 @@ Status PmMemtable::put_impl(std::string_view key, std::span<const u8> value,
         u32 old_len;
         std::memcpy(&old_len, dev_->at(old_rec, 4), 4);
         const u64 old_bytes = record_bytes(old_len);
-        if (batcher_ != nullptr && batcher_->batching()) {
-          // The replaced record must survive until no cut can resolve the
-          // replacing publication to the old value — free past the close.
-          batcher_->defer(
-              [pool = pool_, old_rec, old_bytes] { pool->free(old_rec, old_bytes); });
-        } else {
-          pool_->free(old_rec, old_bytes);
-        }
+        // The replaced record must survive until no cut can resolve the
+        // replacing publication to the old value — free past the close.
+        batcher_->defer(
+            [pool = pool_, old_rec, old_bytes] { pool->free(old_rec, old_bytes); });
       }
     }
     // No index: the scratch record is simply overwritten next time.
@@ -191,11 +183,7 @@ bool PmMemtable::erase(std::string_view key) {
   if (!index_.erase(key)) return false;
   const u64 rec_off = rec.value();
   const u64 rec_bytes = record_bytes(vlen);
-  if (batcher_ != nullptr && batcher_->batching()) {
-    batcher_->defer([pool = pool_, rec_off, rec_bytes] { pool->free(rec_off, rec_bytes); });
-  } else {
-    pool_->free(rec_off, rec_bytes);
-  }
+  batcher_->defer([pool = pool_, rec_off, rec_bytes] { pool->free(rec_off, rec_bytes); });
   return true;
 }
 

@@ -97,8 +97,8 @@ class PmMemtable {
   // index routes its publications through the batcher, and replaced
   // records are quarantined past the epoch close (an old value must
   // outlive every cut that could still resurrect it).
-  void set_batcher(pm::FlushBatcher* b) noexcept {
-    batcher_ = b;
+  void set_batcher(pm::FlushBatcher& b) noexcept {
+    batcher_ = &b;
     index_.set_batcher(b);
   }
 
@@ -119,7 +119,7 @@ class PmMemtable {
   pm::PmDevice* dev_;
   pm::PmPool* pool_;
   container::PSkipList index_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_ = &dev_->passthrough();
   bool batched_ = false;
   // Scratch destination used when index insertion is disabled (the §3
   // "skip this logical operation" configuration): the copy and flush

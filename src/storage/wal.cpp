@@ -70,21 +70,15 @@ Status Wal::append(WalRecordType type, std::string_view key,
       crc32c(std::span<const u8>(rec.data() + 4, rec_len - 4)));
   std::memcpy(rec.data(), &crc, 4);
 
-  // Write-ahead ordering: record, fence, then tail pointer, fence.
+  // Write-ahead ordering: record, fence, then tail pointer, fence. Under
+  // group commit the record bytes ride the epoch's first fence and the
+  // tail is a withheld publication — it can never point past bytes that
+  // are not durable.
   env.clock().advance(env.cost.copy_cost(rec_len));
-  if (batcher_ != nullptr && batcher_->batching()) {
-    // Record bytes ride the epoch's first fence; the tail is a withheld
-    // publication — it can never point past bytes that are not durable.
-    const u64 at = h->tail;
-    dev_->store(at, rec);
-    batcher_->persist(at, rec_len);
-    batcher_->publish_u64(header_off_ + offsetof(Header, tail), at + rec_len);
-  } else {
-    dev_->store(h->tail, rec);
-    dev_->persist(h->tail, rec_len);
-    h->tail += rec_len;
-    persist_tail();
-  }
+  const u64 at = h->tail;
+  dev_->store(at, rec);
+  batcher_->persist(at, rec_len);
+  batcher_->publish_u64(header_off_ + offsetof(Header, tail), at + rec_len);
   obs::inc(m_appends_);
   obs::inc(m_append_bytes_, rec_len);
   return Errc::ok;

@@ -60,7 +60,7 @@ class Wal {
   // withheld publication retired by the second — write-ahead ordering is
   // preserved per epoch instead of per record. append() then means
   // "durable once the epoch the batcher acks in retires".
-  void set_batcher(pm::FlushBatcher* b) noexcept { batcher_ = b; }
+  void set_batcher(pm::FlushBatcher& b) noexcept { batcher_ = &b; }
 
   // Mirrors append/truncate activity into registry counters:
   // wal.appends / wal.append_bytes / wal.truncates.
@@ -86,7 +86,7 @@ class Wal {
 
   pm::PmDevice* dev_;
   u64 header_off_;
-  pm::FlushBatcher* batcher_ = nullptr;
+  pm::FlushBatcher* batcher_ = &dev_->passthrough();
   obs::Counter* m_appends_ = nullptr;
   obs::Counter* m_append_bytes_ = nullptr;
   obs::Counter* m_truncates_ = nullptr;

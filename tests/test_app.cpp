@@ -487,8 +487,8 @@ TEST_P(DeleteTest, HitIs204MissIs404) {
 INSTANTIATE_TEST_SUITE_P(Backends, DeleteTest,
                          ::testing::Values(Backend::lsm, Backend::pktstore));
 
-// An unparseable response is an error the open-loop run reports, not a
-// silent stall: a raw listener answers every request with garbage.
+// An unparseable response is an error both load generators report, not
+// a silent stall: a raw listener answers every request with garbage.
 TEST(OpenLoopClient, UnparseableResponseCountsAsError) {
   sim::Env env;
   nic::Fabric fabric(env);
@@ -526,6 +526,24 @@ TEST(OpenLoopClient, UnparseableResponseCountsAsError) {
   EXPECT_EQ(client.http_errors(), 1u);  // one stalled connection, once
   EXPECT_EQ(client_host.merged_metrics().counter("http.parse_errors").value(),
             1u);
+
+  // The closed-loop client: its one connection stalls at the first
+  // response, counted once.
+  HostConfig wc;
+  wc.ip = 3;
+  wc.cores = 0;
+  Host wrk_host(env, fabric, wc);
+  ClientConfig ccfg;
+  ccfg.server_ip = 2;
+  ccfg.connections = 1;
+  WrkClient wrk(wrk_host, ccfg);
+  wrk.start();
+  env.engine.run_until(10 * kNsPerMs);
+  EXPECT_EQ(wrk.completed(), 0u);
+  EXPECT_EQ(wrk.http_errors(), 1u);
+  obs::MetricRegistry wm = wrk_host.merged_metrics();
+  EXPECT_EQ(wm.counter("client.http_errors").value(), 1u);
+  EXPECT_EQ(wm.counter("http.parse_errors").value(), 1u);
 }
 
 TEST(Harness, DeterministicForSeed) {

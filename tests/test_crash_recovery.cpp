@@ -558,7 +558,7 @@ class GroupCommitLsmScenario final : public CrashScenario {
     store_.emplace(storage::LsmStore::create(dev, *pool_, "db"));
     batcher_.emplace(dev, crash_test_policy());
     batcher_->register_pool(*pool_);
-    store_->set_batcher(&*batcher_);
+    store_->set_batcher(*batcher_);
   }
 
   void workload(pm::PmDevice&, AckLog&) override {
@@ -629,7 +629,7 @@ class GroupCommitPktScenario final : public CrashScenario {
     store_.emplace(core::PktStore::create(*pktpool_, "db"));
     batcher_.emplace(dev, crash_test_policy());
     batcher_->register_pool(*pool_);
-    store_->set_batcher(&*batcher_);
+    store_->set_batcher(*batcher_);
   }
 
   void workload(pm::PmDevice&, AckLog&) override {
@@ -726,7 +726,7 @@ class FlightRecorderScenario final : public CrashScenario {
     fr_.emplace(std::move(fr.value()));
     batcher_.emplace(dev, crash_test_policy());
     batcher_->register_pool(*pool_);
-    fr_->set_batcher(&*batcher_);
+    fr_->set_batcher(*batcher_);
   }
 
   void workload(pm::PmDevice&, AckLog&) override {

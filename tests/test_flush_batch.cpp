@@ -1,10 +1,11 @@
 // FlushBatcher unit tests: epoch sizing and deferral bounds, pass-through
-// behaviour, deferred-publication masking, ack/quarantine ordering at
-// epoch close, and the pool seal/restore hysteresis.
+// behaviour, the engine-driven idle/deadline closes, deferred-publication
+// masking, ack/quarantine ordering at epoch close, and the pool
+// seal/restore hysteresis.
 //
 // Everything here observes the batcher through the PmDevice's lifetime
-// flush counters (total_clwb/total_sfence) and the batcher's own
-// introspection accessors.
+// flush counters (total_clwb/total_sfence), the event engine and the
+// batcher's own introspection accessors.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "pm/flush_batch.h"
 #include "pm/pm_device.h"
 #include "pm/pm_pool.h"
+#include "sim/cpu.h"
 #include "sim/env.h"
 
 namespace papm {
@@ -43,18 +45,6 @@ TEST(FlushBatcher, PassThroughWhenNotBacklogged) {
   bool acked = false;
   b.on_committed([&] { acked = true; });
   EXPECT_TRUE(acked) << "pass-through acks must run inline";
-  b.end_op();
-  EXPECT_EQ(b.epochs_closed(), 0u);
-}
-
-TEST(FlushBatcher, RuntimeDisabledPolicyStaysPassThrough) {
-  sim::Env env;
-  pm::PmDevice dev(env, 1u << 16);
-  pm::GroupCommitPolicy p = policy_of(8);
-  p.enabled = false;
-  pm::FlushBatcher b(dev, p);
-  b.begin_op(/*backlogged=*/true, 0);
-  EXPECT_FALSE(b.batching());
   b.end_op();
   EXPECT_EQ(b.epochs_closed(), 0u);
 }
@@ -116,21 +106,84 @@ TEST(FlushBatcher, DeadlineClosesStaleEpochOnNextOp) {
   b.close();
 }
 
-TEST(FlushBatcher, MaybeCloseHonorsDeadlineAndIdle) {
-  sim::Env env;
-  pm::PmDevice dev(env, 1u << 16);
-  pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/500));
-  b.begin_op(true, 0);
+// One batched op at `env`'s current time.
+void one_op(sim::Env& env, pm::FlushBatcher& b) {
+  b.begin_op(true, static_cast<u64>(env.now()));
   b.fence();
   b.end_op();
-  b.maybe_close(/*now_ns=*/100, /*idle=*/false);
-  EXPECT_TRUE(b.epoch_open()) << "neither bound hit";
-  b.maybe_close(/*now_ns=*/600, /*idle=*/false);
-  EXPECT_FALSE(b.epoch_open()) << "deadline must close the epoch";
-  b.begin_op(true, 700);
+}
+
+TEST(FlushBatcher, OneOpClosesItsEpochAfterTheIdleGap) {
+  sim::Env env;
+  pm::PmDevice dev(env, 1u << 16);
+  pm::FlushBatcher b(dev, policy_of(100));
+  bool acked = false;
+  b.begin_op(true, 0);
+  b.fence();
+  b.on_committed([&] { acked = true; });
   b.end_op();
-  b.maybe_close(/*now_ns=*/710, /*idle=*/true);
-  EXPECT_FALSE(b.epoch_open()) << "idle must close the epoch";
+  one_op(env, b);  // replaces the idle check, not adds one
+  EXPECT_EQ(env.engine.pending(), 2u) << "one deadline + one idle check";
+  constexpr auto kIdle = static_cast<SimTime>(pm::FlushBatcher::kIdleCloseNs);
+  env.engine.run_until(kIdle - 1);
+  EXPECT_TRUE(b.epoch_open());
+  EXPECT_FALSE(acked);
+  env.engine.run_until(kIdle);
+  EXPECT_FALSE(b.epoch_open()) << "idle gap must close the epoch";
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(b.epochs_closed(), 1u);
+}
+
+TEST(FlushBatcher, OpsInsideTheIdleGapCloseAtMaxDeferral) {
+  sim::Env env;
+  pm::PmDevice dev(env, 1u << 16);
+  pm::FlushBatcher b(dev, policy_of(100, /*deferral_ns=*/10'000));
+  // An op every 1.5 µs: the idle check never gets to fire.
+  constexpr SimTime kGap = 1'500;
+  static_assert(kGap < static_cast<SimTime>(pm::FlushBatcher::kIdleCloseNs));
+  for (SimTime t = 0; t <= 15'000; t += kGap) {
+    env.engine.schedule_at(t, [&] { one_op(env, b); });
+  }
+  env.engine.run_until(9'999);
+  EXPECT_EQ(b.epochs_closed(), 0u);
+  EXPECT_EQ(b.epoch_serial(), 1u);
+  env.engine.run_until(10'000);
+  EXPECT_EQ(b.epochs_closed(), 1u) << "the deadline must close the epoch";
+  env.engine.run_until_idle();
+  EXPECT_EQ(b.epochs_closed(), 2u) << "the second epoch closes idle";
+  EXPECT_EQ(b.epoch_serial(), 2u);
+}
+
+TEST(FlushBatcher, CloseRunsOnTheAttachedCore) {
+  sim::Env env;
+  pm::PmDevice dev(env, 1u << 16);
+  sim::HostCpu cpu(env, 2);
+  pm::FlushBatcher b(dev, policy_of(100));
+  b.attach_cpu(cpu, 1);
+  b.begin_op(true, 0);
+  dev.store_u64(dev.data_base(), 1);
+  b.persist(dev.data_base(), 8);
+  b.end_op();
+  env.engine.run_until_idle();
+  EXPECT_EQ(b.epochs_closed(), 1u);
+  EXPECT_GT(cpu.busy_ns(1), 0) << "the close's fences charge core 1";
+  EXPECT_EQ(cpu.busy_ns(0), 0);
+}
+
+TEST(FlushBatcher, DestroyedBatcherTimersNeverFire) {
+  sim::Env env;
+  pm::PmDevice dev(env, 1u << 16);
+  bool acked = false;
+  {
+    pm::FlushBatcher b(dev, policy_of(100));
+    b.begin_op(true, 0);
+    b.on_committed([&] { acked = true; });
+    b.end_op();
+    EXPECT_EQ(env.engine.pending(), 2u);
+  }
+  EXPECT_EQ(env.engine.pending(), 0u);
+  env.engine.run_until_idle();
+  EXPECT_FALSE(acked);
 }
 
 TEST(FlushBatcher, DeferredPublicationMaskedFromCrashUntilClose) {

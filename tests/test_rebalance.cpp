@@ -204,10 +204,9 @@ TEST(Migration, PreservesFifoAndAckedWrites) {
 TEST(Migration, DrainsOpenGroupCommitEpoch) {
   ServerConfig sc;
   sc.backend = Backend::pktstore;
-  sc.knobs.group_commit.enabled = true;
   sc.knobs.group_commit.max_epoch_ops = 64;
   // Deadlines far beyond the test horizon: only migrate_bucket's
-  // close_epoch (or the idle-drain check) can release held acks.
+  // close_epoch (or the batcher's idle check) can release held acks.
   sc.knobs.group_commit.max_deferral_ns = 500 * kNsPerMs;
   RebalanceRig t(sc);
   Rebalancer rebal(t.server, t.srv);

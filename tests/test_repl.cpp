@@ -386,6 +386,34 @@ TEST(Repl, RejoinResyncConverges) {
   EXPECT_EQ(p.repl.alive_peers(), 1u);
 }
 
+// A backup cut while an apply epoch is open: the epoch's close checks die
+// with the host, so nothing the epoch wrote becomes durable after the cut.
+TEST(Repl, KilledBackupNeverClosesItsOpenEpoch) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  const ReplOptions opts = fast_opts(/*quorum=*/1);
+  ReplicaNode r1(env, fabric, replica_cfg(kR1Ip, opts));
+  Primary p(env, fabric, opts, {kR1Ip});
+
+  p.submit_put("k", rand_bytes(300, 9), {});
+  while (r1.applied_seq() == 0 && env.engine.step()) {
+  }
+  ASSERT_EQ(r1.applied_seq(), 1u);
+  ASSERT_EQ(r1.durable_seq(), 0u) << "the apply epoch must still be open";
+
+  r1.kill();
+  const auto at_kill = r1.device().clone_persisted();
+  pump_for(env, 2 * kNsPerMs);  // far past the idle gap and the deadline
+  const auto later = r1.device().clone_persisted();
+
+  EXPECT_EQ(r1.durable_seq(), 0u);
+  const u64 size = at_kill->size();
+  ASSERT_EQ(later->size(), size);
+  EXPECT_EQ(std::memcmp(at_kill->at(0, size), later->at(0, size), size), 0)
+      << "the dead backup's persisted image moved after the cut";
+  EXPECT_EQ(later->load_u64(later->get_root("repl.applied").value()), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Degraded mode
 // ---------------------------------------------------------------------------
