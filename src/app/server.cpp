@@ -1,6 +1,7 @@
 #include "app/server.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <stdexcept>
 
@@ -19,6 +20,10 @@ std::string shard_name(std::string_view base, u32 shard) {
 
 KvServer::KvServer(Host& host, const ServerConfig& cfg)
     : host_(host), cfg_(cfg) {
+  if (host_.datapaths() > 64) {
+    throw std::runtime_error(
+        "KvServer: the key directory spans at most 64 shards");
+  }
   shards_.resize(host_.datapaths());
   for (u32 i = 0; i < host_.datapaths(); i++) {
     Shard& sh = shards_[i];
@@ -147,13 +152,15 @@ http::RequestHead::Status KvServer::try_parse_head(ConnState& st) {
   return head.status;
 }
 
-void KvServer::reject(net::TcpConn& conn, ConnState& st) {
+void KvServer::reject(net::TcpConn& conn, ConnState& st, int status) {
   Shard& sh = shards_[st.shard];
   errors_++;
   obs::inc(sh.m_errors);
   // Registered on first use: a clean run's metrics carry no such row.
-  obs::inc(&host_.metrics(st.shard).counter("http.parse_errors"));
-  respond(conn, 400);
+  if (status == 400) {
+    obs::inc(&host_.metrics(st.shard).counter("http.parse_errors"));
+  }
+  respond(conn, status);
   for (net::PktBuf* pb : st.pkts) net::PktBufPool::release(pb);
   // Segments may still arrive on this connection before the close
   // completes; with the hook gone they are dropped instead of reaching
@@ -177,7 +184,8 @@ bool KvServer::prime(std::string_view key, std::span<const u8> value) {
   // promise).
   u64 h = 1469598103934665603ull;
   for (const char c : key) h = (h ^ static_cast<u8>(c)) * 1099511628211ull;
-  Shard& sh = shards_[h % shards_.size()];
+  const auto shard = static_cast<u32>(h % shards_.size());
+  Shard& sh = shards_[shard];
   // Discard the charged store time: collect it into a scope the caller
   // never reads, so the global clock (and the shard cores) stay put.
   SimTime discarded = 0;
@@ -192,7 +200,25 @@ bool KvServer::prime(std::string_view key, std::span<const u8> value) {
   clk.begin_scope(host_.env().now(), &discarded);
   const ScopeCloser closer{&clk};
   // Nothing to index without a store; GETs are not served from those.
-  return sh.store == nullptr || sh.store->put_bytes(key, value).ok();
+  if (sh.store == nullptr) return true;
+  if (!sh.store->put_bytes(key, value).ok()) return false;
+  if (has_directory()) dir_note_write(key, shard);
+  return true;
+}
+
+KvServer::Directory::iterator KvServer::dir_find(std::string_view key) {
+  auto& env = host_.env();
+  env.clock().advance(env.cost.dram_read_ns);
+  return dir_.find(key);
+}
+
+void KvServer::dir_note_write(std::string_view key, u32 shard) {
+  auto& env = host_.env();
+  env.clock().advance(env.cost.dram_write_ns);
+  auto it = dir_.find(key);
+  if (it == dir_.end()) it = dir_.emplace(std::string(key), DirEntry{}).first;
+  it->second.shards |= u64{1} << shard;
+  it->second.last = shard;
 }
 
 void KvServer::gate_release(const std::shared_ptr<ReplGate>& g) {
@@ -235,8 +261,15 @@ void KvServer::on_readable(net::TcpConn& conn, ConnState& st) {
       case http::RequestHead::Status::incomplete:
         return;
       case http::RequestHead::Status::malformed:
-        reject(conn, st);
+        reject(conn, st, 400);
         return;
+    }
+    // raw_persist writes a body into its PM region in one piece; refuse
+    // one that cannot fit before buffering any of it.
+    if (cfg_.backend == Backend::raw_persist &&
+        st.method == http::Method::put && st.body_len > kRawRegion) {
+      reject(conn, st, 413);
+      return;
     }
   }
   if (st.have_bytes < st.head_len + st.body_len) return;  // body incomplete
@@ -331,21 +364,25 @@ void KvServer::flight_record(ConnState& st, const storage::OpBreakdown& bd,
 void KvServer::raw_persist(Shard& sh, const ConnState& st,
                            storage::OpBreakdown& bd) {
   // The Fig. 2 "simple application that copies and persists data in the
-  // PM region": one copy + one flush, no structure.
+  // PM region": one copy + one flush, no structure. The head parse
+  // refused bodies larger than the region.
   auto& env = host_.env();
   if (sh.raw_off + st.body_len > kRawRegion) sh.raw_off = 0;
   auto& dev = host_.pm_device();
   std::size_t skip = st.head_len;
+  std::size_t left = st.body_len;
   u64 at = sh.raw_region + sh.raw_off;
   const SimTime t0 = env.now();
   for (net::PktBuf* pb : st.pkts) {
+    if (left == 0) break;
     const auto p = pb->owner->payload(*pb);
     if (skip >= p.size()) {
       skip -= p.size();
       continue;
     }
-    const auto chunk = p.subspan(skip);
+    const auto chunk = p.subspan(skip, std::min(p.size() - skip, left));
     skip = 0;
+    left -= chunk.size();
     env.clock().advance(env.cost.copy_cost(chunk.size()));
     dev.store(at, chunk);
     at += chunk.size();
@@ -370,7 +407,9 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   storage::OpBreakdown bd;
   int status = 200;
   std::vector<u8> resp_body;
+  // A zero-copy GET hit and the shard whose probe returned it.
   Shard* zero_copy_shard = nullptr;
+  storage::KvStore::Hit zero_copy_hit;
   // The PUT value's gather ranges, forwarded when a Replicator is attached.
   std::vector<repl::Replicator::GatherSeg> repl_segs;
 
@@ -420,6 +459,11 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
     const std::span<net::PktBuf*> pkts(st.pkts.data() + first, offs.size());
     if (sh.store->put_pkts(st.key, pkts, offs, lens, &bd).ok()) {
       status = 201;
+      if (has_directory()) {
+        const SimTime t0 = env.now();
+        dir_note_write(st.key, st.shard);
+        bd.alloc_insert_ns += env.now() - t0;
+      }
       // Forward the same packets' value ranges, refcounted — the replicas
       // receive the bytes the client's segments carried.
       if (repl_ != nullptr) repl_segs = repl::gather_from_pkts(pkts, offs, lens);
@@ -432,34 +476,43 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
     if (st.key.starts_with("/scan/")) {
       resp_body = scan_response(st.key);
     } else {
-      // Read-merge: the ingress shard first (RSS flow affinity makes it
-      // the writer's shard), then the others for keys another connection
-      // wrote.
+      // One probe, of the shard that wrote the key last; the directory
+      // names it, or answers a key no shard holds.
       Shard* owner = &sh;
-      auto hit = sh.store->lookup(st.key, batched);
-      for (u32 i = 0; i < shards_.size() && hit.errc() == Errc::not_found;
-           i++) {
-        if (i == st.shard) continue;
-        owner = &shards_[i];
-        hit = owner->store->lookup(st.key, batched);
+      if (has_directory()) {
+        const auto e = dir_find(st.key);
+        owner = e == dir_.end() ? nullptr : &shards_[e->second.last];
       }
-      if (!hit.ok()) {
+      if (owner == nullptr) {
+        status = 404;
+      } else if (auto hit = owner->store->lookup(st.key, batched); !hit.ok()) {
         status = hit.errc() == Errc::not_found ? 404 : 500;
-      } else if (hit->zero_copy) {
+      } else if (hit->handle != 0) {
         zero_copy_shard = owner;
+        zero_copy_hit = std::move(hit.value());
       } else {
         resp_body = std::move(hit->bytes);
       }
     }
   } else if (st.method == http::Method::del) {
-    // 404 only when every shard misses; a real store error wins.
+    // Erase every shard holding a version: the directory's list, or the
+    // one shard. 404 only when every holder misses; a real store error
+    // wins and keeps the entry, so a retry erases the rest.
+    u64 holders = 1;
+    auto e = dir_.end();
+    if (has_directory()) {
+      e = dir_find(st.key);
+      holders = e == dir_.end() ? 0 : e->second.shards;
+    }
     bool any = false;
     bool failed = false;
-    for (auto& s : shards_) {
-      const Status r = s.store->erase(st.key);
+    for (; holders != 0; holders &= holders - 1) {
+      const Status r =
+          shards_[std::countr_zero(holders)].store->erase(st.key);
       any |= r.ok();
       failed |= !r.ok() && r.errc() != Errc::not_found;
     }
+    if (e != dir_.end() && !failed) dir_.erase(e);
     status = failed ? 500 : any ? 204 : 404;
   }
 
@@ -503,7 +556,7 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
   {
     auto tx_span = tr.span(obs::Stage::tx);
     if (zero_copy_shard != nullptr) {
-      respond_value_zero_copy(conn, *zero_copy_shard, st.key, batched);
+      respond_value_zero_copy(conn, *zero_copy_shard, zero_copy_hit);
     } else if (replicate) {
       // Quorum-gated ack: the client hears 201/204 only once the write
       // is locally durable AND a quorum of hosts holds it (or the
@@ -562,8 +615,9 @@ std::vector<u8> KvServer::scan_response(std::string_view target) {
   // target is "/scan/<from>/<to>"; the response lists "key<TAB>len" lines
   // for up to kMaxScan keys in [from, to). On a sharded store the
   // per-shard iterators are merged in key order with duplicates (the same
-  // key written via two ingress cores) collapsed — each shard contributes
-  // at most kMaxScan candidates, so the global cut is exact.
+  // key written via two ingress cores) collapsed to the newest version,
+  // the one on the directory's last writer — each shard contributes at
+  // most kMaxScan candidates, so the global cut is exact.
   constexpr std::size_t kMaxScan = 100;
   target.remove_prefix(6);  // "/scan/"
   const std::size_t slash = target.find('/');
@@ -571,14 +625,18 @@ std::vector<u8> KvServer::scan_response(std::string_view target) {
   const std::string_view to =
       slash == std::string_view::npos ? std::string_view{}
                                       : target.substr(slash + 1);
-  std::map<std::string, u64> merged;
-  for (auto& sh : shards_) {
+  std::map<std::string, u64, std::less<>> merged;
+  for (u32 i = 0; i < shards_.size(); i++) {
     std::size_t n = 0;
     auto collect = [&](std::string_view key, u64 len) {
-      merged.emplace(std::string(key), len);
+      const auto [it, fresh] = merged.try_emplace(std::string(key), len);
+      if (!fresh) {
+        const auto e = dir_find(key);
+        if (e != dir_.end() && e->second.last == i) it->second = len;
+      }
       return ++n < kMaxScan;
     };
-    sh.store->scan_keys(from, to, collect);
+    shards_[i].store->scan_keys(from, to, collect);
   }
   std::string out;
   std::size_t n = 0;
@@ -603,18 +661,17 @@ void KvServer::respond(net::TcpConn& conn, int status,
 }
 
 void KvServer::respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
-                                       std::string_view key, bool batched) {
+                                       const storage::KvStore::Hit& hit) {
   auto& env = host_.env();
   env.clock().advance(env.cost.scaled(env.cost.server_http_build_ns));
-  // A second probe, for the length (charged like the first).
-  const auto hit = sh.store->lookup(key, batched);
   // Headers go through the copying send (they are tiny)...
   const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: " +
-                           std::to_string(hit->len) + "\r\n\r\n";
+                           std::to_string(hit.len) + "\r\n\r\n";
   (void)conn.send(std::span<const u8>(
       reinterpret_cast<const u8*>(head.data()), head.size()));
-  // ...the value leaves as frag-backed packets, zero copy (§4.2).
-  auto pkts = sh.store->get_as_pkts(key);
+  // ...the value leaves as frag-backed packets, zero copy (§4.2), from
+  // the probe's handle: no second index walk.
+  auto pkts = sh.store->emit_pkts(hit);
   if (!pkts.ok()) return;
   for (net::PktBuf* pb : pkts.value()) {
     if (!conn.send_pkt(pb).ok()) {

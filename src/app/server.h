@@ -21,18 +21,19 @@
 // pipeline per datapath shard — its own listener on that shard's pinned
 // TCP stack, its own connection states, and its own backend instance
 // over the shard's private PM pool. RSS flow affinity makes every PUT
-// land in the ingress core's shard (write-local); GETs consult the local
-// shard first and fall back to the others (read-merge) — the client's
-// deterministic per-key values make cross-shard duplicates byte-
-// identical, so reads stay correct without hot-path sharing. DELETE
-// erases everywhere; scans merge per-shard iterators with dedup. With
-// one shard all of this degenerates to the classic single-pipeline
-// server.
+// land in the ingress core's shard (write-local), so one key can hold
+// versions on several shards. A volatile directory records, per key,
+// which shards hold a version and which wrote it last: a GET probes only
+// that shard (or answers 404 without walking any index), a DELETE erases
+// only the holders, and a scan lists the newest version's length. With
+// one shard there is no directory and all of this degenerates to the
+// classic single-pipeline server.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <unordered_map>
 
 #include "app/host.h"
 #include "common/flat_map.h"
@@ -137,6 +138,17 @@ class KvServer {
   [[nodiscard]] u64 breakdown_ops() const noexcept { return breakdown_ops_; }
   [[nodiscard]] u64 errors() const noexcept { return errors_; }
 
+  // The raw_persist backend's PM region on `shard` (kRawRegion bytes);
+  // 0 for the other backends. A PUT whose body exceeds it is answered 413.
+  static constexpr u64 kRawRegion = 4u << 20;
+  [[nodiscard]] u64 raw_region(u32 shard) const noexcept {
+    return shard < shards_.size() ? shards_[shard].raw_region : 0;
+  }
+  // `shard`'s store; null for discard and raw_persist.
+  [[nodiscard]] const storage::KvStore* store(u32 shard) const noexcept {
+    return shard < shards_.size() ? shards_[shard].store.get() : nullptr;
+  }
+
   // --- Telemetry plane ---------------------------------------------------
   // Admin requests served (/stats + /metrics + /trace/recent). Admin
   // traffic is deliberately excluded from ops()/shard_requests(): it must
@@ -203,7 +215,6 @@ class KvServer {
     obs::Histogram* m_req_ns = nullptr;
     obs::Counter* m_admin = nullptr;
   };
-  static constexpr u64 kRawRegion = 4u << 20;
   // /trace/recent page size. Small by design: the page is assembled and
   // sent on a datapath core, so its bytes (copy + per-segment tx) are
   // the dominant term in the admin plane's p99 footprint — 32 spans is
@@ -265,9 +276,10 @@ class KvServer {
   void on_readable(net::TcpConn& conn, ConnState& st);
   // Parses the request head in segment 0 once it is complete.
   http::RequestHead::Status try_parse_head(ConnState& st);
-  // Answers a malformed head 400 and closes the connection; unbinds its
-  // on_readable hook before dropping the state the hook refers to.
-  void reject(net::TcpConn& conn, ConnState& st);
+  // Answers a request that cannot be served (400 malformed head, 413
+  // oversized body) and closes the connection; unbinds its on_readable
+  // hook before dropping the state the hook refers to.
+  void reject(net::TcpConn& conn, ConnState& st, int status);
   // Serves /stats, /metrics and /trace/recent from merged snapshots.
   // Returns true when the request was an admin target and a response
   // (including the connection-state reset) was fully handled.
@@ -283,12 +295,38 @@ class KvServer {
   void raw_persist(Shard& sh, const ConnState& st, storage::OpBreakdown& bd);
   [[nodiscard]] std::vector<u8> scan_response(std::string_view target);
   void respond(net::TcpConn& conn, int status, std::span<const u8> body = {});
+  // Sends a zero-copy hit's value from the handle `sh`'s probe returned.
   void respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
-                               std::string_view key, bool batched);
+                               const storage::KvStore::Hit& hit);
+
+  // --- Key directory (servers with more than one shard) -----------------
+  // Which shards hold a version of each key, and which of them wrote it
+  // last. It is volatile: a restarted server rebuilds it from the shards'
+  // scan_keys. Each request that consults it pays one DRAM access.
+  struct DirEntry {
+    u64 shards = 0;  // bit i: shard i holds a version
+    u32 last = 0;    // the shard holding the newest version
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view k) const noexcept {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
+  using Directory =
+      std::unordered_map<std::string, DirEntry, KeyHash, std::equal_to<>>;
+  [[nodiscard]] bool has_directory() const noexcept {
+    return shards_.size() > 1;
+  }
+  // The key's entry (charged as a DRAM read), or end().
+  Directory::iterator dir_find(std::string_view key);
+  // Records that `shard` now holds the newest version (a DRAM write).
+  void dir_note_write(std::string_view key, u32 shard);
 
   Host& host_;
   ServerConfig cfg_;
   std::vector<Shard> shards_;
+  Directory dir_;
   repl::Replicator* repl_ = nullptr;
   u64 repl_tax_ns_ = 0;
   u64 repl_gated_ops_ = 0;

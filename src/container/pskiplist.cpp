@@ -89,6 +89,7 @@ void PSkipList::charge_visits(u64 visits) const {
 }
 
 u64 PSkipList::find_greater_or_equal(std::string_view key, u64* prev) const {
+  walks_++;
   last_visits_ = 0;
   u64 x = head_;
   int level = height_ - 1;

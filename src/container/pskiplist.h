@@ -107,6 +107,8 @@ class PSkipList {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] u64 last_visits() const noexcept { return last_visits_; }
+  // Searches from the head (get, put, erase, scan start) since creation.
+  [[nodiscard]] u64 walks() const noexcept { return walks_; }
 
   // Back-to-back traversal hint: while set, the cold-miss fraction is
   // scaled by the cost model's batched_warm_scale (upper index levels
@@ -189,6 +191,7 @@ class PSkipList {
   int height_ = 1;  // volatile hint; recomputed on recover
   std::size_t size_ = 0;
   mutable u64 last_visits_ = 0;
+  mutable u64 walks_ = 0;
   bool warm_ = false;
   pm::FlushBatcher* batcher_ = &dev_->passthrough();
   std::unordered_set<u64> fresh_;  // epoch-born nodes (volatile)

@@ -233,21 +233,27 @@ Result<std::vector<u8>> PktStore::get(std::string_view key) const {
 
 Result<storage::KvStore::Hit> PktStore::lookup(std::string_view key,
                                                bool batched) {
-  const auto m = stat(key);
-  if (!m.ok()) return m.errc();
+  const auto head = index_.get(key);
+  if (!head.ok()) return head.errc();
   set_batched(batched);
   Hit h;
-  h.len = m->len;
-  h.zero_copy = true;
+  h.len = chain_.meta(head.value())->total_len;
+  h.handle = head.value();
   return h;
+}
+
+Result<std::vector<net::PktBuf*>> PktStore::emit_pkts(const Hit& hit) const {
+  obs::inc(m_gets_);
+  return chain_.emit_pkts(hit.handle);
 }
 
 Result<std::vector<net::PktBuf*>> PktStore::get_as_pkts(
     std::string_view key) const {
-  obs::inc(m_gets_);
   const auto head = index_.get(key);
   if (!head.ok()) return head.errc();
-  return chain_.emit_pkts(head.value());
+  Hit h;
+  h.handle = head.value();
+  return emit_pkts(h);
 }
 
 PktStore::ValueMeta PktStore::stat_of(u64 head) const {

@@ -93,15 +93,21 @@ class PktStore final : public storage::KvStore {
   // Copy-out read, checksum-verified.
   [[nodiscard]] Result<std::vector<u8>> get(std::string_view key) const;
 
-  // GET probe: a stat() of the index, no value read; the value leaves
-  // zero-copy through get_as_pkts(). Only a hit takes `batched`.
+  // GET probe: one index walk to the chain head, no value read. The hit
+  // carries the head as its handle, so emit_pkts() transmits the value
+  // without a second walk. Only a hit takes `batched`.
   [[nodiscard]] Result<Hit> lookup(std::string_view key,
                                    bool batched) override;
 
-  // Zero-copy read for transmission: frag-backed packets over the stored
-  // buffers, ready for TcpConn::send_pkt (after HTTP header prepend).
+  // Zero-copy read for transmission: frag-backed packets over the chain
+  // a lookup() hit names, ready for TcpConn::send_pkt (after HTTP header
+  // prepend).
+  [[nodiscard]] Result<std::vector<net::PktBuf*>> emit_pkts(
+      const Hit& hit) const override;
+
+  // The same packets for `key`: one index walk, then emit_pkts().
   [[nodiscard]] Result<std::vector<net::PktBuf*>> get_as_pkts(
-      std::string_view key) const override;
+      std::string_view key) const;
 
   struct ValueMeta {
     u64 len;
@@ -131,6 +137,8 @@ class PktStore final : public storage::KvStore {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
+  // Index walks since creation (PSkipList::walks).
+  [[nodiscard]] u64 index_walks() const noexcept { return index_.walks(); }
   [[nodiscard]] Status validate() const { return index_.validate(); }
 
   // Recovery cost split of the index rebuild (backbone scan vs. tower

@@ -216,8 +216,9 @@ struct PktBuf {
   // Pool bookkeeping (private to PktBufPool). `owner` is the pool that
   // allocated this metadata: with per-core pool shards (multi-queue RSS
   // datapath) a packet can cross shards — e.g. a zero-copy GET response
-  // built by the key's home shard and transmitted by the connection's
-  // core — and every ref/unref/free must route to the owning pool.
+  // built by the shard holding the key and transmitted by the
+  // connection's core — and every ref/unref/free must route to the
+  // owning pool.
   class PktBufPool* owner = nullptr;
   bool in_use = false;
 };

@@ -76,6 +76,7 @@ void PmDevice::throw_out_of_range() {
 
 void PmDevice::store(u64 offset, std::span<const u8> data) {
   check_range(offset, data.size());
+  if (data.empty()) return;  // an empty span's data() may be null
   std::memcpy(mem_.data() + offset, data.data(), data.size());
   mark_dirty(offset, data.size());
 }

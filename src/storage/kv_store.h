@@ -21,13 +21,16 @@ namespace papm::storage {
 
 class KvStore {
  public:
-  // A GET hit. A copying store hands back the value bytes; a zero-copy
-  // store hands back only the length and transmits the value from its
-  // own buffers through get_as_pkts().
+  // A GET hit: the probe that found it is the GET's only index walk. A
+  // copying store hands back the value bytes; a zero-copy store hands
+  // back the length and its own handle on the stored value (PktStore:
+  // the chain head), from which emit_pkts() transmits without walking
+  // the index again. The handle is valid until the store's next
+  // mutation.
   struct Hit {
     u64 len = 0;
-    bool zero_copy = false;
-    std::vector<u8> bytes;  // the value, when !zero_copy
+    u64 handle = 0;         // nonzero iff the hit is zero-copy
+    std::vector<u8> bytes;  // the value, when handle == 0
   };
 
   virtual ~KvStore() = default;
@@ -46,16 +49,18 @@ class KvStore {
   virtual Status put_bytes(std::string_view key, std::span<const u8> value,
                            OpBreakdown* bd = nullptr) = 0;
 
-  // One shard's probe of a GET read-merge. `batched` is the request's
-  // back-to-back hint; each store applies it to its own read path.
-  // Errc::not_found on a miss.
+  // A GET's probe of this store. `batched` is the request's back-to-back
+  // hint; each store applies it to its own read path. Errc::not_found on
+  // a miss.
   [[nodiscard]] virtual Result<Hit> lookup(std::string_view key,
                                            bool batched) = 0;
 
-  // Zero-copy read for transmission: frag-backed packets over the stored
-  // value. Only stores whose hits are zero_copy serve it.
-  [[nodiscard]] virtual Result<std::vector<net::PktBuf*>> get_as_pkts(
-      std::string_view /*key*/) const {
+  // Zero-copy read for transmission: frag-backed packets over the value
+  // a zero-copy hit (handle != 0) names, taken from that hit's handle
+  // with no second index walk. Only stores whose hits carry a handle
+  // serve it.
+  [[nodiscard]] virtual Result<std::vector<net::PktBuf*>> emit_pkts(
+      const Hit& /*hit*/) const {
     return Errc::not_supported;
   }
 

@@ -12,9 +12,9 @@
 //
 // An LsmStore instance is single-threaded by construction: on a
 // scaled-out host (DESIGN.md §7) the KvServer creates one store per
-// datapath shard over that shard's private PmPool slice, writes to the
-// key's home shard and merges shard views on reads — there is no
-// cross-core sharing inside a store.
+// datapath shard over that shard's private PmPool slice, writes on the
+// ingress shard and reads from the shard that wrote the key last — there
+// is no cross-core sharing inside a store.
 #pragma once
 
 #include <deque>
@@ -74,8 +74,8 @@ class LsmStore final : public KvStore {
   /// Copy-out read across all tables, newest first; verifies checksums
   /// (Errc::corrupted surfaces torn records instead of returning them).
   [[nodiscard]] Result<std::vector<u8>> get(std::string_view key) const;
-  /// get() under the request's batched hint, which every probed shard
-  /// takes before its read (the memtable charges traversal by it).
+  /// get() under the request's batched hint, taken before the read (the
+  /// memtable charges traversal by it). A copying hit: no handle.
   [[nodiscard]] Result<Hit> lookup(std::string_view key, bool batched) override;
 
   // Ordered range scan across all tables (newest value wins, tombstones

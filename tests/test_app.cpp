@@ -3,6 +3,7 @@
 // and queueing behaviour — these are the properties the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -170,15 +171,16 @@ TEST(Harness, LsmWithWalIsSlower) {
 
 // A PM-backed KvServer on `cores` datapath shards and raw client
 // connections to it, for end-to-end request/response checks against a
-// chosen backend. Connection 0 opens at construction.
+// chosen backend. Connection 0 opens at construction unless
+// `connect_first` is false.
 class KvRig {
  public:
-  explicit KvRig(Backend b, int cores = 1)
+  explicit KvRig(Backend b, int cores = 1, bool connect_first = true)
       : fabric_(env_),
         server_(env_, fabric_, server_cfg(cores)),
         client_(env_, fabric_, client_cfg()),
         srv_(server_, kv_cfg(b)) {
-    (void)connect();
+    if (connect_first) (void)connect();
   }
 
   // Opens one more client connection; its index.
@@ -254,8 +256,19 @@ class KvRig {
     ADD_FAILURE() << "probe on connection " << conn << " was not dispatched";
     return 0;
   }
+  // Opens connections until one lands off `shard`; its index, or 0 when
+  // none did.
+  std::size_t connect_off(u32 shard) {
+    for (int tries = 0; tries < 32; tries++) {
+      const std::size_t c = connect();
+      if (shard_of(c) != shard) return c;
+    }
+    return 0;
+  }
 
   [[nodiscard]] KvServer& server() { return srv_; }
+  [[nodiscard]] Host& server_host() { return server_; }
+  [[nodiscard]] u32 shards() const { return server_.datapaths(); }
   [[nodiscard]] u64 server_counter(const std::string& name) {
     return server_.merged_metrics().counter(name).value();
   }
@@ -356,6 +369,43 @@ TEST(KvServerParse, UpperCaseContentLengthKeepsBody) {
   EXPECT_EQ(str(get->body), "hello");
 }
 
+// raw_persist copies a PUT body into its fixed PM region. A body larger
+// than the region is refused 413 at head parse and never written: a
+// block allocated right past the region keeps its bytes.
+TEST(KvServerParse, RawPersistBodyPastItsRegionIs413) {
+  KvRig rig(Backend::raw_persist, 1, /*connect_first=*/false);
+  // Before any packet buffer is allocated, the next block is the one
+  // that follows the region.
+  const u64 end = rig.server().raw_region(0) + KvServer::kRawRegion;
+  const auto guard = rig.server_host().pm_pool(0).alloc(8192);
+  ASSERT_TRUE(guard.ok());
+  ASSERT_EQ(guard.value(), end);
+  pm::PmDevice& dev = rig.server_host().pm_device();
+  const std::vector<u8> sentinel(8192, 0xa5);
+  dev.store(end, sentinel);
+  (void)rig.connect();
+
+  // The head goes first; a client that hears the early 413 sends no body
+  // (as with Expect: 100-continue). A server that waits for the body
+  // gets all of it.
+  const std::vector<u8> body(KvServer::kRawRegion + 4096, 'z');
+  auto r = rig.send_raw("PUT /kv/big HTTP/1.1\r\nContent-Length: " +
+                        std::to_string(body.size()) + "\r\n\r\n");
+  if (!r.has_value()) r = rig.send_raw(body);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 413);
+  EXPECT_EQ(rig.server().errors(), 1u);
+  const auto after = dev.span(end, sentinel.size());
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), sentinel.begin()));
+
+  // The server keeps serving: a body that fits is persisted.
+  const std::size_t other = rig.connect();
+  const auto ok = rig.request(http::Method::put, "/kv/small",
+                              std::vector<u8>(100, 's'), other);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, 200);
+}
+
 // The baselines without a store answer every method 200 with an empty
 // body (Table 1 / Fig. 2 wire bytes).
 class StorelessTest : public ::testing::TestWithParam<Backend> {};
@@ -378,19 +428,15 @@ INSTANTIATE_TEST_SUITE_P(Backends, StorelessTest,
 
 // The one request pipeline across shards, for both indexed stores: a key
 // written through one shard reads back byte-identical through another
-// (read-merge), lists once when both shards hold it (scan dedup), and a
-// DELETE through either connection erases it everywhere.
+// (the key directory routes the read), lists once when both shards hold
+// it (scan dedup), and a DELETE through either connection erases it
+// everywhere.
 class CrossShardTest : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(CrossShardTest, ReadMergeScanAndDeleteSpanShards) {
   KvRig rig(GetParam(), 4);
-  const u32 home_a = rig.shard_of(0);
-  std::size_t b = 0;
-  for (int tries = 0; tries < 32 && b == 0; tries++) {
-    const std::size_t c = rig.connect();
-    if (rig.shard_of(c) != home_a) b = c;
-  }
-  ASSERT_NE(b, 0u) << "no connection landed off shard " << home_a;
+  const std::size_t b = rig.connect_off(rig.shard_of(0));
+  ASSERT_NE(b, 0u) << "no connection landed off connection 0's shard";
 
   std::vector<u8> value(3000);  // three segments
   for (std::size_t i = 0; i < value.size(); i++) {
@@ -424,8 +470,102 @@ TEST_P(CrossShardTest, ReadMergeScanAndDeleteSpanShards) {
   EXPECT_EQ(gone_b->status, 404);
 }
 
+// PUTs land on their connection's shard, so one key can hold versions on
+// two shards. A GET through either connection returns the last acked
+// PUT, and a scan lists its length — with distinct values per PUT, so a
+// stale copy cannot pass for the newest.
+TEST_P(CrossShardTest, GetReturnsLastAckedPutAcrossShards) {
+  KvRig rig(GetParam(), 4);
+  const std::size_t b = rig.connect_off(rig.shard_of(0));
+  ASSERT_NE(b, 0u) << "no connection landed off connection 0's shard";
+
+  const std::vector<u8> v1(700, '1');
+  const std::vector<u8> v2(1900, '2');
+  const auto put1 = rig.request(http::Method::put, "/kv/k", v1, 0);
+  ASSERT_TRUE(put1.has_value());
+  ASSERT_EQ(put1->status, 201);
+  const auto put2 = rig.request(http::Method::put, "/kv/k", v2, b);
+  ASSERT_TRUE(put2.has_value());
+  ASSERT_EQ(put2->status, 201);
+  for (const std::size_t conn : {std::size_t{0}, b}) {
+    const auto get = rig.request(http::Method::get, "/kv/k", {}, conn);
+    ASSERT_TRUE(get.has_value()) << "conn " << conn;
+    ASSERT_EQ(get->status, 200) << "conn " << conn;
+    EXPECT_EQ(str(get->body), str(v2)) << "conn " << conn;
+  }
+  const auto scan = rig.request(http::Method::get, "/scan/", {}, 0);
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_EQ(str(scan->body), "k\t1900\n");
+
+  // Writing through the first shard again makes its copy the newest.
+  const auto put3 = rig.request(http::Method::put, "/kv/k", v1, 0);
+  ASSERT_TRUE(put3.has_value());
+  ASSERT_EQ(put3->status, 201);
+  const auto get = rig.request(http::Method::get, "/kv/k", {}, b);
+  ASSERT_TRUE(get.has_value());
+  ASSERT_EQ(get->status, 200);
+  EXPECT_EQ(str(get->body), str(v1));
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, CrossShardTest,
                          ::testing::Values(Backend::lsm, Backend::pktstore));
+
+// Index walks of every shard's PktStore, in shard order.
+std::vector<u64> index_walks(KvRig& rig) {
+  std::vector<u64> walks;
+  for (u32 i = 0; i < rig.shards(); i++) {
+    const auto* store =
+        dynamic_cast<const core::PktStore*>(rig.server().store(i));
+    walks.push_back(store != nullptr ? store->index_walks() : 0);
+  }
+  return walks;
+}
+
+// A zero-copy GET hit is one index probe: the send reuses the probe's
+// chain head. Through the writer's shard or another one, exactly one
+// shard's skip list is walked, once. A multi-shard server answers an
+// absent key from its directory without walking any index.
+TEST(KvServerGet, ZeroCopyHitWalksOneIndexOnce) {
+  for (const int cores : {1, 4}) {
+    KvRig rig(Backend::pktstore, cores);
+    std::vector<std::size_t> conns{0};
+    if (cores > 1) {
+      conns.push_back(rig.connect_off(rig.shard_of(0)));
+      ASSERT_NE(conns.back(), 0u);
+    }
+    std::vector<u8> value(3000);  // three segments
+    for (std::size_t i = 0; i < value.size(); i++) {
+      value[i] = static_cast<u8>(i * 5 + 1);
+    }
+    const auto put = rig.request(http::Method::put, "/kv/walk", value, 0);
+    ASSERT_TRUE(put.has_value());
+    ASSERT_EQ(put->status, 201);
+
+    for (const std::size_t conn : conns) {
+      const std::vector<u64> before = index_walks(rig);
+      const auto get = rig.request(http::Method::get, "/kv/walk", {}, conn);
+      ASSERT_TRUE(get.has_value());
+      ASSERT_EQ(get->status, 200);
+      EXPECT_EQ(get->body, value);
+      const std::vector<u64> after = index_walks(rig);
+      u64 walked = 0;
+      u32 shards_walked = 0;
+      for (u32 i = 0; i < rig.shards(); i++) {
+        walked += after[i] - before[i];
+        shards_walked += after[i] != before[i] ? 1 : 0;
+      }
+      EXPECT_EQ(walked, 1u) << cores << " cores, conn " << conn;
+      EXPECT_EQ(shards_walked, 1u) << cores << " cores, conn " << conn;
+    }
+    if (cores > 1) {
+      const std::vector<u64> before = index_walks(rig);
+      const auto miss = rig.request(http::Method::get, "/kv/absent", {}, 0);
+      ASSERT_TRUE(miss.has_value());
+      EXPECT_EQ(miss->status, 404);
+      EXPECT_EQ(index_walks(rig), before);
+    }
+  }
+}
 
 // Range query end-to-end: prime keys through the harness-style server,
 // then issue GET /scan/<from>/<to> on a raw connection and check the

@@ -158,7 +158,8 @@ TEST(ScalingServer, SameSeedSameConfigBitIdenticalSummaries) {
 }
 
 TEST(ScalingServer, MixedReadWriteAcrossShardsServesCorrectValues) {
-  // GETs on a sharded pktstore cross shards (read-merge): a key PUT via
+  // GETs on a sharded pktstore cross shards (the key directory routes
+  // them to the last writer): a key PUT via
   // one ingress core must be readable via a connection landing on
   // another. The client verifies every GET body; early 404s (GET before
   // first PUT of a key) are the only tolerated errors.
