@@ -13,7 +13,9 @@
 # trace file (@TRACE@) has that file compared too. The flagged runs cover
 # the harness's optional branches: replication inside run_experiment,
 # span tracing and attribution, the metrics sections, the admin scrape
-# probe and the rebalancer. The three recovery runs drive PChain,
+# probe, the rebalancer, and software checksums on the zero-copy GET
+# path (openloop-nocsum: heads and frags of any length, summed in
+# software on both hosts). The three recovery runs drive PChain,
 # PSkipList, PmMemtable and the WAL outside any server; --crashpoints
 # prints the flush/fence index each cut landed at, so any change in the
 # persistence event sequence shows. Prints one line per run and exits
@@ -55,6 +57,7 @@ runs=(
   "fig2-metrics|bench_fig2|--metrics|stdout"
   "openloop-admin|bench_openloop|--conns 1000 --seconds 1 --admin-overhead|stdout"
   "openloop-rebalance|bench_openloop|--conns 1000 --seconds 1 --rebalance --metrics|stdout"
+  "openloop-nocsum|bench_openloop|--conns 1000 --seconds 1 --no-csum-offload --metrics|stdout"
   "scaling-rebalance|bench_scaling|--quick --rebalance|json"
   "repl-trace|bench_repl|--quick --trace @TRACE@|stdout"
   "recovery-a3|bench_recovery||stdout"

@@ -57,6 +57,8 @@ void WrkClient::issue(ConnCtx& ctx) {
   const u64 key_idx = ctx.zipf.has_value() ? ctx.zipf->next()
                                            : ctx.rng.next_below(cfg_.keyspace);
   const bool is_get = ctx.rng.next_double() < cfg_.get_ratio;
+  ctx.is_get = is_get;
+  ctx.key_idx = key_idx;
 
   env.clock().advance(env.cost.scaled(env.cost.client_http_build_ns));
   http::Request req;
@@ -82,7 +84,16 @@ void WrkClient::on_readable(ConnCtx& ctx) {
       continue;
     }
     env.clock().advance(env.cost.scaled(env.cost.client_http_parse_ns));
-    if (resp->status >= 400) {
+    // Every PUT of a key carries the same bytes, so a GET that returns a
+    // body must return exactly those (stores without an index answer an
+    // empty 200 and are not checked). Host-side only: no simulated time.
+    bool bad = resp->status >= 400;
+    if (ctx.in_flight && ctx.is_get && resp->status == 200 &&
+        !resp->body.empty()) {
+      gets_checked_++;
+      bad = resp->body != value_for(cfg_.seed, ctx.key_idx, cfg_.value_size);
+    }
+    if (bad) {
       http_errors_++;
       obs::inc(m_http_errors_);
     }

@@ -52,10 +52,14 @@ class WrkClient {
   [[nodiscard]] Stats& latencies() noexcept { return rtt_; }
   [[nodiscard]] u64 completed() const noexcept { return completed_; }
   [[nodiscard]] u64 http_errors() const noexcept { return http_errors_; }
+  // GETs answered 200 with a body, each compared byte for byte with the
+  // key's value_for() bytes; a mismatch also counts as an HTTP error.
+  [[nodiscard]] u64 gets_checked() const noexcept { return gets_checked_; }
   void reset_stats() {
     rtt_.clear();
     completed_ = 0;
     http_errors_ = 0;
+    gets_checked_ = 0;
     trace_.clear();
   }
 
@@ -70,6 +74,8 @@ class WrkClient {
     http::ResponseParser parser;
     SimTime issued_at = 0;
     bool in_flight = false;
+    bool is_get = false;  // the request in flight
+    u64 key_idx = 0;
     Rng rng{0};
     std::optional<Zipf> zipf;
   };
@@ -84,6 +90,7 @@ class WrkClient {
   Stats rtt_;
   u64 completed_ = 0;
   u64 http_errors_ = 0;
+  u64 gets_checked_ = 0;
   u64 next_req_ = 1;  // trace request ids
   bool stopped_ = false;
   bool tracing_ = false;

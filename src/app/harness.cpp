@@ -240,6 +240,7 @@ RunResult run_experiment(const RunConfig& cfg) {
     r.avg_breakdown /= static_cast<SimTime>(server.breakdown_ops());
   }
   r.server_errors = server.errors() + client.http_errors();
+  r.gets_checked = client.gets_checked();
   r.retransmits_hint = tb.fabric().dropped();
   tb.collect(r, r.ops, cfg.measure_ns, cfg.collect_metrics);
   if (rep != nullptr) {

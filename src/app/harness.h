@@ -158,7 +158,8 @@ struct RunResult : TestbedResult {
   Stats rtt;             // per-request RTT samples, ns
   u64 ops = 0;           // requests completed in the measurement window
   storage::OpBreakdown avg_breakdown;  // server-side, per op
-  u64 server_errors = 0;
+  u64 server_errors = 0;   // server errors + client HTTP errors
+  u64 gets_checked = 0;    // GET bodies byte-checked by the client
   u64 retransmits_hint = 0;  // fabric drops (loss experiments)
 
   // Replication activity (zeros when cfg.repl is off).

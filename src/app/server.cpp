@@ -122,6 +122,14 @@ void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
     c.on_readable = nullptr;
     if (const auto st = conns_.take(conn_key(&c))) {
       for (auto* pb : st->pkts) net::PktBufPool::release(pb);
+      if (c.zc_dropped() != 0) {
+        truncated_responses_ += c.zc_dropped();
+        // Registered on first use, so runs that truncate nothing keep
+        // their metric dumps unchanged.
+        host_.metrics(st->shard)
+            .counter("server.truncated_responses")
+            .add(c.zc_dropped());
+      }
     }
   };
 }
@@ -457,7 +465,11 @@ void KvServer::dispatch(net::TcpConn& conn, ConnState& st) {
       if (remaining == 0) break;
     }
     const std::span<net::PktBuf*> pkts(st.pkts.data() + first, offs.size());
-    if (sh.store->put_pkts(st.key, pkts, offs, lens, &bd).ok()) {
+    // An empty body has no segment range to adopt: store the empty value.
+    const Status put =
+        offs.empty() ? sh.store->put_bytes(st.key, {}, &bd)
+                     : sh.store->put_pkts(st.key, pkts, offs, lens, &bd);
+    if (put.ok()) {
       status = 201;
       if (has_directory()) {
         const SimTime t0 = env.now();
@@ -664,22 +676,22 @@ void KvServer::respond_value_zero_copy(net::TcpConn& conn, Shard& sh,
                                        const storage::KvStore::Hit& hit) {
   auto& env = host_.env();
   env.clock().advance(env.cost.scaled(env.cost.server_http_build_ns));
-  // Headers go through the copying send (they are tiny)...
+  // The stored packets are the response (§4.2): the head is copied into
+  // the first packet's linear buffer and the value rides as frags from
+  // the probe's handle (no second index walk). Packets the window cannot
+  // take yet wait, in order, in the connection's zero-copy TX queue.
   const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: " +
                            std::to_string(hit.len) + "\r\n\r\n";
-  (void)conn.send(std::span<const u8>(
-      reinterpret_cast<const u8*>(head.data()), head.size()));
-  // ...the value leaves as frag-backed packets, zero copy (§4.2), from
-  // the probe's handle: no second index walk.
-  auto pkts = sh.store->emit_pkts(hit);
-  if (!pkts.ok()) return;
-  for (net::PktBuf* pb : pkts.value()) {
-    if (!conn.send_pkt(pb).ok()) {
-      // Window full; closed-loop benches never hit this.
-      errors_++;
-      obs::inc(sh.m_errors);
-    }
+  auto pkts = sh.store->emit_pkts(
+      hit, std::span<const u8>(reinterpret_cast<const u8*>(head.data()),
+                               head.size()));
+  if (!pkts.ok()) {
+    errors_++;
+    obs::inc(sh.m_errors);
+    respond(conn, 500);
+    return;
   }
+  for (net::PktBuf* pb : pkts.value()) (void)conn.send_pkt(pb);
 }
 
 }  // namespace papm::app

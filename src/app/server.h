@@ -137,6 +137,13 @@ class KvServer {
   }
   [[nodiscard]] u64 breakdown_ops() const noexcept { return breakdown_ops_; }
   [[nodiscard]] u64 errors() const noexcept { return errors_; }
+  // Zero-copy response packets still queued when their connection
+  // closed: each one cuts a response short. Counted over the server's
+  // whole life — reset_stats() leaves it alone, so a truncation during
+  // warmup still shows.
+  [[nodiscard]] u64 truncated_responses() const noexcept {
+    return truncated_responses_;
+  }
 
   // The raw_persist backend's PM region on `shard` (kRawRegion bytes);
   // 0 for the other backends. A PUT whose body exceeds it is answered 413.
@@ -343,6 +350,7 @@ class KvServer {
   FlatMap<std::unique_ptr<ConnState>> conns_;
   u64 ops_ = 0;
   u64 errors_ = 0;
+  u64 truncated_responses_ = 0;
   u64 admin_requests_ = 0;
   u64 next_req_ = 1;  // trace request ids (monotonic across shards)
   storage::OpBreakdown breakdown_sum_{};

@@ -49,6 +49,12 @@ u32 inet_sum(std::span<const u8> data) noexcept {
   return static_cast<u32>(sum);
 }
 
+u32 inet_sum_at(u32 acc, std::size_t off, std::span<const u8> data) noexcept {
+  u16 s = inet_fold(inet_sum(data));
+  if (off % 2 != 0) s = static_cast<u16>((s << 8) | (s >> 8));
+  return static_cast<u32>(inet_fold(acc)) + s;
+}
+
 u16 inet_checksum(std::span<const u8> data) noexcept {
   return static_cast<u16>(~inet_fold(inet_sum(data)));
 }

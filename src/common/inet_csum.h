@@ -17,6 +17,16 @@ namespace papm {
 // An odd trailing byte is padded with zero, per RFC 1071.
 [[nodiscard]] u32 inet_sum(std::span<const u8> data) noexcept;
 
+// Adds the sum of `data` to the running sum `acc` of the `off` bytes
+// that precede it in one flat byte stream: at an odd offset the block's
+// bytes land at swapped word positions, so its sum is byte-swapped before
+// adding (RFC 1071 s.2(B)). Summing a scattered packet piece by piece
+// this way equals inet_sum of its flattened bytes once folded. `acc` may
+// hold any unfolded sum (a pseudo-header sum, say); the result is at
+// most 0x1fffe.
+[[nodiscard]] u32 inet_sum_at(u32 acc, std::size_t off,
+                              std::span<const u8> data) noexcept;
+
 // Fold a 32-bit running sum into 16 bits.
 [[nodiscard]] constexpr u16 inet_fold(u32 sum) noexcept {
   while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);

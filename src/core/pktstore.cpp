@@ -242,9 +242,10 @@ Result<storage::KvStore::Hit> PktStore::lookup(std::string_view key,
   return h;
 }
 
-Result<std::vector<net::PktBuf*>> PktStore::emit_pkts(const Hit& hit) const {
+Result<std::vector<net::PktBuf*>> PktStore::emit_pkts(
+    const Hit& hit, std::span<const u8> prefix) const {
   obs::inc(m_gets_);
-  return chain_.emit_pkts(hit.handle);
+  return chain_.emit_pkts(hit.handle, prefix);
 }
 
 Result<std::vector<net::PktBuf*>> PktStore::get_as_pkts(
@@ -253,7 +254,7 @@ Result<std::vector<net::PktBuf*>> PktStore::get_as_pkts(
   if (!head.ok()) return head.errc();
   Hit h;
   h.handle = head.value();
-  return emit_pkts(h);
+  return emit_pkts(h, {});
 }
 
 PktStore::ValueMeta PktStore::stat_of(u64 head) const {

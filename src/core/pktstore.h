@@ -99,13 +99,16 @@ class PktStore final : public storage::KvStore {
   [[nodiscard]] Result<Hit> lookup(std::string_view key,
                                    bool batched) override;
 
-  // Zero-copy read for transmission: frag-backed packets over the chain
-  // a lookup() hit names, ready for TcpConn::send_pkt (after HTTP header
-  // prepend).
+  // Zero-copy read for transmission: the packets PChain::emit_pkts builds
+  // over the chain a lookup() hit names — `prefix` (the HTTP head) in the
+  // first packet's linear buffer, the value as frags, packed to kMss
+  // payload bytes each, so a head of H bytes and a value of N leave in
+  // ceil((H + N) / kMss) segments. Ready for TcpConn::send_pkt.
   [[nodiscard]] Result<std::vector<net::PktBuf*>> emit_pkts(
-      const Hit& hit) const override;
+      const Hit& hit, std::span<const u8> prefix) const override;
 
-  // The same packets for `key`: one index walk, then emit_pkts().
+  // The same packets for `key`, with no prefix: one index walk, then
+  // emit_pkts().
   [[nodiscard]] Result<std::vector<net::PktBuf*>> get_as_pkts(
       std::string_view key) const;
 

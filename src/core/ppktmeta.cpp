@@ -1,5 +1,6 @@
 #include "core/ppktmeta.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -253,36 +254,61 @@ Status PChain::verify(u64 head) const {
   return Errc::ok;
 }
 
-Result<std::vector<net::PktBuf*>> PChain::emit_pkts(u64 head) const {
+Result<std::vector<net::PktBuf*>> PChain::emit_pkts(
+    u64 head, std::span<const u8> prefix) const {
+  if (prefix.size() > net::kMss) return Errc::invalid_argument;
+  auto& env = dev_->env();
   std::vector<net::PktBuf*> out;
+  net::PktBuf* pb = nullptr;
+  const auto fail = [&](Errc e) {
+    if (pb != nullptr) pktpool_->free(pb);
+    for (auto* p : out) pktpool_->free(p);
+    return e;
+  };
+  // A packet with header room and `extra` linear bytes after it.
+  const auto start = [&](std::size_t extra) {
+    const auto len = static_cast<u32>(net::kAllHdrLen + extra);
+    pb = pktpool_->alloc(len);
+    if (pb == nullptr) return false;
+    pb->len = len;
+    pb->payload_off = static_cast<u16>(net::kAllHdrLen);
+    return true;
+  };
+  // The prefix (the HTTP response head) rides in the first packet's
+  // linear buffer behind the header room: the one copy, charged like the
+  // socket write it replaces, and left dirty like the TCP headers.
+  if (!start(prefix.size())) return Errc::out_of_space;
+  if (!prefix.empty()) {
+    env.clock().advance(env.cost.copy_cost(prefix.size()));
+    std::memcpy(pktpool_->writable(*pb, pb->len).data() + net::kAllHdrLen,
+                prefix.data(), prefix.size());
+    pktpool_->arena().mark_dirty(pb->data_h + net::kAllHdrLen, prefix.size());
+  }
+  // Value bytes ride as frags, packed greedily into MSS-payload packets:
+  // a packet ends when full or out of frag slots, so a segment may be
+  // split across two packets and a packet may span several segments.
+  u64 room = net::kMss - prefix.size();
   for (u64 at = head; at != 0;) {
     const PPktMeta* m = meta(at);
-    if (m->magic != PPktMeta::kMagic) {
-      for (auto* pb : out) pktpool_->free(pb);
-      return Errc::corrupted;
+    if (m->magic != PPktMeta::kMagic) return fail(Errc::corrupted);
+    for (u32 used = 0; used < m->val_len;) {
+      if (room == 0 || pb->nr_frags == net::PktBuf::kMaxFrags) {
+        out.push_back(pb);
+        pb = nullptr;
+        if (!start(0)) return fail(Errc::out_of_space);
+        room = net::kMss;
+      }
+      if (pb->nr_frags == 0) pb->hw_tstamp = m->hw_tstamp;  // first segment's
+      const auto take = static_cast<u32>(std::min<u64>(room, m->val_len - used));
+      const Status st = pktpool_->add_frag(*pb, m->data_off, take,
+                                           m->val_off + used, m->data_cap);
+      if (!st.ok()) return fail(st.errc());
+      used += take;
+      room -= take;
     }
-    // Linear part: header room only; value rides as a frag (no copy).
-    net::PktBuf* pb = pktpool_->alloc(static_cast<u32>(net::kAllHdrLen));
-    if (pb == nullptr) {
-      for (auto* p : out) pktpool_->free(p);
-      return Errc::out_of_space;
-    }
-    pb->len = static_cast<u32>(net::kAllHdrLen);
-    pb->payload_off = static_cast<u16>(net::kAllHdrLen);
-    pb->hw_tstamp = m->hw_tstamp;
-    if (static_cast<CsumKind>(m->csum_kind) == CsumKind::inet16) {
-      pb->payload_csum = m->csum16;
-    }
-    const Status st =
-        pktpool_->add_frag(*pb, m->data_off, m->val_len, m->val_off, m->data_cap);
-    if (!st.ok()) {
-      pktpool_->free(pb);
-      for (auto* p : out) pktpool_->free(p);
-      return st.errc();
-    }
-    out.push_back(pb);
     at = m->next;
   }
+  out.push_back(pb);
   return out;
 }
 

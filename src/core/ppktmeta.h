@@ -86,9 +86,18 @@ class PChain {
   // mismatch, ok when no checksum was stored.
   [[nodiscard]] Status verify(u64 head) const;
 
-  // Builds a TX-ready packet per chain element: linear header room plus a
-  // frag pointing at the stored bytes — zero copy (TSO-style emission).
-  [[nodiscard]] Result<std::vector<net::PktBuf*>> emit_pkts(u64 head) const;
+  // Builds TX-ready packets over the chain, zero copy (TSO-style
+  // emission): each has linear header room, the first one followed by
+  // `prefix` (an HTTP response head, at most kMss bytes: the only bytes
+  // copied, charged copy_cost), and the value bytes ride as frags
+  // pointing at the stored buffers. Packets are filled to kMss payload
+  // bytes in stream order, splitting a chain element across two packets
+  // where needed, so prefix plus value leave in ceil((prefix + len) /
+  // kMss) packets — one more only where a packet runs out of its kMaxFrags
+  // frag slots first (elements shorter than kMss / kMaxFrags). An empty
+  // value with an empty prefix is one packet with no payload.
+  [[nodiscard]] Result<std::vector<net::PktBuf*>> emit_pkts(
+      u64 head, std::span<const u8> prefix) const;
 
   // Frees every metadata block and drops the data references.
   void free_chain(u64 head);

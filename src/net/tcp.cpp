@@ -59,6 +59,16 @@ void TcpStack::charge_rx(bool pure_ack) {
   }
 }
 
+void TcpStack::note_zc_depth(std::size_t n) {
+  if (n == 0 || opts_.metrics == nullptr) return;
+  // Registered on first use: a stack whose connections never queued
+  // reports no gauge (and its metric dumps stay as they were).
+  if (m_zc_hwm_ == nullptr) {
+    m_zc_hwm_ = &opts_.metrics->gauge("tcp.zc_queue_hwm");
+  }
+  m_zc_hwm_->peak(n);
+}
+
 void TcpStack::charge_tx() {
   const auto& c = env_.cost;
   env_.clock().advance(
@@ -76,7 +86,6 @@ TcpConn* TcpStack::connect(u32 dst_ip, u16 dst_port) {
   next_iss_ += 1 << 20;
   c->snd_una_ = c->iss_;
   c->snd_nxt_ = c->iss_ + 1;
-  c->snd_buf_seq_ = c->snd_nxt_;
   c->cwnd_ = kInitCwnd;
   c->ssthresh_ = kInitSsthresh;
   c->state_ = TcpState::syn_sent;
@@ -161,18 +170,24 @@ void TcpStack::rx_locked(PktBuf* pb) {
   pool_.free(pb);  // no RST generation for unknown flows; just drop
 }
 
-void TcpStack::output(TcpConn& c, u8 flags, u32 seq, u32 ack,
-                      std::span<const u8> payload, PktBuf** rtx_clone) {
-  PktBuf* pb = pool_.alloc(static_cast<u32>(kAllHdrLen + payload.size()));
-  if (pb == nullptr) return;  // arena exhausted; RTO will recover
-  u8* base = pool_.writable(*pb, static_cast<u32>(kAllHdrLen + payload.size())).data();
-
+PktBuf* TcpStack::copy_pkt(std::span<const u8> payload) {
+  const auto len = static_cast<u32>(kAllHdrLen + payload.size());
+  PktBuf* pb = pool_.alloc(len);
+  if (pb == nullptr) return nullptr;
   pb->payload_off = kAllHdrLen;
-  pb->len = static_cast<u32>(kAllHdrLen + payload.size());
+  pb->len = len;
   if (!payload.empty()) {
-    std::memcpy(base + kAllHdrLen, payload.data(), payload.size());
+    std::memcpy(pool_.writable(*pb, len).data() + kAllHdrLen, payload.data(),
+                payload.size());
     pool_.arena().mark_dirty(pb->data_h + kAllHdrLen, payload.size());
   }
+  return pb;
+}
+
+void TcpStack::output(TcpConn& c, u8 flags, u32 seq, u32 ack,
+                      std::span<const u8> payload, PktBuf** rtx_clone) {
+  PktBuf* pb = copy_pkt(payload);
+  if (pb == nullptr) return;  // arena exhausted; RTO will recover
   output_pkt(c, pb, flags, seq, ack, rtx_clone);
 }
 
@@ -213,17 +228,23 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
 
   if (!opts_.csum_offload_tx) {
     // Software checksumming: charge per byte covered; gather frag bytes.
+    // Each piece is summed at its offset in the segment, so a linear part
+    // or frag of odd length (an HTTP head, say) shifts the ones that
+    // follow by a byte.
     env_.clock().advance(env_.cost.inet_csum_cost(kTcpHdrLen + payload_len));
     u32 sum = tcp_pseudo_sum(ip.src, ip.dst, kTcpHdrLen + payload_len);
-    sum += inet_sum({base + pb->l4_off, kTcpHdrLen});
-    sum += inet_sum({base + kAllHdrLen, static_cast<std::size_t>(pb->len) - kAllHdrLen});
+    sum = inet_sum_at(sum, 0, {base + pb->l4_off, kTcpHdrLen});
+    std::size_t at = kTcpHdrLen;
+    const std::size_t linear = pb->len - kAllHdrLen;
+    sum = inet_sum_at(sum, at, {base + kAllHdrLen, linear});
+    at += linear;
     for (int i = 0; i < pb->nr_frags; i++) {
       const auto& fr = pb->frags[i];
-      // Linear part and every frag here have even lengths in practice;
-      // odd-length middle chunks would need RFC 1071 swap handling.
-      sum += inet_sum({pb->owner->arena().data(fr.data_h, fr.off + fr.len) +
-                           fr.off,
-                       fr.len});
+      sum = inet_sum_at(
+          sum, at,
+          {pb->owner->arena().data(fr.data_h, fr.off + fr.len) + fr.off,
+           fr.len});
+      at += fr.len;
     }
     const u16 csum = static_cast<u16>(~inet_fold(sum));
     base[pb->l4_off + 16] = static_cast<u8>(csum >> 8);
@@ -264,7 +285,6 @@ void TcpConn::rx_listen_syn(PktBuf* pb) {
   stack_->next_iss_ += 1 << 20;
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
-  snd_buf_seq_ = snd_nxt_;
   cwnd_ = kInitCwnd;
   ssthresh_ = kInitSsthresh;
   state_ = TcpState::syn_rcvd;
@@ -322,6 +342,17 @@ void TcpConn::rx(PktBuf* pb) {
   // Established and closing states.
   process_ack(h);
 
+  if (pb->payload_len() > 0 &&
+      (state_ == TcpState::fin_wait_1 || state_ == TcpState::fin_wait_2) &&
+      seq_gt(h.seq + pb->payload_len(), rcv_nxt_)) {
+    // New data for a connection the application closed: nobody will read
+    // it, so reset rather than buffer it (RFC 1122 §4.2.2.13).
+    PktBufPool::release(pb);
+    stack_->charge_tx();
+    send_ctl(kTcpRst | kTcpAck);
+    become_closed();
+    return;
+  }
   if (pb->payload_len() > 0) {
     rx_data(pb);  // takes ownership of pb
   } else {
@@ -418,6 +449,20 @@ void TcpConn::rx_data(PktBuf* pb) {
     PktBufPool::release(pb);  // complete duplicate
     return;
   }
+  // Receive window (RFC 9293 §3.10.7.4): only bytes the buffer has room
+  // for are acceptable. Trim the rest, or drop a segment that lies wholly
+  // past the window (a zero-window probe); the ACK reports the window.
+  // The edge is never left of one advertised earlier: in-order arrivals
+  // move rcv_nxt_ and rcv_queued_ together, and reads only widen it.
+  const std::size_t rcv_buf = stack_->options().rcv_buf;
+  const u32 room = static_cast<u32>(
+      rcv_queued_ < rcv_buf ? rcv_buf - rcv_queued_ : 0);
+  const u32 edge = rcv_nxt_ + room;
+  if (!seq_lt(seq, edge)) {
+    PktBufPool::release(pb);
+    return;
+  }
+  if (seq_gt(seq + len, edge)) pb->len -= seq + len - edge;
   if (seq_lt(seq, rcv_nxt_)) {
     // Partial overlap: trim the already-received prefix.
     const u32 trim = rcv_nxt_ - seq;
@@ -472,6 +517,19 @@ Status TcpConn::send(std::span<const u8> data) {
   if (fin_queued_) return Errc::invalid_argument;
   // User-to-kernel copy.
   stack_->env().clock().advance(stack_->env().cost.copy_cost(data.size()));
+  if (!zc_q_.empty()) {
+    // Behind queued zero-copy packets: the bytes queue as packets too, so
+    // they keep their place in the stream.
+    for (std::size_t at = 0; at < data.size(); at += kMss) {
+      PktBuf* pb = stack_->copy_pkt(
+          data.subspan(at, std::min<std::size_t>(kMss, data.size() - at)));
+      if (pb == nullptr) return Errc::out_of_space;
+      zc_q_.push_back(pb);
+    }
+    try_send();
+    stack_->note_zc_depth(zc_q_.size());
+    return Errc::ok;
+  }
   if (snd_head_ == snd_buf_.size()) {
     snd_buf_.clear();
     snd_head_ = 0;
@@ -490,29 +548,35 @@ Status TcpConn::send_pkt(PktBuf* pb) {
     PktBufPool::release(pb);
     return Errc::not_connected;
   }
-  if (unsent() != 0 || fin_queued_) {
+  if (fin_queued_) {
     PktBufPool::release(pb);
-    return Errc::would_block;  // cannot interleave with buffered bytes
+    return Errc::invalid_argument;
   }
-  const u32 len = static_cast<u32>(pb->payload_total());
-  if (len > kMss) {
+  if (pb->payload_total() > kMss) {
     PktBufPool::release(pb);
     return Errc::too_large;  // caller segments via gso first
   }
-  const u32 inflight = snd_nxt_ - snd_una_;
-  if (inflight + len > std::min(cwnd_, snd_wnd_)) {
-    PktBufPool::release(pb);
-    return Errc::would_block;  // zero-copy path does not buffer
-  }
+  zc_q_.push_back(pb);
+  try_send();
+  stack_->note_zc_depth(zc_q_.size());
+  return Errc::ok;
+}
+
+void TcpConn::send_zc(PktBuf* pb, u32 len) {
   const u32 seq = snd_nxt_;
   snd_nxt_ += len;
-  snd_buf_seq_ = snd_nxt_;
   PktBuf* clone = nullptr;
   stack_->charge_tx();
   stack_->output_pkt(*this, pb, kTcpAck | kTcpPsh, seq, rcv_nxt_, &clone);
   rtx_q_.push_back({clone, seq, len, kTcpAck | kTcpPsh, stack_->env().now(), false});
   arm_rto();
-  return Errc::ok;
+}
+
+bool TcpConn::window_stalled() const noexcept {
+  if (!rtx_q_.empty()) return false;
+  if (unsent() != 0) return snd_wnd_ == 0;
+  return !zc_q_.empty() &&
+         zc_q_.front()->payload_total() > std::min(cwnd_, snd_wnd_);
 }
 
 void TcpConn::try_send() {
@@ -532,14 +596,19 @@ void TcpConn::try_send() {
     snd_head_ += take;
     const u32 seq = snd_nxt_;
     snd_nxt_ += take;
-    snd_buf_seq_ = snd_nxt_;
     stack_->charge_tx();
     // output() copies the payload into the segment before anything can
     // append to snd_buf_.
     send_segment(kTcpAck | kTcpPsh, seq, payload, /*queue_rtx=*/true);
   }
-  // Queue the FIN once the send buffer drains.
-  if (fin_queued_ && !fin_sent_ && unsent() == 0) {
+  // Zero-copy packets follow the buffered bytes; each leaves whole.
+  while (unsent() == 0 && !zc_q_.empty()) {
+    const auto len = static_cast<u32>(zc_q_.front()->payload_total());
+    if (snd_nxt_ - snd_una_ + len > wnd) break;
+    send_zc(zc_q_.pop_front(), len);
+  }
+  // Queue the FIN once the send buffer and the zero-copy queue drain.
+  if (fin_queued_ && !fin_sent_ && unsent() == 0 && zc_q_.empty()) {
     const u32 inflight = snd_nxt_ - snd_una_;
     if (inflight < wnd || rtx_q_.empty()) {
       fin_sent_ = true;
@@ -550,23 +619,27 @@ void TcpConn::try_send() {
     }
   }
   // Zero-window probing (persist timer, RFC 9293 §3.8.6.1): send one
-  // byte beyond the window; the ACK it elicits reports the reopened
-  // window. (A pending FIN with an empty buffer probes via the FIN
-  // branch above, which fires when nothing is in flight.)
-  if (snd_wnd_ == 0 && unsent() != 0 && rtx_q_.empty()) {
+  // byte, or the next queued zero-copy packet whole, beyond the window;
+  // the ACK it elicits reports the reopened window. (A pending FIN with
+  // an empty buffer probes via the FIN branch above, which fires when
+  // nothing is in flight.)
+  if (window_stalled()) {
     disarm_rto();
     rto_timer_ = stack_->env().engine.schedule_in(rto_, [this] {
       rto_timer_ = 0;
       stack_->run_cpu([this] {
-        if (snd_wnd_ != 0 || unsent() == 0 || !rtx_q_.empty() ||
-            state_ == TcpState::closed) {
+        if (!window_stalled() || state_ == TcpState::closed) {
           try_send();
+          return;
+        }
+        if (unsent() == 0) {
+          PktBuf* pb = zc_q_.pop_front();
+          send_zc(pb, static_cast<u32>(pb->payload_total()));
           return;
         }
         const u8 byte = snd_buf_[snd_head_++];
         const u32 seq = snd_nxt_;
         snd_nxt_ += 1;
-        snd_buf_seq_ = snd_nxt_;
         stack_->charge_tx();
         send_segment(kTcpAck | kTcpPsh, seq, {&byte, 1}, /*queue_rtx=*/true);
       });
@@ -611,8 +684,7 @@ std::size_t TcpConn::read(std::span<u8> out) {
     rcv_consumed_front_ += take;
     if (rcv_consumed_front_ == payload.size()) {
       rcv_consumed_front_ = 0;
-      rcv_q_.pop_front();
-      PktBufPool::release(pb);
+      PktBufPool::release(rcv_q_.pop_front());
     }
   }
   rcv_queued_ -= copied;
@@ -629,8 +701,7 @@ std::vector<PktBuf*> TcpConn::read_pkts() {
 void TcpConn::read_pkts(std::vector<PktBuf*>& out) {
   // Partial copying reads and zero-copy reads do not mix.
   assert(rcv_consumed_front_ == 0);
-  out.insert(out.end(), rcv_q_.begin(), rcv_q_.end());
-  rcv_q_.clear();
+  while (!rcv_q_.empty()) out.push_back(rcv_q_.pop_front());
   rcv_queued_ = 0;
 }
 
@@ -661,6 +732,12 @@ void TcpConn::become_closed() {
   disarm_rto();
   for (auto& e : rtx_q_) PktBufPool::release(e.clone);
   rtx_q_.clear();
+  zc_dropped_ += zc_q_.size();
+  while (!zc_q_.empty()) PktBufPool::release(zc_q_.pop_front());
+  // Nobody reads a closed connection: its received bytes go too.
+  while (!rcv_q_.empty()) PktBufPool::release(rcv_q_.pop_front());
+  rcv_queued_ = 0;
+  rcv_consumed_front_ = 0;
   while (PktBuf* p = ooo_tree_.first()) {
     ooo_tree_.erase(*p);
     PktBufPool::release(p);

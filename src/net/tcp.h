@@ -12,6 +12,10 @@
 //   * a zero-copy receive path (read_pkts) handing whole PktBufs —
 //     metadata, checksums, timestamps — to the application, the PASTE
 //     interface the proposal builds on; plus the classic copying read();
+//   * its transmit twin (send_pkt): frag-backed packets leave without a
+//     copy, waiting in order in a TX queue while the window is full;
+//   * a receive window that holds: bytes past the buffer are trimmed, and
+//     data reaching a connection the application closed resets it;
 //   * connection migration between stacks (extract/adopt): on a
 //     multi-queue host every shard pins its own TcpStack, and RSS
 //     rebalancing re-steers a flow group to another queue — the flow's
@@ -97,6 +101,36 @@ enum class TcpState {
 
 class TcpStack;
 
+// FIFO of packets linked through PktBuf::next. It allocates nothing, so
+// each of a host's thousands of connections pays 24 bytes per queue,
+// most of them empty (a std::deque allocates ~0.5 KB before its first
+// element).
+class PktQueue {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] PktBuf* front() const noexcept { return head_; }
+  void push_back(PktBuf* pb) noexcept {
+    pb->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = pb;
+    tail_ = pb;
+    size_++;
+  }
+  PktBuf* pop_front() noexcept {
+    PktBuf* pb = head_;
+    head_ = pb->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    pb->next = nullptr;
+    size_--;
+    return pb;
+  }
+
+ private:
+  PktBuf* head_ = nullptr;
+  PktBuf* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 class TcpConn {
  public:
   // Application event hooks.
@@ -114,8 +148,13 @@ class TcpConn {
   Status send(std::span<const u8> data);
 
   // Zero-copy transmit: the stack takes ownership of a fully payload-
-  // bearing PktBuf whose data is already in the host arena (PASTE-style
-  // TX; pktstore uses this to emit stored packets without copies).
+  // bearing PktBuf (at most kMss payload bytes, linear part plus frags)
+  // whose data is already in the host arena (PASTE-style TX; pktstore
+  // uses this to emit stored packets without copies). It leaves at once
+  // when the window has room for all of it and waits in the zero-copy TX
+  // queue otherwise, behind any unsent send() bytes; later send() bytes
+  // queue behind it in turn. The queue drains as ACKs open the window
+  // and is released, unsent, when the connection closes.
   Status send_pkt(PktBuf* pb);
 
   // Copying read: drains up to out.size() in-order payload bytes.
@@ -135,6 +174,10 @@ class TcpConn {
   // Introspection for tests.
   [[nodiscard]] std::size_t ooo_queued() const noexcept { return ooo_tree_.size(); }
   [[nodiscard]] std::size_t rtx_queued() const noexcept { return rtx_q_.size(); }
+  // Zero-copy packets waiting for window, and those a close released
+  // unsent.
+  [[nodiscard]] std::size_t zc_queued() const noexcept { return zc_q_.size(); }
+  [[nodiscard]] u64 zc_dropped() const noexcept { return zc_dropped_; }
   [[nodiscard]] u64 retransmits() const noexcept { return retransmits_; }
   [[nodiscard]] u32 cwnd() const noexcept { return cwnd_; }
   [[nodiscard]] SimTime srtt() const noexcept { return srtt_; }
@@ -153,6 +196,11 @@ class TcpConn {
   void rx_data(PktBuf* pb);
   void deliver_in_order();
   void try_send();
+  // Transmits a queued zero-copy packet of `len` payload bytes at snd_nxt.
+  void send_zc(PktBuf* pb, u32 len);
+  // Nothing in flight and the window too small for the next unsent byte
+  // or queued packet: only a persist-timer probe can reopen it.
+  [[nodiscard]] bool window_stalled() const noexcept;
   void send_segment(u8 flags, u32 seq, std::span<const u8> payload,
                     bool queue_rtx);
   void send_ctl(u8 flags);  // pure control segment at snd_nxt
@@ -187,7 +235,6 @@ class TcpConn {
   // boundary. The consumed prefix is dropped once it dominates.
   std::vector<u8> snd_buf_;
   std::size_t snd_head_ = 0;
-  u32 snd_buf_seq_ = 0;  // seq of snd_buf_[snd_head_]
   [[nodiscard]] std::size_t unsent() const noexcept {
     return snd_buf_.size() - snd_head_;
   }
@@ -201,13 +248,18 @@ class TcpConn {
     bool retransmitted;
   };
   std::deque<RtxEntry> rtx_q_;
+  // Zero-copy TX queue (send_pkt): packets not yet sent, in stream order
+  // after the unsent snd_buf_ bytes. While it is non-empty, send() bytes
+  // are packed into packets of their own and queued here too.
+  PktQueue zc_q_;
+  u64 zc_dropped_ = 0;
 
   // Receive state.
   u32 irs_ = 0;
   u32 rcv_nxt_ = 0;
   bool fin_received_ = false;
   u32 fin_seq_ = 0;
-  std::deque<PktBuf*> rcv_q_;  // in-order payload-bearing packets
+  PktQueue rcv_q_;  // in-order payload-bearing packets
   std::size_t rcv_queued_ = 0;
   std::size_t rcv_consumed_front_ = 0;  // partially read() bytes of front pkt
   container::RbTree<PktBuf, u32, &PktBuf::rb, &PktBuf::rb_key> ooo_tree_;
@@ -246,7 +298,9 @@ class TcpStack {
     int core = -1;
     // Mirrors segment/checksum/retransmit counters into a (per-shard)
     // registry: tcp.segments_rx / tcp.segments_tx / tcp.csum_failures /
-    // tcp.retransmits. Null = the plain member counters only.
+    // tcp.retransmits, and the deepest zero-copy TX queue of any of its
+    // connections as the gauge tcp.zc_queue_hwm. Null = the plain member
+    // counters only.
     obs::MetricRegistry* metrics = nullptr;
   };
 
@@ -321,6 +375,10 @@ class TcpStack {
            static_cast<u64>(peer_port) << 16 | local_port;
   }
 
+  // A packet holding a copy of `payload` after the header room (no copy
+  // charge: the caller's send path pays it); null when the arena is
+  // exhausted.
+  PktBuf* copy_pkt(std::span<const u8> payload);
   // Builds and transmits a segment on behalf of a connection.
   void output(TcpConn& c, u8 flags, u32 seq, u32 ack,
               std::span<const u8> payload, PktBuf** rtx_clone);
@@ -329,6 +387,8 @@ class TcpStack {
                   PktBuf** rtx_clone);
   void charge_rx(bool pure_ack);
   void charge_tx();
+  // Raises tcp.zc_queue_hwm to a connection's zero-copy queue depth.
+  void note_zc_depth(std::size_t n);
 
   void rx_locked(PktBuf* pb);  // runs under the host CPU scope
 
@@ -352,6 +412,7 @@ class TcpStack {
   obs::Counter* m_seg_tx_ = nullptr;
   obs::Counter* m_csum_fail_ = nullptr;
   obs::Counter* m_rtx_ = nullptr;
+  obs::Gauge* m_zc_hwm_ = nullptr;
 };
 
 }  // namespace papm::net

@@ -57,10 +57,13 @@ class KvStore {
 
   // Zero-copy read for transmission: frag-backed packets over the value
   // a zero-copy hit (handle != 0) names, taken from that hit's handle
-  // with no second index walk. Only stores whose hits carry a handle
-  // serve it.
+  // with no second index walk. `prefix` (the response head, at most kMss
+  // bytes) is copied into the first packet ahead of the value, and the
+  // packets are packed to kMss payload bytes each: the whole response
+  // leaves as ceil((prefix + len) / kMss) segments, no other send needed.
+  // Only stores whose hits carry a handle serve it.
   [[nodiscard]] virtual Result<std::vector<net::PktBuf*>> emit_pkts(
-      const Hit& /*hit*/) const {
+      const Hit& /*hit*/, std::span<const u8> /*prefix*/) const {
     return Errc::not_supported;
   }
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "app/harness.h"
@@ -172,13 +174,15 @@ TEST(Harness, LsmWithWalIsSlower) {
 // A PM-backed KvServer on `cores` datapath shards and raw client
 // connections to it, for end-to-end request/response checks against a
 // chosen backend. Connection 0 opens at construction unless
-// `connect_first` is false.
+// `connect_first` is false; `csum_offload` false checksums in software on
+// both hosts.
 class KvRig {
  public:
-  explicit KvRig(Backend b, int cores = 1, bool connect_first = true)
+  explicit KvRig(Backend b, int cores = 1, bool connect_first = true,
+                 bool csum_offload = true)
       : fabric_(env_),
-        server_(env_, fabric_, server_cfg(cores)),
-        client_(env_, fabric_, client_cfg()),
+        server_(env_, fabric_, server_cfg(cores, csum_offload)),
+        client_(env_, fabric_, client_cfg(csum_offload)),
         srv_(server_, kv_cfg(b)) {
     if (connect_first) (void)connect();
   }
@@ -228,6 +232,26 @@ class KvRig {
                         reinterpret_cast<const u8*>(bytes.data()), bytes.size()),
                     conn);
   }
+  // Sends one request and closes the connection at once (no half-close:
+  // response bytes that arrive afterwards reset it), then runs until
+  // idle; the response, if one arrived.
+  std::optional<http::Response> request_then_close(http::Method m,
+                                                   std::string target,
+                                                   std::size_t conn = 0) {
+    Client& c = *clients_[conn];
+    c.last.reset();
+    http::Request req;
+    req.method = m;
+    req.target = std::move(target);
+    (void)c.conn->send(http::serialize(req));
+    c.conn->close();
+    env_.engine.run_until_idle();
+    return std::move(c.last);
+  }
+  [[nodiscard]] net::TcpConn& client_conn(std::size_t conn = 0) {
+    return *clients_[conn]->conn;
+  }
+  [[nodiscard]] sim::Env& env() { return env_; }
   // Sends each chunk as its own segment, all in flight at once, then runs
   // the simulation until idle; the last response, if one arrived.
   std::optional<http::Response> send_segments(
@@ -280,18 +304,20 @@ class KvRig {
     std::optional<http::Response> last;
   };
 
-  static HostConfig server_cfg(int cores) {
+  static HostConfig server_cfg(int cores, bool csum_offload) {
     HostConfig c;
     c.ip = 2;
     c.cores = cores;
     c.busy_poll = true;
     c.pm_backed = true;
+    c.nic.csum_offload_tx = c.nic.csum_offload_rx = csum_offload;
     return c;
   }
-  static HostConfig client_cfg() {
+  static HostConfig client_cfg(bool csum_offload) {
     HostConfig c;
     c.ip = 1;
     c.cores = 0;
+    c.nic.csum_offload_tx = c.nic.csum_offload_rx = csum_offload;
     return c;
   }
   static ServerConfig kv_cfg(Backend b) {
@@ -385,16 +411,39 @@ TEST(KvServerParse, RawPersistBodyPastItsRegionIs413) {
   dev.store(end, sentinel);
   (void)rig.connect();
 
-  // The head goes first; a client that hears the early 413 sends no body
-  // (as with Expect: 100-continue). A server that waits for the body
-  // gets all of it.
-  const std::vector<u8> body(KvServer::kRawRegion + 4096, 'z');
-  auto r = rig.send_raw("PUT /kv/big HTTP/1.1\r\nContent-Length: " +
-                        std::to_string(body.size()) + "\r\n\r\n");
-  if (!r.has_value()) r = rig.send_raw(body);
+  // The client streams head and body without waiting for an answer. The
+  // server answers 413 at head parse and closes; the body bytes that keep
+  // arriving reset the connection instead of queueing one zero-window
+  // probe byte per RTO, and the server never holds more than its receive
+  // buffer while they do.
+  const std::string head = "PUT /kv/big HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(KvServer::kRawRegion + 4096) +
+                           "\r\n\r\n";
+  const std::string req =
+      head + std::string(KvServer::kRawRegion + 4096, 'z');
+  std::size_t held_max = 0;
+  std::function<void()> sample = [&] {
+    std::size_t held = 0;
+    rig.server_host().stack().each_conn([&](net::TcpConn& c) {
+      held += c.readable_bytes() + c.ooo_queued() * net::kMss;
+    });
+    held_max = std::max(held_max, held);
+    if (rig.client_conn().state() != net::TcpState::closed &&
+        rig.env().now() < 1000 * kNsPerMs) {
+      rig.env().engine.schedule_in(5 * kNsPerUs, sample);
+    }
+  };
+  rig.env().engine.schedule_in(0, sample);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto r = rig.send_raw(req);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, 413);
   EXPECT_EQ(rig.server().errors(), 1u);
+  EXPECT_EQ(rig.client_conn().state(), net::TcpState::closed);  // reset
+  EXPECT_LE(held_max, rig.server_host().stack().options().rcv_buf);
+  EXPECT_LT(took.count(), 1.0);
   const auto after = dev.span(end, sentinel.size());
   EXPECT_TRUE(std::equal(after.begin(), after.end(), sentinel.begin()));
 
@@ -404,6 +453,94 @@ TEST(KvServerParse, RawPersistBodyPastItsRegionIs413) {
                               std::vector<u8>(100, 's'), other);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->status, 200);
+}
+
+// A zero-copy GET leaves as one stream of frag-backed packets with the
+// HTTP head in the first one: H head bytes and N value bytes take
+// ceil((H + N) / MSS) server segments, whether the value was primed
+// (MSS-sized chunks) or written by a client (segments offset by the PUT
+// head), and with software checksums (odd heads and frags) as well as
+// NIC offload.
+TEST(KvServerGet, ResponseLeavesInCeilHeadPlusValueOverMssSegments) {
+  for (const bool offload : {true, false}) {
+    for (const bool primed : {true, false}) {
+      KvRig rig(Backend::pktstore, 1, /*connect_first=*/true, offload);
+      const std::size_t h41 = 37 + 4;  // the head for a 4-digit length
+      for (const std::size_t n : {std::size_t{0}, std::size_t{512},
+                                  net::kMss - h41, net::kMss,
+                                  std::size_t{16384}, std::size_t{65000}}) {
+        SCOPED_TRACE(::testing::Message() << "offload " << offload
+                                          << " primed " << primed << " N " << n);
+        std::vector<u8> value(n);
+        for (std::size_t i = 0; i < n; i++) value[i] = static_cast<u8>(i * 13 + n);
+        const std::string key = "v" + std::to_string(n);
+        if (primed) {
+          ASSERT_TRUE(rig.server().prime(key, value));
+        } else {
+          const auto put = rig.request(http::Method::put, "/kv/" + key, value);
+          ASSERT_TRUE(put.has_value());
+          ASSERT_EQ(put->status, 201);
+        }
+        const std::size_t head =
+            std::string("HTTP/1.1 200 OK\r\nContent-Length: " +
+                        std::to_string(n) + "\r\n\r\n")
+                .size();
+        const u64 tx0 = rig.server_host().stack().segments_tx();
+        const auto get = rig.request(http::Method::get, "/kv/" + key);
+        ASSERT_TRUE(get.has_value());
+        ASSERT_EQ(get->status, 200);
+        EXPECT_EQ(get->body, value);
+        EXPECT_EQ(rig.server_host().stack().segments_tx() - tx0,
+                  (head + n + net::kMss - 1) / net::kMss);
+      }
+      EXPECT_EQ(rig.server().errors(), 0u);
+      EXPECT_EQ(rig.server_host().stack().csum_failures(), 0u);
+      // The 65000 B response outran the initial window: its tail waited
+      // in the zero-copy TX queue.
+      EXPECT_GT(rig.server_host().merged_metrics().gauge("tcp.zc_queue_hwm").value(),
+                0u);
+    }
+  }
+}
+
+// A connection that closes while its GET response still waits in the
+// zero-copy TX queue cuts that response short: the dropped packets are
+// counted, the count survives reset_stats(), and every packet buffer goes
+// back to its pool.
+TEST(KvServerGet, CloseWithQueuedResponseCountsTruncation) {
+  KvRig rig(Backend::pktstore);
+  const std::size_t live0 = rig.server_host().pool().live_metadata();
+  ASSERT_TRUE(rig.server().prime("big", std::vector<u8>(65000, 'b')));
+  (void)rig.request_then_close(http::Method::get, "/kv/big");
+  EXPECT_EQ(rig.client_conn().state(), net::TcpState::closed);
+  EXPECT_GT(rig.server().truncated_responses(), 0u);
+  EXPECT_EQ(rig.server_counter("server.truncated_responses"),
+            rig.server().truncated_responses());
+  rig.server().reset_stats();
+  EXPECT_GT(rig.server().truncated_responses(), 0u);
+  EXPECT_EQ(rig.server_host().pool().live_metadata(), live0);
+}
+
+// ROADMAP item 1's large-GET table: a pktstore closed loop whose GETs
+// hit (16 keys) with values past the TCP window. Every request gets its
+// whole response, and every GET body is byte-checked against the key's
+// value. The warmup lets PUTs reach all 16 keys first: a GET of a key no
+// PUT has reached yet is a correct 404, and would count as an error.
+TEST(Harness, LargeGetsCompleteWithEveryByteChecked) {
+  for (const int conns : {1, 50}) {
+    for (const std::size_t value : {16000u, 24000u, 32000u, 65000u}) {
+      SCOPED_TRACE(::testing::Message() << conns << " conns, " << value << " B");
+      auto cfg = base_config(Backend::pktstore, conns);
+      cfg.warmup_ns = 40 * kNsPerMs;
+      cfg.get_ratio = 0.5;
+      cfg.keyspace = 16;
+      cfg.value_size = value;
+      const auto r = run_experiment(cfg);
+      EXPECT_GT(r.ops, 100u);
+      EXPECT_GT(r.gets_checked, 40u);
+      EXPECT_EQ(r.server_errors, 0u);
+    }
+  }
 }
 
 // The baselines without a store answer every method 200 with an empty

@@ -172,6 +172,43 @@ TEST(InetCsum, ConcatOddBoundary) {
   }
 }
 
+// A packet summed piece by piece (pseudo-header, a linear part of odd or
+// even length, then 1-4 frags of mixed parity) checksums like its flat
+// bytes: the software TX checksum of a scatter-gather segment.
+TEST(InetCsum, SumAtMatchesFlatBytes) {
+  Rng rng(10);
+  const u32 pseudo = 0x1a2b3;  // an unfolded pseudo-header sum
+  for (const std::size_t linear : {0u, 1u, 20u, 41u, 60u}) {
+    for (int nfrags = 1; nfrags <= 4; nfrags++) {
+      std::vector<std::vector<u8>> pieces;
+      pieces.emplace_back(linear);
+      for (int f = 0; f < nfrags; f++) {
+        pieces.emplace_back(1 + rng.next_below(1500));
+      }
+      std::vector<u8> flat;
+      u32 acc = pseudo;
+      for (auto& p : pieces) {
+        for (auto& b : p) b = static_cast<u8>(rng.next());
+        acc = inet_sum_at(acc, flat.size(), p);
+        flat.insert(flat.end(), p.begin(), p.end());
+      }
+      const u16 want =
+          static_cast<u16>(~inet_fold(pseudo + inet_sum(flat)));
+      EXPECT_EQ(static_cast<u16>(~inet_fold(acc)), want)
+          << "linear " << linear << " frags " << nfrags;
+      EXPECT_EQ(inet_fold(inet_sum_at(0, 0, flat)),
+                inet_fold(inet_sum(flat)));
+    }
+  }
+  // The flat reference itself: without the pseudo-header the pieces sum
+  // to inet_checksum of the flat bytes.
+  const std::vector<u8> a = {0x12, 0x34, 0x56};
+  const std::vector<u8> b = {0x78, 0x9a};
+  const u32 acc = inet_sum_at(inet_sum_at(0, 0, a), a.size(), b);
+  EXPECT_EQ(static_cast<u16>(~inet_fold(acc)),
+            inet_checksum(std::vector<u8>{0x12, 0x34, 0x56, 0x78, 0x9a}));
+}
+
 TEST(InetCsum, IncrementalUpdateRfc1624) {
   std::vector<u8> data(64);
   Rng rng(9);

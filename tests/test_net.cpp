@@ -692,6 +692,108 @@ TEST_F(TcpE2E, ZeroCopySendPkt) {
   EXPECT_EQ(got, payload);
 }
 
+// send_pkt past the window: the packets that do not fit wait in the
+// zero-copy TX queue and leave, in stream order, as ACKs open the window;
+// bytes send() writes behind them keep their place in the stream; every
+// buffer (packets, rtx clones, the shared frag block) goes back to the
+// pool.
+TEST_F(TcpE2E, ZeroCopyQueueDrainsInOrder) {
+  std::vector<u8> got;
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&](TcpConn& cc) {
+                              std::vector<u8> buf(4096);
+                              std::size_t n;
+                              while ((n = cc.read(buf)) > 0) {
+                                got.insert(got.end(), buf.begin(),
+                                           buf.begin() + static_cast<long>(n));
+                              }
+                            };
+                          })
+                  .ok());
+  const std::size_t meta0 = client.pool.live_metadata();
+  const std::size_t data0 = client.pool.live_data_blocks();
+  constexpr u32 kPkts = 40, kLen = 1000;
+  const auto data = rand_bytes(kPkts * kLen, 72);
+  const auto tail = rand_bytes(3000, 73);  // written with send() after
+  const u64 block = client.arena.alloc(data.size()).value();
+  std::memcpy(client.arena.data(block, data.size()), data.data(), data.size());
+  client.pool.restore_ref(block);  // the test's own reference
+  std::size_t queued_after_send = 0;
+  u32 fit = 0;
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) {
+    for (u32 i = 0; i < kPkts; i++) {
+      PktBuf* pb = client.pool.alloc(static_cast<u32>(kAllHdrLen));
+      ASSERT_NE(pb, nullptr);
+      pb->len = pb->payload_off = static_cast<u16>(kAllHdrLen);
+      ASSERT_TRUE(client.pool
+                      .add_frag(*pb, block, kLen, i * kLen,
+                                static_cast<u32>(data.size()))
+                      .ok());
+      EXPECT_TRUE(cc.send_pkt(pb).ok());
+    }
+    queued_after_send = cc.zc_queued();
+    fit = cc.cwnd() / kLen;
+    EXPECT_TRUE(cc.send(tail).ok());
+  };
+  env.engine.run_until_idle();
+  // The congestion window took what fit whole; the rest waited.
+  EXPECT_EQ(queued_after_send, kPkts - fit);
+  std::vector<u8> want = data;
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(c->zc_queued(), 0u);
+  EXPECT_EQ(c->rtx_queued(), 0u);
+  EXPECT_EQ(c->zc_dropped(), 0u);
+  client.pool.unref_data(block, static_cast<u32>(data.size()));
+  EXPECT_EQ(client.pool.live_metadata(), meta0);
+  EXPECT_EQ(client.pool.live_data_blocks(), data0);
+}
+
+// Data reaching a connection its application closed resets it (nobody
+// would read it), and the reset releases the sender's queued zero-copy
+// packets unsent: counted as dropped, every buffer back in the pool.
+TEST_F(TcpE2E, DataAfterCloseResetsAndFreesQueuedPackets) {
+  TcpConn* srv = nullptr;
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            srv = &c;
+                            c.close();
+                          })
+                  .ok());
+  const std::size_t meta0 = client.pool.live_metadata();
+  const std::size_t data0 = client.pool.live_data_blocks();
+  std::size_t queued_after_send = 0;
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) {
+    for (int i = 0; i < 40; i++) {
+      const auto payload = rand_bytes(1000, 80 + static_cast<u64>(i));
+      PktBuf* pb = client.pool.alloc(static_cast<u32>(kAllHdrLen + payload.size()));
+      ASSERT_NE(pb, nullptr);
+      pb->len = static_cast<u32>(kAllHdrLen + payload.size());
+      pb->payload_off = kAllHdrLen;
+      std::memcpy(client.pool.writable(*pb, pb->len).data() + kAllHdrLen,
+                  payload.data(), payload.size());
+      EXPECT_TRUE(cc.send_pkt(pb).ok());
+    }
+    queued_after_send = cc.zc_queued();
+  };
+  env.engine.run_until_idle();
+  EXPECT_GT(queued_after_send, 0u);
+  ASSERT_NE(srv, nullptr);
+  EXPECT_EQ(srv->state(), TcpState::closed);
+  EXPECT_EQ(c->state(), TcpState::closed);
+  // ACKs the server sent before its close drained a few more.
+  EXPECT_GT(c->zc_dropped(), 0u);
+  EXPECT_LE(c->zc_dropped(), queued_after_send);
+  EXPECT_EQ(c->zc_queued(), 0u);
+  EXPECT_EQ(client.pool.live_metadata(), meta0);
+  EXPECT_EQ(client.pool.live_data_blocks(), data0);
+}
+
 TEST_F(TcpE2E, GracefulCloseBothDirections) {
   bool server_closed = false, client_closed = false;
   TcpConn* srv_conn = nullptr;
