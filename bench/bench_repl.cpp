@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
       RunConfig cfg = tax_base(measure, conns);
       if (q > 0) {
         cfg.repl = true;
-        cfg.repl_replicas = 2;
         cfg.repl_opts.quorum = static_cast<u32>(q);
       }
       const std::string label = q == 0 ? "repl off" : "q=" + std::to_string(q);
@@ -128,7 +127,6 @@ int main(int argc, char** argv) {
     // would produce a trace file in the hundreds of megabytes.
     RunConfig cfg = tax_base(5 * kNsPerMs, 1);
     cfg.repl = true;
-    cfg.repl_replicas = 2;
     cfg.repl_opts.quorum = 2;
     cfg.server.trace = true;
     const RunResult r = run_experiment(cfg);
@@ -151,7 +149,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     benchio::write_metadata(w, "repl");
     w.field("seed", 42LL);
-    w.field("replicas", 2LL);
+    w.field("replicas", static_cast<long long>(kReplBackups));
     w.field("measure_ns", static_cast<long long>(measure));
     w.begin_array("results");
     for (const TaxPoint& p : tax) {

@@ -6,7 +6,7 @@
 //   host  payload slicing on, index insert on the host CPU
 //   nic   payload slicing on, index insert forced onto the NIC engine
 //   auto  payload slicing on, size-based host/NIC choice
-//         (PktStoreOptions::nic_insert_min_bytes)
+//         (core::kNicInsertMinBytes)
 //
 // The table shows where slicing cuts the data-management subtotal
 // (persist -> 0: the payload is durable on DMA placement) and where the

@@ -189,7 +189,6 @@ int main(int argc, char** argv) {
     const auto off = run_experiment(off_cfg);
     auto on_cfg = off_cfg;
     on_cfg.repl = true;
-    on_cfg.repl_replicas = 2;
     on_cfg.repl_opts.quorum = 2;
     const auto on = run_experiment(on_cfg);
     std::printf("\n--- Replication (pktstore 1KB PUT, quorum=2, R=2) ---\n");

@@ -12,7 +12,12 @@
 #      by convention, see bench/bench_json.h) must be documented there;
 #   4. every trace stage name (the to_string cases in src/obs/trace.h)
 #      must appear in docs/OBSERVABILITY.md — the attribution tables are
-#      unreadable when a stage label has no definition.
+#      unreadable when a stage label has no definition;
+#   5. every knob has a caller — fails if a field of a struct named
+#      *Config, *Options, *Policy or *Knobs in src/ is never assigned
+#      (`.f =`, `->f =`, a designated `.f =`, or a nested `.f.x =`) in
+#      src/, bench/, tests/, examples/ or perfbench/. A setting nothing
+#      varies is a named constant, not a field.
 # Run from anywhere.
 set -euo pipefail
 
@@ -79,8 +84,48 @@ for m in $metrics; do
   fi
 done
 
+# Knob lint. Fields are matched by name: one assignment of `.seed =`
+# anywhere covers every struct's `seed`. Exempt, with the reason:
+#   the four listening/replication ports — addresses are deployment
+#   settings, set per machine, even where every run here uses the default.
+knob_exempt="ServerConfig::port
+ClientConfig::port
+OpenLoopConfig::port
+ReplOptions::port"
+knobs="$(find src -name '*.h' -o -name '*.cpp' | sort | xargs awk '
+  /^[[:space:]]*struct [A-Za-z0-9_]*(Config|Options|Policy|Knobs)[[:space:]]*(:[^{]*)?\{/ {
+    s = $0; sub(/^[[:space:]]*struct /, "", s); sub(/[^A-Za-z0-9_].*/, "", s)
+    depth = 0
+  }
+  s != "" {
+    code = $0; sub(/\/\/.*/, "", code)
+    if (depth == 1 && code !~ /^[[:space:]]*(static|using|friend|enum|struct|class|})/) {
+      decl = code; sub(/[[:space:]]*(=|\{|;|\[).*/, "", decl)
+      if (decl !~ /[()]/ && decl ~ /[[:space:]*&][A-Za-z_][A-Za-z0-9_]*$/) {
+        match(decl, /[A-Za-z_][A-Za-z0-9_]*$/)
+        print FILENAME ":" s "::" substr(decl, RSTART)
+      }
+    }
+    depth += gsub(/\{/, "{", code) - gsub(/\}/, "}", code)
+    if (depth <= 0) s = ""
+  }')"
+assigned="$(grep -rhoE --include='*.h' --include='*.cpp' \
+    '((\.|->)[A-Za-z_][A-Za-z0-9_]*)+[[:space:]]*=([^=]|$)' \
+    src bench tests examples perfbench \
+  | grep -oE '(\.|->)[A-Za-z_][A-Za-z0-9_]*' | sed -E 's/^(\.|->)//' \
+  | sort -u)"
+for k in $knobs; do
+  # Here-strings, not pipes: under pipefail, grep -q exiting at the first
+  # match would fail the pipeline with the writer's SIGPIPE.
+  if grep -qxF "${k#*:}" <<<"$knob_exempt"; then continue; fi
+  if ! grep -qxF "${k##*::}" <<<"$assigned"; then
+    echo "check_docs: knob $k is never assigned (make it a named constant, or give it a caller)" >&2
+    missing=1
+  fi
+done
+
 if [ "$missing" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
-echo "check_docs: OK (all benches, JSON fields and metrics documented)"
+echo "check_docs: OK (all benches, JSON fields and metrics documented; every knob has a caller)"

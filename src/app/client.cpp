@@ -21,6 +21,8 @@ std::vector<u8> value_for(u64 seed, u64 key_idx, std::size_t size) {
 }
 
 void WrkClient::start() {
+  // Stagger connection establishment to avoid a SYN burst at t=0.
+  constexpr SimTime kConnectStaggerNs = 2 * kNsPerUs;
   for (int i = 0; i < cfg_.connections; i++) {
     auto ctx = std::make_unique<ConnCtx>();
     ctx->parser.set_metrics(m_resp_parsed_, m_parse_err_);
@@ -32,7 +34,7 @@ void WrkClient::start() {
     ConnCtx* raw = ctx.get();
     conns_.push_back(std::move(ctx));
     host_.env().engine.schedule_in(
-        static_cast<SimTime>(i) * cfg_.connect_stagger_ns, [this, raw] {
+        static_cast<SimTime>(i) * kConnectStaggerNs, [this, raw] {
           raw->conn = host_.stack().connect(cfg_.server_ip, cfg_.port);
           raw->conn->on_established = [this, raw](net::TcpConn&) {
             issue(*raw);

@@ -35,8 +35,6 @@ struct ClientConfig {
   // the YCSB default) — hot keys exercise the update path.
   double zipf_theta = 0.0;
   u64 seed = 1;
-  // Stagger connection establishment to avoid a SYN burst at t=0.
-  SimTime connect_stagger_ns = 2 * kNsPerUs;
 };
 
 class WrkClient {

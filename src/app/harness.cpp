@@ -34,6 +34,10 @@ constexpr u32 kAdminIp = 0x0a000003;
 // Connections one client host may open (u16 ephemeral ports from 33000
 // leave ~32k; half that keeps a comfortable margin).
 constexpr int kMaxConnsPerClientHost = 16'000;
+// run_failover's give-up bounds after the cut: until a backup declares
+// the primary suspect, then until the winner drains (durable == applied).
+constexpr SimTime kDetectBudgetNs = 50 * kNsPerMs;
+constexpr SimTime kSettleBudgetNs = 50 * kNsPerMs;
 
 // Periodic scrape of the admin plane — the Prometheus-sidecar role. One
 // connection cycling GET /stats -> /metrics -> /trace/recent at a fixed
@@ -116,11 +120,11 @@ Host& Testbed::add_client(u32 ip, bool measured) {
   return h;
 }
 
-repl::Replicator& Testbed::add_backups(u32 n, const repl::ReplOptions& opts,
+repl::Replicator& Testbed::add_backups(const repl::ReplOptions& opts,
                                        const core::PktStoreOptions& store_opts,
                                        bool monitor) {
   std::vector<u32> peer_ips;
-  for (u32 i = 0; i < n; i++) {
+  for (u32 i = 0; i < kReplBackups; i++) {
     repl::ReplicaConfig rc;
     rc.ip = kBackupIpBase + i;
     rc.primary_ip = kServerIp;
@@ -209,8 +213,8 @@ RunResult run_experiment(const RunConfig& cfg) {
   KvServer& server = tb.start_server(cfg.server);
   const repl::Replicator* rep = nullptr;
   if (cfg.repl && cfg.server.backend == Backend::pktstore) {
-    rep = &tb.add_backups(cfg.repl_replicas, cfg.repl_opts,
-                          cfg.server.pkt_opts, /*monitor=*/false);
+    rep = &tb.add_backups(cfg.repl_opts, cfg.server.pkt_opts,
+                          /*monitor=*/false);
   }
 
   ClientConfig ccfg;
@@ -275,7 +279,7 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
 
   // Backups, armed to detect the primary's silence.
   repl::Replicator& replicator =
-      tb.add_backups(cfg.replicas, cfg.repl, cfg.pkt_opts, /*monitor=*/true);
+      tb.add_backups(cfg.repl, cfg.pkt_opts, /*monitor=*/true);
   auto& replicas = tb.backups();
   SimTime first_suspect = 0;  // earliest suspect declaration
   for (auto& node : replicas) {
@@ -318,7 +322,7 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   client.stop();
 
   // Detection: run until some backup declares the primary suspect.
-  while (env.now() < cut + cfg.detect_budget_ns) {
+  while (env.now() < cut + kDetectBudgetNs) {
     env.engine.run_until(env.now() + 20 * kNsPerUs);
     if (first_suspect != 0) break;
   }
@@ -336,7 +340,7 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
 
   // Settle: the winner's in-flight apply epochs drain (its batcher's idle
   // and deadline checks close them without new traffic).
-  while (env.now() < cut + cfg.detect_budget_ns + cfg.settle_budget_ns &&
+  while (env.now() < cut + kDetectBudgetNs + kSettleBudgetNs &&
          winner->durable_seq() != winner->applied_seq()) {
     env.engine.run_until(env.now() + 20 * kNsPerUs);
   }
@@ -408,7 +412,7 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
     occ.connect_window_ns = connect_window;
     clients.push_back(std::make_unique<OpenLoopClient>(host, occ));
   }
-  if (cfg.rebalance) tb.start_rebalancer(cfg.rebalance_cfg);
+  if (cfg.rebalance) tb.start_rebalancer(RebalanceConfig{});
 
   // The scrape probe, on its own (unmeasured) machine. Only with a
   // nonzero period: cfg.admin alone arms the endpoints without generating

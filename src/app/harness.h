@@ -19,6 +19,10 @@
 
 namespace papm::app {
 
+// Backups in every replicated run: three hosts with the primary, so
+// quorum 2 survives one loss and quorum 3 waits for every host.
+constexpr u32 kReplBackups = 2;
+
 // What every harness config sets alike: server machine and environment.
 struct TestbedConfig {
   int server_cores = 1;  // "the server uses only one CPU core"
@@ -78,9 +82,9 @@ class Testbed {
   // metrics section.
   Host& add_client(u32 ip, bool measured = true);
 
-  // n backups at 10.0.0.241+ and the server's Replicator over them,
+  // kReplBackups backups at 10.0.0.241+ and the server's Replicator,
   // heartbeating. `monitor` arms each backup's primary-silence detector.
-  repl::Replicator& add_backups(u32 n, const repl::ReplOptions& opts,
+  repl::Replicator& add_backups(const repl::ReplOptions& opts,
                                 const core::PktStoreOptions& store_opts,
                                 bool monitor);
 
@@ -142,11 +146,10 @@ struct RunConfig : TestbedConfig {
   bool rebalance = false;
   RebalanceConfig rebalance_cfg;
 
-  // Replication (src/repl/): R backup hosts on the fabric; pktstore
+  // Replication (src/repl/): kReplBackups hosts on the fabric; pktstore
   // mutations ack only once a quorum of hosts holds them durably.
   // Requires server.backend == pktstore (other backends ignore it).
   bool repl = false;
-  u32 repl_replicas = 2;
   repl::ReplOptions repl_opts;
 
   // Observability, measurement-window scoped (reset at the warmup
@@ -214,9 +217,8 @@ struct OpenLoopRunConfig : TestbedConfig {
   SimTime warmup_ns = 50 * kNsPerMs;
   SimTime measure_ns = 200 * kNsPerMs;
 
-  // Rebalancing (as in RunConfig).
+  // Rebalancing (as in RunConfig), with the default policy.
   bool rebalance = false;
-  RebalanceConfig rebalance_cfg;
 
   bool collect_metrics = false;
 
@@ -272,8 +274,7 @@ struct FailoverConfig : TestbedConfig {
   // Primary (pktstore backend; replication requires it).
   core::PktStoreOptions pkt_opts;
 
-  // Replication group.
-  u32 replicas = 2;
+  // Replication group (kReplBackups backups).
   repl::ReplOptions repl;  // quorum, heartbeat cadence, degrade policy
 
   // Open-loop PUT-only load (GETs would dilute the acked-write set; the
@@ -289,8 +290,6 @@ struct FailoverConfig : TestbedConfig {
   // dies (whole-host loss — no goodbye traffic). Must leave room for the
   // client's connect ramp (connections * 5 us) before it.
   SimTime cut_at_ns = 30 * kNsPerMs;
-  SimTime detect_budget_ns = 50 * kNsPerMs;  // give-up bound on suspect
-  SimTime settle_budget_ns = 50 * kNsPerMs;  // give-up bound on drain
 };
 
 struct FailoverResult {

@@ -30,10 +30,9 @@ struct HostConfig {
   // Server: busy-polling cores, one datapath shard each (the paper's
   // configuration is cores = 1). Client: cores = 0 models the multi-core
   // client machine whose queueing the paper does not account to the
-  // server — it gets a single unpinned datapath.
+  // server — it gets a single unpinned datapath. One NIC RX/TX queue
+  // pair per shard.
   int cores = 1;
-  // NIC RX/TX queue pairs; 0 = one per core (min 1).
-  u32 rx_queues = 0;
   bool busy_poll = false;
   // Packet buffers in PM (PASTE) vs DRAM.
   bool pm_backed = false;
@@ -46,9 +45,7 @@ class Host {
  public:
   Host(sim::Env& env, nic::Fabric& fabric, const HostConfig& cfg)
       : env_(env), cpu_(env, cfg.cores) {
-    const u32 nshards =
-        cfg.rx_queues != 0 ? cfg.rx_queues
-                           : static_cast<u32>(std::max(1, cfg.cores));
+    const u32 nshards = static_cast<u32>(std::max(1, cfg.cores));
     for (u32 i = 0; i < nshards; i++) {
       shards_.emplace_back();
       shards_.back().trace.set_track(i);

@@ -22,7 +22,7 @@ void Rebalancer::start() {
   for (u32 b = 0; b < nic::Nic::kIndirEntries; b++) {
     last_bucket_rx_[b] = nic.bucket_rx_frames(b);
   }
-  host_.env().engine.schedule_in(cfg_.interval_ns, [this] { tick(); });
+  host_.env().engine.schedule_in(kTickNs, [this] { tick(); });
 }
 
 void Rebalancer::tick() {
@@ -42,8 +42,8 @@ void Rebalancer::tick() {
     // cannot look like skew. The first qualifying interval seeds the
     // EWMA outright (no cold-start bias toward zero).
     ewma_[b] = ewma_seeded_
-                   ? cfg_.ewma_alpha * static_cast<double>(d) +
-                         (1.0 - cfg_.ewma_alpha) * ewma_[b]
+                   ? kEwmaAlpha * static_cast<double>(d) +
+                         (1.0 - kEwmaAlpha) * ewma_[b]
                    : static_cast<double>(d);
   }
 
@@ -55,7 +55,7 @@ void Rebalancer::tick() {
       qload[nic.indirection(b)] += ewma_[b];
       smoothed_total += ewma_[b];
     }
-    for (u32 move = 0; move < cfg_.max_moves_per_round; move++) {
+    for (u32 move = 0; move < kMaxMovesPerRound; move++) {
       const u32 hot = static_cast<u32>(
           std::max_element(qload.begin(), qload.end()) - qload.begin());
       const u32 cold = static_cast<u32>(
@@ -83,7 +83,7 @@ void Rebalancer::tick() {
     }
   }
 
-  host_.env().engine.schedule_in(cfg_.interval_ns, [this] { tick(); });
+  host_.env().engine.schedule_in(kTickNs, [this] { tick(); });
 }
 
 void Rebalancer::migrate_bucket(u32 bucket, u32 from, u32 to) {
@@ -121,12 +121,12 @@ void Rebalancer::migrate_bucket(u32 bucket, u32 from, u32 to) {
   nic.set_indirection(bucket, to);
   if (!moving.empty()) {
     host_.cpu().run_on(from, [&] {
-      host_.env().clock().advance(cfg_.per_conn_handoff_ns *
+      host_.env().clock().advance(kPerConnHandoffNs *
                                   static_cast<SimTime>(moving.size()));
     });
     host_.cpu().run_on(to, [&] {
       for (net::TcpConn* c : moving) {
-        host_.env().clock().advance(cfg_.per_conn_handoff_ns);
+        host_.env().clock().advance(kPerConnHandoffNs);
         dst.adopt(src.extract(c));
         server_.on_flow_migrated(*c, to);
       }

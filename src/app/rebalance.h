@@ -21,11 +21,11 @@
 // the indirection table at frame arrival and HostCpu::run_on is
 // synchronous, so no packet can interleave with a half-moved group.
 //
-// Monitor policy: every interval_ns the rebalancer diffs the NIC's
+// Monitor policy: every kTickNs the rebalancer diffs the NIC's
 // per-entry frame counters, sums them into per-queue loads, and — when
 // max/mean exceeds trigger_ratio — greedily moves the hottest queue's
 // largest bucket that fits in half the hot/cold gap (never overshoots)
-// to the coldest queue, up to max_moves_per_round per tick.
+// to the coldest queue, up to kMaxMovesPerRound per tick.
 #pragma once
 
 #include "app/host.h"
@@ -34,19 +34,8 @@
 namespace papm::app {
 
 struct RebalanceConfig {
-  SimTime interval_ns = 2'000'000;  // monitor tick (2 ms)
   double trigger_ratio = 1.15;      // max/mean per-queue load to act on
-  u32 max_moves_per_round = 4;
   u64 min_frames_per_round = 256;   // ignore idle/noise intervals
-  // EWMA smoothing of per-bucket loads across ticks. Poisson arrivals
-  // make a single 2 ms interval noisy (at 100 kreq/s a 4-queue spread
-  // jitters past trigger_ratio constantly); acting on the smoothed load
-  // means only persistent skew — not one interval's draw — triggers a
-  // migration. 1.0 = no smoothing (act on the raw interval).
-  double ewma_alpha = 0.25;
-  // Modeled per-connection handoff cost, charged once to the source core
-  // (detach, cache handoff) and once to the destination (adopt).
-  SimTime per_conn_handoff_ns = 400;
 };
 
 class Rebalancer {
@@ -68,6 +57,18 @@ class Rebalancer {
   [[nodiscard]] u64 conns_moved() const noexcept { return conns_moved_; }
 
  private:
+  static constexpr SimTime kTickNs = 2'000'000;  // monitor tick (2 ms)
+  static constexpr u32 kMaxMovesPerRound = 4;
+  // EWMA smoothing of per-bucket loads across ticks. Poisson arrivals
+  // make a single 2 ms interval noisy (at 100 kreq/s a 4-queue spread
+  // jitters past trigger_ratio constantly); acting on the smoothed load
+  // means only persistent skew — not one interval's draw — triggers a
+  // migration. 1.0 = no smoothing (act on the raw interval).
+  static constexpr double kEwmaAlpha = 0.25;
+  // Modeled per-connection handoff cost, charged once to the source core
+  // (detach, cache handoff) and once to the destination (adopt).
+  static constexpr SimTime kPerConnHandoffNs = 400;
+
   void tick();
 
   Host& host_;

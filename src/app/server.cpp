@@ -94,9 +94,10 @@ KvServer::KvServer(Host& host, const ServerConfig& cfg)
     }
     if (cfg.admin) sh.m_admin = &reg.counter("admin.requests");
     if (cfg.flight_recorder && host_.pm_backed()) {
+      constexpr u32 kFlightrecCapacity = 4096;  // records per shard ring
       auto fr = obs::FlightRecorder::create(
           host_.pm_device(), host_.pm_pool(i), static_cast<u16>(i),
-          cfg.flightrec_capacity);
+          kFlightrecCapacity);
       if (!fr.ok()) {
         throw std::runtime_error("KvServer: no PM for flight recorder");
       }

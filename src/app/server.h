@@ -78,11 +78,10 @@ struct ServerConfig {
   // Per-shard TraceLog ring capacity for long-running serving (0 keeps
   // the unbounded bench-exit behaviour). Wraps count obs.trace_dropped.
   std::size_t trace_capacity = 0;
-  // PM-persistent flight recorder: a per-shard ring of the last
-  // flightrec_capacity request records, written through the group-commit
+  // PM-persistent flight recorder: a per-shard ring of the last 4096
+  // (kFlightrecCapacity) request records, written through the group-commit
   // path so recovery after a cut sees every acked op (docs/OBSERVABILITY.md).
   bool flight_recorder = false;
-  u32 flightrec_capacity = 4096;
 };
 
 class KvServer {

@@ -127,11 +127,11 @@ Status PktStore::put_pkts(std::string_view key, std::span<net::PktBuf*> pkts,
       total += lens[i];
     }
     if (all_sliced && (opts_.insert == InsertPolicy::nic ||
-                       total >= opts_.nic_insert_min_bytes)) {
+                       total >= kNicInsertMinBytes)) {
       return put_pkts_offloaded(key, pkts, offs, lens, bd);
     }
   }
-  auto head = chain_.ingest_pkts(pkts, offs, lens, ingest_opts(), bd);
+  auto head = chain_.ingest_pkts(pkts, offs, lens, opts_, bd);
   if (!head.ok()) return head.errc();
 
   auto& env = chain_.device().env();
@@ -171,7 +171,7 @@ Status PktStore::put_pkts_offloaded(std::string_view key,
   Status st = Errc::internal;
   u64 old_head = 0;
   try {
-    head = chain_.ingest_pkts(pkts, offs, lens, ingest_opts(), nullptr);
+    head = chain_.ingest_pkts(pkts, offs, lens, opts_, nullptr);
     if (head.ok()) st = index_.put(key, head.value(), &old_head);
   } catch (...) {
     env.clock().restore_scope(scope);
@@ -206,7 +206,7 @@ Status PktStore::put_bytes(std::string_view key, std::span<const u8> value,
                            storage::OpBreakdown* bd) {
   obs::inc(m_puts_);
   charge_prep(bd);
-  auto head = chain_.ingest_bytes(value, ingest_opts(), bd);
+  auto head = chain_.ingest_bytes(value, opts_, bd);
   if (!head.ok()) return head.errc();
 
   auto& env = chain_.device().env();

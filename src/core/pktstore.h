@@ -35,14 +35,14 @@ namespace papm::core {
 // completion), or an automatic size-based choice. The engine's fixed
 // command cost beats the host only once the host-side per-byte work it
 // displaces (cold-line persists, per-segment appends) is large enough —
-// auto_ offloads values of at least nic_insert_min_bytes.
+// auto_ offloads values of at least kNicInsertMinBytes, the measured
+// crossover (DESIGN.md §11.2, EXPERIMENTS.md "Slicer").
 enum class InsertPolicy : u8 { host = 0, nic = 1, auto_ = 2 };
+constexpr u64 kNicInsertMinBytes = 2048;
 
-struct PktStoreOptions {
-  bool reuse_checksum = true;
-  bool reuse_timestamp = true;
-  bool zero_copy = true;
-  bool persistence = true;  // §3-style knob: flush value bytes
+// The §3 reuse knobs (reuse_checksum, reuse_timestamp, zero_copy,
+// persistence) are PChain's ingest flags, inherited.
+struct PktStoreOptions : PChain::IngestOptions {
   // Charge the paper's lighter request handling (no LevelDB WriteBatch);
   // off = charge the baseline's full request-preparation cost.
   bool light_prep = true;
@@ -50,7 +50,6 @@ struct PktStoreOptions {
   // eligible (the engine operates on NIC-placed slots); ineligible PUTs
   // fall back to the host path regardless of policy.
   InsertPolicy insert = InsertPolicy::host;
-  u32 nic_insert_min_bytes = 2048;  // auto_ crossover threshold
   // Index policy (selective persistence: shadow_towers keeps upper skip
   // list towers DRAM-only and rebuilds them at recovery). recover() must
   // be called with the same options the store was created with.
@@ -183,10 +182,6 @@ class PktStore final : public storage::KvStore {
 
   [[nodiscard]] ValueMeta stat_of(u64 head) const;
   void retire_chain(u64 head);
-  [[nodiscard]] PChain::IngestOptions ingest_opts() const {
-    return {opts_.reuse_checksum, opts_.reuse_timestamp, opts_.zero_copy,
-            opts_.persistence};
-  }
   void charge_prep(storage::OpBreakdown* bd) const;
   // NIC index-engine variant of put_pkts: host pays doorbell + completion
   // (and, un-batched, waits out the engine); ingest + insert execute with

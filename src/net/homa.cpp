@@ -6,6 +6,10 @@ namespace papm::net {
 
 namespace {
 
+constexpr u64 kUnscheduledSegs = 2;  // sent before any grant (RTT-bytes)
+constexpr u64 kGrantWindowSegs = 4;  // receiver-granted in-flight limit
+constexpr SimTime kResendTimeoutNs = 1 * kNsPerMs;
+
 constexpr u64 rx_key(u64 msg_id, u32 src_ip, u16 src_port) {
   return (msg_id << 24) ^ (static_cast<u64>(src_ip) << 8) ^ src_port;
 }
@@ -67,8 +71,7 @@ u64 HomaEndpoint::send_msg(u32 dst_ip, u16 dst_port, std::span<const u8> data) {
   m.dst_ip = dst_ip;
   m.dst_port = dst_port;
   m.data.assign(data.begin(), data.end());
-  m.granted = std::min<u64>(
-      data.size(), static_cast<u64>(opts_.unscheduled_segs) * kHomaSegPayload);
+  m.granted = std::min<u64>(data.size(), kUnscheduledSegs * kHomaSegPayload);
   m.sent = 0;
   m.done = false;
   m.retries = 0;
@@ -95,9 +98,8 @@ u64 HomaEndpoint::send_msg_gather(u32 dst_ip, u16 dst_port,
     pool.restore_ref(g.data_h);  // held until ack or give-up
     m.gather_len += g.len;
   }
-  m.granted = std::min<u64>(
-      m.total_len(),
-      static_cast<u64>(opts_.unscheduled_segs) * kHomaSegPayload);
+  m.granted =
+      std::min<u64>(m.total_len(), kUnscheduledSegs * kHomaSegPayload);
   m.sent = 0;
   m.done = false;
   m.retries = 0;
@@ -235,7 +237,7 @@ void HomaEndpoint::arm_tx_timer(u64 msg_id, TxMsg& m) {
 
 void HomaEndpoint::arm_rx_timer(u64 key, RxMsg& m) {
   const u64 gen = ++m.timer_gen;
-  udp_.env().engine.schedule_in(opts_.resend_timeout_ns, [this, key, gen] {
+  udp_.env().engine.schedule_in(kResendTimeoutNs, [this, key, gen] {
     auto it = rx_.find(key);
     if (it == rx_.end() || it->second.timer_gen != gen) return;
     RxMsg& m2 = it->second;
@@ -335,8 +337,7 @@ void HomaEndpoint::rx_data(u32 src_ip, u16 src_port, PktBuf* pb, u64 msg_id,
     m.src_port = src_port;
     m.msg_id = msg_id;
     m.total_len = total_len;
-    m.granted = std::min<u64>(
-        total_len, static_cast<u64>(opts_.unscheduled_segs) * kHomaSegPayload);
+    m.granted = std::min<u64>(total_len, kUnscheduledSegs * kHomaSegPayload);
   }
   const u32 seg_len = static_cast<u32>(pb->payload_len() - kHomaHdrLen);
   if (m.segs.contains(offset)) {
@@ -359,10 +360,9 @@ void HomaEndpoint::rx_data(u32 src_ip, u16 src_port, PktBuf* pb, u64 msg_id,
     return;
   }
 
-  // Grant more: keep grant_window_segs of runway past what has arrived.
+  // Grant more: keep kGrantWindowSegs of runway past what has arrived.
   const u64 target = std::min<u64>(
-      m.total_len,
-      m.received + static_cast<u64>(opts_.grant_window_segs) * kHomaSegPayload);
+      m.total_len, m.received + kGrantWindowSegs * kHomaSegPayload);
   if (target > m.granted) {
     m.granted = target;
     grants_tx_++;

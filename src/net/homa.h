@@ -48,9 +48,6 @@ struct HomaDelivery {
 };
 
 struct HomaOptions {
-  u32 unscheduled_segs = 2;   // sent before any grant (RTT-bytes)
-  u32 grant_window_segs = 4;  // receiver-granted in-flight limit
-  SimTime resend_timeout_ns = 1 * kNsPerMs;
   SimTime sender_timeout_ns = 2 * kNsPerMs;
   // Sender-timeout growth per retry (1.0 = fixed interval, the legacy
   // behaviour). The replication layer runs 2.0 so a dead replica's

@@ -25,9 +25,14 @@ MacAddr mac_for_ip(u32 ip) {
   return m;
 }
 
-constexpr u32 logical_len(u32 payload_len, u8 flags) noexcept {
-  return payload_len + ((flags & (kTcpSyn | kTcpFin)) != 0 ? 1 : 0);
+// Sequence space a queued segment covers: SYN and FIN count as one
+// virtual byte each.
+u32 logical_len(const PktBuf& pb) noexcept {
+  return static_cast<u32>(pb.payload_total()) +
+         ((pb.tcp.flags & (kTcpSyn | kTcpFin)) != 0 ? 1 : 0);
 }
+
+constexpr SimTime kResent = -1;  // rtx_q_ tstamp of a retransmitted segment
 
 }  // namespace
 
@@ -391,13 +396,10 @@ void TcpConn::process_ack(const TcpHeader& h) {
   if (seq_gt(ack, snd_una_)) {
     dup_acks_ = 0;
     while (!rtx_q_.empty()) {
-      RtxEntry& e = rtx_q_.front();
-      if (!seq_ge(ack, e.seq + logical_len(e.len, e.flags))) break;
-      if (!e.retransmitted) {
-        update_rtt(stack_->env().now() - e.sent_at);
-      }
-      PktBufPool::release(e.clone);
-      rtx_q_.pop_front();
+      const PktBuf& e = *rtx_q_.front();
+      if (!seq_ge(ack, e.tcp.seq + logical_len(e))) break;
+      if (e.tstamp != kResent) update_rtt(stack_->env().now() - e.tstamp);
+      PktBufPool::release(rtx_q_.pop_front());
     }
     // Congestion window growth.
     if (cwnd_ < ssthresh_) {
@@ -424,17 +426,17 @@ void TcpConn::process_ack(const TcpHeader& h) {
   } else if (ack == snd_una_ && !rtx_q_.empty()) {
     if (++dup_acks_ == 3) {
       // Fast retransmit.
-      RtxEntry& e = rtx_q_.front();
+      PktBuf& e = *rtx_q_.front();
       const u32 inflight = snd_nxt_ - snd_una_;
       ssthresh_ = std::max(inflight / 2, static_cast<u32>(2 * kMss));
       cwnd_ = ssthresh_ + 3 * kMss;
       retransmits_++;
       obs::inc(stack_->m_rtx_);
-      e.retransmitted = true;
-      e.sent_at = stack_->env().now();
-      PktBuf* copy = e.clone->owner->clone(*e.clone);
+      e.tstamp = kResent;
+      PktBuf* copy = e.owner->clone(e);
       stack_->charge_tx();
-      stack_->output_pkt(*this, copy, e.flags, e.seq, rcv_nxt_, nullptr);
+      stack_->output_pkt(*this, copy, e.tcp.flags, e.tcp.seq, rcv_nxt_,
+                         nullptr);
       arm_rto();
     }
   }
@@ -568,7 +570,14 @@ void TcpConn::send_zc(PktBuf* pb, u32 len) {
   PktBuf* clone = nullptr;
   stack_->charge_tx();
   stack_->output_pkt(*this, pb, kTcpAck | kTcpPsh, seq, rcv_nxt_, &clone);
-  rtx_q_.push_back({clone, seq, len, kTcpAck | kTcpPsh, stack_->env().now(), false});
+  push_rtx(clone);
+}
+
+void TcpConn::push_rtx(PktBuf* clone) {
+  if (clone != nullptr) {
+    clone->tstamp = stack_->env().now();
+    rtx_q_.push_back(clone);
+  }
   arm_rto();
 }
 
@@ -652,11 +661,7 @@ void TcpConn::send_segment(u8 flags, u32 seq, std::span<const u8> payload,
   PktBuf* clone = nullptr;
   stack_->output(*this, flags, seq, rcv_nxt_, payload,
                 queue_rtx ? &clone : nullptr);
-  if (queue_rtx && clone != nullptr) {
-    rtx_q_.push_back({clone, seq, static_cast<u32>(payload.size()), flags,
-                      stack_->env().now(), false});
-    arm_rto();
-  }
+  if (queue_rtx && clone != nullptr) push_rtx(clone);
 }
 
 void TcpConn::send_ctl(u8 flags) {
@@ -730,8 +735,7 @@ void TcpConn::become_closed() {
   if (state_ == TcpState::closed) return;
   state_ = TcpState::closed;
   disarm_rto();
-  for (auto& e : rtx_q_) PktBufPool::release(e.clone);
-  rtx_q_.clear();
+  while (!rtx_q_.empty()) PktBufPool::release(rtx_q_.pop_front());
   zc_dropped_ += zc_q_.size();
   while (!zc_q_.empty()) PktBufPool::release(zc_q_.pop_front());
   // Nobody reads a closed connection: its received bytes go too.
@@ -760,20 +764,19 @@ void TcpConn::disarm_rto() noexcept {
 
 void TcpConn::on_rto() {
   if (rtx_q_.empty() || state_ == TcpState::closed) return;
-  RtxEntry& e = rtx_q_.front();
+  PktBuf& e = *rtx_q_.front();
   retransmits_++;
   obs::inc(stack_->m_rtx_);
-  e.retransmitted = true;
-  e.sent_at = stack_->env().now();
+  e.tstamp = kResent;
   // Timeout: collapse the window, back off the timer (RFC 6298 5.5).
   const u32 inflight = snd_nxt_ - snd_una_;
   ssthresh_ = std::max(inflight / 2, static_cast<u32>(2 * kMss));
   cwnd_ = static_cast<u32>(kMss);
   dup_acks_ = 0;
   rto_ = std::min(rto_ * 2, kMaxRto);
-  PktBuf* copy = e.clone->owner->clone(*e.clone);
+  PktBuf* copy = e.owner->clone(e);
   stack_->charge_tx();
-  stack_->output_pkt(*this, copy, e.flags, e.seq, rcv_nxt_, nullptr);
+  stack_->output_pkt(*this, copy, e.tcp.flags, e.tcp.seq, rcv_nxt_, nullptr);
   arm_rto();
 }
 

@@ -28,7 +28,6 @@
 // host CPU through the cost model's per-segment stack charges.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -198,6 +197,9 @@ class TcpConn {
   void try_send();
   // Transmits a queued zero-copy packet of `len` payload bytes at snd_nxt.
   void send_zc(PktBuf* pb, u32 len);
+  // Stamps a sent segment's clone and queues it for retransmit (a null
+  // clone, from an exhausted pool, only arms the timer).
+  void push_rtx(PktBuf* clone);
   // Nothing in flight and the window too small for the next unsent byte
   // or queued packet: only a persist-timer probe can reopen it.
   [[nodiscard]] bool window_stalled() const noexcept;
@@ -239,15 +241,11 @@ class TcpConn {
     return snd_buf_.size() - snd_head_;
   }
 
-  struct RtxEntry {
-    PktBuf* clone;  // holds the data alive until acked
-    u32 seq;
-    u32 len;  // payload length (FIN counts as 1 virtual byte, len 0)
-    u8 flags;
-    SimTime sent_at;
-    bool retransmitted;
-  };
-  std::deque<RtxEntry> rtx_q_;
+  // Sent, unacked segments in send order: clones of what went out (they
+  // hold the data alive until acked). A clone's ->tcp carries the
+  // segment's seq and flags, its ->tstamp the send time, or kResent once
+  // retransmitted (Karn's rule: no RTT sample).
+  PktQueue rtx_q_;
   // Zero-copy TX queue (send_pkt): packets not yet sent, in stream order
   // after the unsent snd_buf_ bytes. While it is non-empty, send() bytes
   // are packed into packets of their own and queued here too.

@@ -168,7 +168,7 @@ void Nic::transmit(net::PktBuf* pb) {
   const SimTime depart = start + env_.cost.wire_cost(frame.bytes.size());
   link_free_at_ = depart;
 
-  if (opts_.hw_timestamps) frame.tx_hw_tstamp = depart;
+  frame.tx_hw_tstamp = depart;
   tx_frames_++;
   const u32 dst_ip = pb->ip.dst;
   pool.free(pb);  // clones in the rtx queue keep the data alive
@@ -278,7 +278,7 @@ void Nic::on_frame(const WireFrame& frame) {
     queue.pool->arena().store_dma(pb->slice_h,
                                   bytes.subspan(payload_off, plen));
     pb->len = static_cast<u32>(frame.bytes.size());
-    if (opts_.hw_timestamps) pb->hw_tstamp = env_.now();
+    pb->hw_tstamp = env_.now();
     pb->l2_off = 0;
     pb->l3_off = kEthHdrLen;
     pb->l4_off = kEthHdrLen + kIpHdrLen;
@@ -317,7 +317,7 @@ void Nic::on_frame(const WireFrame& frame) {
       frame.bytes.data(), frame.bytes.size());
   queue.pool->arena().mark_dirty(pb->data_h, frame.bytes.size());
   pb->len = static_cast<u32>(frame.bytes.size());
-  if (opts_.hw_timestamps) pb->hw_tstamp = env_.now();
+  pb->hw_tstamp = env_.now();
 
   pb->l2_off = 0;
   pb->l3_off = kEthHdrLen;

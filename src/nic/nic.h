@@ -47,7 +47,6 @@ namespace papm::nic {
 struct NicOptions {
   bool csum_offload_tx = true;
   bool csum_offload_rx = true;
-  bool hw_timestamps = true;
   // Payload slicer (NFSlicer-style, §5.2 "harvest the offload engines"):
   // for TCP frames landing on a PM-backed queue, the NIC DMAs the payload
   // into a separately allocated arena slot — its final, durable resting

@@ -94,7 +94,6 @@ struct ReplOptions {
   // Repl-layer retransmit to a peer whose Homa message was given up on:
   // first retry after retry_backoff_ns, doubling per attempt.
   SimTime retry_backoff_ns = 2 * kNsPerMs;
-  int max_peer_retries = 6;  // then the peer is declared dead
   // Liveness: primary heartbeats every interval; a replica that has seen
   // none for timeout_ns declares the primary suspect (failover trigger).
   SimTime hb_interval_ns = 100 * kNsPerUs;

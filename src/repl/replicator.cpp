@@ -154,6 +154,7 @@ void Replicator::on_msg(net::HomaDelivery d) {
 }
 
 void Replicator::on_give_up(u64 msg_id) {
+  constexpr int kMaxPeerRetries = 6;  // then the peer is declared dead
   if (stopped_) return;
   for (Peer& p : peers_) {
     auto it = p.inflight.find(msg_id);
@@ -161,7 +162,7 @@ void Replicator::on_give_up(u64 msg_id) {
     p.inflight.erase(it);
     if (!p.alive) return;
     p.give_ups++;
-    if (p.give_ups > opts_.max_peer_retries) {
+    if (p.give_ups > kMaxPeerRetries) {
       p.alive = false;  // revive_peer() after a resync brings it back
       retire();
       return;

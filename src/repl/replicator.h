@@ -11,7 +11,7 @@
 // Reliability ladder: Homa retries a message with exponential sender
 // backoff; when it gives up, the repl layer schedules its own retransmit
 // of everything the peer has not acked (again backing off); after
-// max_peer_retries the peer is declared dead. A dead or partitioned
+// kMaxPeerRetries (6) the peer is declared dead. A dead or partitioned
 // quorum either stalls client acks (strict) or releases them after
 // degrade_after_ns as *degraded* local-only acks — counted, never silent.
 #pragma once

@@ -560,17 +560,15 @@ TEST_F(TcpE2E, LargeTransferSegmentsAtMss) {
   EXPECT_EQ(c->rtx_queued(), 0u);  // everything acked
 }
 
-class TcpLossy : public ::testing::TestWithParam<std::tuple<double, double>> {};
+// One row per fault mix on both directions of the link. Every stream must
+// arrive exactly once, byte for byte and in order, whatever the fabric
+// drops, replays, holds back or reorders.
+class TcpLossy : public ::testing::TestWithParam<nic::FabricOptions> {};
 
 TEST_P(TcpLossy, ReliableUnderLossAndReorder) {
-  const auto [loss, reorder] = GetParam();
+  const nic::FabricOptions& faults = GetParam();
   sim::Env env;
-  // Fault draws come from the per-link streams (deterministic in the
-  // fabric seed). This seed is picked so that 1% loss actually drops
-  // data segments within the ~140-frame transfer — a stream where every
-  // draw happens to survive would make the retransmit assertion
-  // vacuous, not the protocol correct.
-  nic::Fabric fabric(env, {.loss_p = loss, .reorder_p = reorder, .seed = 11});
+  nic::Fabric fabric(env, faults);
   TestHost client(env, fabric, kClientIp, false);
   TestHost server(env, fabric, kServerIp, true);
 
@@ -594,15 +592,48 @@ TEST_P(TcpLossy, ReliableUnderLossAndReorder) {
   env.engine.run_until_idle();
   ASSERT_EQ(got.size(), data.size());
   EXPECT_EQ(got, data);
-  if (loss > 0) EXPECT_GT(c->retransmits(), 0u);
-  if (reorder > 0) EXPECT_GT(fabric.reordered(), 0u);
+  EXPECT_EQ(c->rtx_queued(), 0u);  // everything acked
+  if (faults.loss_p > 0) { EXPECT_GT(c->retransmits(), 0u); }
+  if (faults.reorder_p > 0) { EXPECT_GT(fabric.reordered(), 0u); }
+  if (faults.dup_p > 0) { EXPECT_GT(fabric.duplicated(), 0u); }
 }
 
+// Fault draws come from the per-link streams (deterministic in the
+// fabric seed). Seed 11 is picked so that 1% loss actually drops data
+// segments within the ~140-frame transfer — a stream where every draw
+// happens to survive would make the retransmit assertion vacuous, not
+// the protocol correct.
 INSTANTIATE_TEST_SUITE_P(
     Conditions, TcpLossy,
-    ::testing::Values(std::make_tuple(0.01, 0.0), std::make_tuple(0.05, 0.0),
-                      std::make_tuple(0.0, 0.1), std::make_tuple(0.02, 0.1),
-                      std::make_tuple(0.0, 0.3)));
+    ::testing::Values(
+        nic::FabricOptions{.loss_p = 0.01, .seed = 11},
+        nic::FabricOptions{.loss_p = 0.05, .seed = 11},
+        nic::FabricOptions{.reorder_p = 0.1, .seed = 11},
+        nic::FabricOptions{.loss_p = 0.02, .reorder_p = 0.1, .seed = 11},
+        nic::FabricOptions{.reorder_p = 0.3, .seed = 11},
+        // Replayed frames: duplicate data reaches TcpConn::rx_data, and
+        // duplicate ACKs count toward fast retransmit.
+        nic::FabricOptions{.dup_p = 0.1, .seed = 11},
+        nic::FabricOptions{.loss_p = 0.02, .dup_p = 0.1, .seed = 11},
+        // A fixed 50 us extra one-way delay: RTT ~100 us above the base.
+        nic::FabricOptions{.delay_ns = 50 * kNsPerUs, .seed = 11},
+        nic::FabricOptions{
+            .loss_p = 0.02, .delay_ns = 50 * kNsPerUs, .seed = 11},
+        // Reordering jitter past the initial 1 ms RTO: a held-back
+        // segment can draw a spurious retransmit.
+        nic::FabricOptions{.reorder_p = 0.1,
+                           .reorder_jitter_ns = 2 * kNsPerMs,
+                           .seed = 11},
+        nic::FabricOptions{.reorder_p = 0.2,
+                           .reorder_jitter_ns = 2 * kNsPerUs,
+                           .seed = 11},
+        // Everything at once.
+        nic::FabricOptions{.loss_p = 0.02,
+                           .dup_p = 0.05,
+                           .delay_ns = 10 * kNsPerUs,
+                           .reorder_p = 0.1,
+                           .reorder_jitter_ns = 100 * kNsPerUs,
+                           .seed = 11}));
 
 TEST_F(TcpE2E, CorruptionCaughtByChecksumAndRecovered) {
   fabric.set_options({.corrupt_p = 0.05});

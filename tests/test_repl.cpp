@@ -41,7 +41,6 @@ ReplOptions fast_opts(u32 quorum) {
   ReplOptions o;
   o.quorum = quorum;
   o.retry_backoff_ns = 100 * kNsPerUs;
-  o.max_peer_retries = 6;
   o.hb_interval_ns = 50 * kNsPerUs;
   o.hb_timeout_ns = 250 * kNsPerUs;
   o.homa.sender_timeout_ns = 50 * kNsPerUs;

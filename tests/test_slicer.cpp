@@ -252,7 +252,7 @@ TEST_F(SlicerTest, InsertPolicyAutoFollowsSizeThreshold) {
   o.insert = InsertPolicy::auto_;
   auto s2 = PktStore::create(rig.pool, "autoins", o);
 
-  // Below nic_insert_min_bytes: host path.
+  // Below kNicInsertMinBytes: host path.
   const auto small = rand_bytes(512, 5);
   auto p1 = rig.deliver(env, small);
   ASSERT_EQ(p1.size(), 1u);
