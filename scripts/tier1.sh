@@ -3,9 +3,9 @@
 #   1. docs lint: every bench binary has an EXPERIMENTS.md and a
 #      docs/BENCHMARKS.md section, every registered metric and trace stage
 #      an entry in docs/OBSERVABILITY.md;
-#   2. default build, ctest, and bench_pm / bench_sim smoke runs (the
-#      PM-layer and simulator-host-path wall-clock microbenches must keep
-#      building and running);
+#   2. default build, ctest, and bench_pm / bench_alloc / bench_sim smoke
+#      runs (the PM-layer, allocator and simulator-host-path microbenches
+#      must keep building and running);
 #   3. bench_openloop, bench_slicer and bench_repl smokes, each run twice
 #      and compared bytewise (determinism);
 #   4. admin plane armed but unscraped: byte-identical to the baseline;
@@ -49,6 +49,7 @@ ctest --test-dir build --output-on-failure -j
 stage "PM microbench smoke"
 # This Google Benchmark build takes min_time as bare seconds ("0.01").
 build/bench/bench_pm --benchmark_min_time=0.01
+build/bench/bench_alloc --benchmark_min_time=0.01
 
 stage "sim microbench smoke"
 build/bench/bench_sim --benchmark_min_time=0.01

@@ -136,7 +136,8 @@ void KvServer::on_accept(net::TcpConn& conn, u32 shard) {
 }
 
 http::RequestHead::Status KvServer::try_parse_head(ConnState& st) {
-  if (st.pkts.empty()) return http::RequestHead::Status::incomplete;
+  using HeadStatus = http::RequestHead::Status;
+  if (st.pkts.empty()) return HeadStatus::incomplete;
   // Fast path: head within the first segment (always true for the
   // paper's request sizes; requests are not pipelined).
   net::PktBuf* first = st.pkts[0];
@@ -146,8 +147,22 @@ http::RequestHead::Status KvServer::try_parse_head(ConnState& st) {
   auto& env = host_.env();
   const SimTime t0 = env.now();
   env.clock().advance(env.cost.scaled(env.cost.server_http_parse_ns));
-  const http::RequestHead head = http::parse_request_head(view);
-  if (head.status != http::RequestHead::Status::complete) return head.status;
+  http::RequestHead head = http::parse_request_head(view);
+  // A head split across segments: parse over the first kMaxHeadBytes
+  // gathered from all of them. `gathered` outlives the parse; the key is
+  // copied out below.
+  std::string gathered;
+  if (head.status == HeadStatus::incomplete && st.pkts.size() > 1) {
+    for (net::PktBuf* pb : st.pkts) {
+      const auto p = pb->owner->payload(*pb);
+      const std::size_t n = std::min(p.size(), kMaxHeadBytes - gathered.size());
+      gathered.append(reinterpret_cast<const char*>(p.data()), n);
+      if (gathered.size() == kMaxHeadBytes) break;
+    }
+    env.clock().advance(env.cost.copy_cost(gathered.size()));
+    head = http::parse_request_head(gathered);
+  }
+  if (head.status != HeadStatus::complete) return head.status;
   st.parse_ts = t0;
   st.parse_dur = env.now() - t0;
   obs::inc(shards_[st.shard].m_parsed);
@@ -268,6 +283,8 @@ void KvServer::on_readable(net::TcpConn& conn, ConnState& st) {
       case http::RequestHead::Status::complete:
         break;
       case http::RequestHead::Status::incomplete:
+        // No terminator within the cap: answer, do not buffer forever.
+        if (st.have_bytes >= kMaxHeadBytes) reject(conn, st, 431);
         return;
       case http::RequestHead::Status::malformed:
         reject(conn, st, 400);

@@ -147,6 +147,9 @@ class KvServer {
   // The raw_persist backend's PM region on `shard` (kRawRegion bytes);
   // 0 for the other backends. A PUT whose body exceeds it is answered 413.
   static constexpr u64 kRawRegion = 4u << 20;
+  // A request head with no terminator within this many bytes is answered
+  // 431 and its connection closed.
+  static constexpr std::size_t kMaxHeadBytes = 8192;
   [[nodiscard]] u64 raw_region(u32 shard) const noexcept {
     return shard < shards_.size() ? shards_[shard].raw_region : 0;
   }
@@ -228,8 +231,9 @@ class KvServer {
   static constexpr std::size_t kTraceRecent = 32;
 
   // Per-connection request assembly over zero-copy packets. The request
-  // head (start line + headers) must fit in the first segment — true for
-  // the paper's workloads; a head split across segments waits forever.
+  // head (start line + headers) is parsed in place when it fits in the
+  // first segment — true for the paper's workloads — and over a copy of
+  // the segments' first kMaxHeadBytes when it does not.
   struct ConnState {
     u32 shard = 0;                   // ingress datapath (RSS decided)
     std::vector<net::PktBuf*> pkts;  // segments of the in-flight request
@@ -280,11 +284,13 @@ class KvServer {
   void on_accept(net::TcpConn& conn, u32 shard);
   // `st` is the connection's state, bound into its on_readable hook.
   void on_readable(net::TcpConn& conn, ConnState& st);
-  // Parses the request head in segment 0 once it is complete.
+  // Parses the request head once it is complete: in segment 0, or over
+  // the gathered segments when segment 0 holds only part of it.
   http::RequestHead::Status try_parse_head(ConnState& st);
   // Answers a request that cannot be served (400 malformed head, 413
-  // oversized body) and closes the connection; unbinds its on_readable
-  // hook before dropping the state the hook refers to.
+  // oversized body, 431 head past kMaxHeadBytes) and closes the
+  // connection; unbinds its on_readable hook before dropping the state
+  // the hook refers to.
   void reject(net::TcpConn& conn, ConnState& st, int status);
   // Serves /stats, /metrics and /trace/recent from merged snapshots.
   // Returns true when the request was an admin target and a response

@@ -34,6 +34,8 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
     case 204: return "No Content";
     case 400: return "Bad Request";
     case 404: return "Not Found";
+    case 413: return "Content Too Large";
+    case 431: return "Request Header Fields Too Large";
     case 500: return "Internal Server Error";
     case 507: return "Insufficient Storage";
     default: return "Unknown";

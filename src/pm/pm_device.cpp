@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <stdexcept>
 
@@ -22,7 +23,8 @@ PmDevice::LazyZero::LazyZero(u64 bytes) : bytes_(bytes) {
 PmDevice::LazyZero::~LazyZero() { munmap(p_, bytes_); }
 
 u64 PmDevice::checked_size(u64 size) {
-  // LineState::pos indexes vectors of up to two entries per line.
+  // LineState::pos indexes pending_order_ (up to two entries per line)
+  // and holds dirty stamps, renumbered below 2^32 before the clock wraps.
   if (size % kCacheLine != 0 || size < sizeof(Header) + kCacheLine ||
       size / kCacheLine > (u64{1} << 30)) {
     throw std::invalid_argument("PmDevice: bad size");
@@ -128,7 +130,8 @@ void PmDevice::mark_dirty(u64 offset, u64 len) {
     if ((ls.flags & kDirty) != 0) continue;
     // A new store re-dirties a clwb'd line.
     if ((ls.flags & kPending) != 0) pending_count_--;
-    enter(dirty_order_, kDirty, dirty_count_, line);
+    if (dirty_clock_ == std::numeric_limits<u32>::max()) restamp_dirty();
+    ls.pos = dirty_clock_++;
     ls.flags = kDirty;
     dirty_count_++;
   }
@@ -169,7 +172,7 @@ void PmDevice::clwb(u64 offset, u64 len) {
   for (u64 line = first; line <= last; line++) {
     LineState& ls = lines_[line];
     if ((ls.flags & kDirty) != 0) {
-      enter(pending_order_, kPending, pending_count_, line);
+      enter_pending(line);
       ls.flags = kPending;
       dirty_count_--;
       pending_count_++;
@@ -185,30 +188,53 @@ void PmDevice::clwb(u64 offset, u64 len) {
 }
 
 template <class F>
-void PmDevice::for_each_live(const std::vector<u64>& order, u8 state,
-                             F&& f) const {
-  for (std::size_t i = 0; i < order.size(); i++) {
-    const LineState& ls = lines_[order[i]];
-    if ((ls.flags & state) != 0 && ls.pos == i) f(order[i]);
+void PmDevice::for_each_pending(F&& f) const {
+  for (std::size_t i = 0; i < pending_order_.size(); i++) {
+    const LineState& ls = lines_[pending_order_[i]];
+    if ((ls.flags & kPending) != 0 && ls.pos == i) f(pending_order_[i]);
   }
 }
 
-void PmDevice::enter(std::vector<u64>& order, u8 state, std::size_t live,
-                     u64 line) {
-  if (order.size() >= 2 * live + 64) {
+void PmDevice::enter_pending(u64 line) {
+  if (pending_order_.size() >= 2 * pending_count_ + 64) {
     std::size_t n = 0;
-    for_each_live(order, state, [&](u64 l) {
+    for_each_pending([&](u64 l) {
       lines_[l].pos = static_cast<u32>(n);
-      order[n++] = l;
+      pending_order_[n++] = l;
     });
-    order.resize(n);
+    pending_order_.resize(n);
   }
-  lines_[line].pos = static_cast<u32>(order.size());
-  order.push_back(line);
+  lines_[line].pos = static_cast<u32>(pending_order_.size());
+  pending_order_.push_back(line);
+}
+
+std::vector<u64> PmDevice::dirty_in_stamp_order() const {
+  // A dirty line was written through mark_dirty, which touches its page.
+  std::vector<u64> out;
+  out.reserve(dirty_count_);
+  const u64 nlines = size_ / kCacheLine;
+  mem_.for_each_touched([&](u64 page) {
+    const u64 end = std::min(nlines, (page + 1) * kLinesPerPage);
+    for (u64 line = page * kLinesPerPage; line < end; line++) {
+      if ((lines_[line].flags & kDirty) != 0) out.push_back(line);
+    }
+  });
+  // Stamps are distinct among dirty lines: each came from dirty_clock_.
+  std::sort(out.begin(), out.end(),
+            [&](u64 a, u64 b) { return lines_[a].pos < lines_[b].pos; });
+  return out;
+}
+
+void PmDevice::restamp_dirty() {
+  // The clock is about to wrap: renumber the dirty lines 0..n-1, order
+  // kept. n <= 2^30 (checked_size), so the clock restarts far below it.
+  u32 n = 0;
+  for (const u64 line : dirty_in_stamp_order()) lines_[line].pos = n++;
+  dirty_clock_ = n;
 }
 
 void PmDevice::sfence() {
-  for_each_live(pending_order_, kPending, [&](u64 line) {
+  for_each_pending([&](u64 line) {
     drain_line_whole(line);
     lines_[line].flags = 0;
   });
@@ -313,8 +339,8 @@ void PmDevice::revert_volatile() {
     std::memset(lines_ + page * kLinesPerPage, 0,
                 n / kCacheLine * sizeof(LineState));
   });
-  dirty_order_.clear();
   pending_order_.clear();
+  dirty_clock_ = 0;
   dirty_count_ = 0;
   pending_count_ = 0;
   deferred_words_ = 0;
@@ -326,7 +352,7 @@ void PmDevice::power_cut() {
   Rng rng(plan_->seed ^ (fault_events_ * 0x9e3779b97f4a7c15ULL));
   // In-flight (clwb'd, unfenced) lines, in clwb order: drain, tear, or
   // vanish.
-  for_each_live(pending_order_, kPending, [&](u64 line) {
+  for_each_pending([&](u64 line) {
     if (rng.chance(plan_->unfenced_drain_p)) {
       drain_line(line, /*torn=*/false, rng);
     } else if (plan_->tear_p > 0 && rng.chance(plan_->tear_p)) {
@@ -337,11 +363,11 @@ void PmDevice::power_cut() {
   // cache, but any may have been evicted — reaching PM unordered, possibly
   // torn.
   if (plan_->evict_dirty_p > 0) {
-    for_each_live(dirty_order_, kDirty, [&](u64 line) {
+    for (const u64 line : dirty_in_stamp_order()) {
       if (rng.chance(plan_->evict_dirty_p)) {
         drain_line(line, plan_->tear_p > 0 && rng.chance(plan_->tear_p), rng);
       }
-    });
+    }
   }
   revert_volatile();
 }
@@ -354,7 +380,7 @@ void PmDevice::crash() {
   }
   // Baseline semantics: clwb'd-but-unfenced lines raced the power loss;
   // each independently may or may not have drained (drawn in clwb order).
-  for_each_live(pending_order_, kPending, [&](u64 line) {
+  for_each_pending([&](u64 line) {
     if (env_.rng.chance(0.5)) drain_line_whole(line);
   });
   revert_volatile();

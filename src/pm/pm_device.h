@@ -189,6 +189,11 @@ class PmDevice {
   /// crash_at_event = 0 to size a crash-point sweep.
   [[nodiscard]] u64 fault_events() const noexcept { return fault_events_; }
 
+  /// For tests: moves the dirty-stamp clock to `stamp` (at or above every
+  /// stamp handed out so far), so a test can drive it across its 32-bit
+  /// wrap without 2^32 stores.
+  void set_dirty_clock(u32 stamp) noexcept { dirty_clock_ = stamp; }
+
   /// Number of lines currently dirty (unflushed) — test/introspection aid.
   [[nodiscard]] std::size_t dirty_lines() const noexcept { return dirty_count_; }
   [[nodiscard]] std::size_t pending_lines() const noexcept {
@@ -340,8 +345,9 @@ class PmDevice {
 
   // Flat per-line flush state: `flags` holds at most one of kDirty /
   // kPending; `deferred` has bit w set while aligned word w of the line is
-  // withheld; `pos` is the index of the line's live entry in dirty_order_
-  // or pending_order_ (whichever matches its state).
+  // withheld. `pos` of a pending line is the index of its live entry in
+  // pending_order_; `pos` of a dirty line is its dirty stamp, the value of
+  // dirty_clock_ when it last became dirty.
   struct LineState {
     u8 flags;
     u8 deferred;
@@ -350,14 +356,20 @@ class PmDevice {
   static constexpr u8 kDirty = 1;
   static constexpr u8 kPending = 2;
 
-  // Appends `line` to `order` as its live entry (the line's state must
-  // not be `state` yet), first dropping stale entries once they make up
-  // half of the vector — amortised O(1), order of live entries kept.
-  void enter(std::vector<u64>& order, u8 state, std::size_t live, u64 line);
-  // Calls f(line) for each line still in `state`, in the order it last
-  // entered that state.
+  // Appends `line` to pending_order_ as its live entry (the line must not
+  // be pending yet), first dropping stale entries once they make up half
+  // of the vector — amortised O(1), order of live entries kept.
+  void enter_pending(u64 line);
+  // Calls f(line) for each pending line, in the order it last went
+  // pending.
   template <class F>
-  void for_each_live(const std::vector<u64>& order, u8 state, F&& f) const;
+  void for_each_pending(F&& f) const;
+  // The dirty lines in the order each last became dirty (by stamp): found
+  // on the volatile view's touched pages, so only a power cut pays.
+  [[nodiscard]] std::vector<u64> dirty_in_stamp_order() const;
+  // Renumbers the dirty stamps 0..n-1 (order kept) before dirty_clock_
+  // wraps.
+  void restamp_dirty();
 
   static u64 checked_size(u64 size);
   void check_range(u64 offset, u64 len) const {
@@ -385,11 +397,13 @@ class PmDevice {
   Image persisted_;  // what survives power loss
   LazyZero line_state_;
   LineState* lines_;  // size_ / kCacheLine entries, in line_state_
-  // Lines in the order they last became dirty / pending (the crash draw
-  // order). An entry is stale, and skipped, once its line has left that
-  // state or re-entered it under a later entry.
-  std::vector<u64> dirty_order_;
+  // Lines in the order they last went pending (the crash draw order). An
+  // entry is stale, and skipped, once its line has left that state or
+  // re-entered it under a later entry.
   std::vector<u64> pending_order_;
+  // Next dirty stamp. Dirty lines are ordered by stamp, not by a list, so
+  // the store path pays no bookkeeping for lines that are never flushed.
+  u32 dirty_clock_ = 0;
   std::size_t dirty_count_ = 0;
   std::size_t pending_count_ = 0;
   std::size_t deferred_words_ = 0;

@@ -104,12 +104,12 @@ Result<u64> PmPool::alloc(u64 size) {
       }
     }
   }
-  // Carve from the bump region.
+  // Carve from the bump region, packed: every block is a whole number of
+  // lines, so the frontier stays line-aligned and no carve leaves a hole.
   const u64 block = cls.has_value() ? kClassSizes[*cls]
                                     : align_up(size, kCacheLine);
-  const u64 at = align_up(h->bump, cls.has_value() ? u64{kClassSizes[*cls]}
-                                                   : u64{kCacheLine});
-  if (at + block > h->base + h->span_len) return Errc::out_of_space;
+  const u64 at = h->bump;
+  if (block > h->base + h->span_len - at) return Errc::out_of_space;
   h->bump = at + block;
   if (in_epoch_) {
     // The frontier must be durable before any publication that references

@@ -6,6 +6,9 @@
 //
 // Layout: a persisted PoolHeader holds a bump pointer and per-size-class
 // freelist heads; a free block's first 8 bytes store the next-free offset.
+// Carves are packed at the bump frontier: every block is line-aligned and
+// a whole number of lines long, so mixed classes leave no padding between
+// them. A block is not aligned to its class size.
 //
 // Crash-consistency policy: *leak, never corrupt*. Every metadata update
 // follows write -> clwb -> sfence ordering, and the visible state is
@@ -26,6 +29,7 @@
 // the DRAM state is written back: links first, fence, then heads, fence.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <string_view>
@@ -41,6 +45,9 @@ class PmPool {
  public:
   static constexpr std::array<u32, 7> kClassSizes = {64,  128,  256, 512,
                                                      1024, 2048, 4096};
+  static_assert(std::ranges::all_of(kClassSizes,
+                                    [](u32 c) { return c % kCacheLine == 0; }),
+                "packed carves keep the bump frontier line-aligned");
 
   /// Formats a new pool occupying [base, base+span_len) of `dev` and
   /// registers it under root name `name`; the header is durable before
@@ -55,9 +62,12 @@ class PmPool {
   /// Errc::corrupted on a bad header magic.
   static Result<PmPool> recover(PmDevice& dev, std::string_view name);
 
-  /// Allocates at least `size` bytes; returns the block offset. Blocks of
-  /// more than the largest class are carved from the bump region rounded
-  /// to a whole number of lines (and are not recycled by free()).
+  /// Allocates at least `size` bytes; returns the block offset. The block
+  /// is line-aligned and disjoint from every other live block; class-size
+  /// alignment is not promised. A new carve starts exactly where the last
+  /// one ended, so bump_used() equals the bytes carved. Blocks of more
+  /// than the largest class are rounded to a whole number of lines (and
+  /// are not recycled by free()).
   /// Ordering contract: the bump/freelist metadata update is persisted
   /// (clwb+sfence) before returning, so a crash after alloc() can only
   /// *leak* the block — it can never be handed out twice after recovery.
@@ -74,8 +84,8 @@ class PmPool {
   [[nodiscard]] u64 allocated_bytes() const noexcept { return allocated_bytes_; }
   [[nodiscard]] u64 capacity() const noexcept;
 
-  // Bytes reachable from neither a freelist nor the bump frontier,
-  // assuming the caller reports its live set. For tests.
+  // Bytes carved from the bump region so far (live, freelisted or
+  // leaked): with packed carves, exactly the sum of the carved blocks.
   [[nodiscard]] u64 bump_used() const;
 
   // Overrides the simulated cost charged per alloc/free. By default a

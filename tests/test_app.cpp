@@ -196,11 +196,19 @@ class KvRig {
       std::size_t n;
       while ((n = tc.read(buf)) > 0) {
         auto r = c.parser.feed(std::span<const u8>(buf.data(), n));
-        if (r.has_value()) c.last = std::move(r);
+        if (r.has_value()) {
+          c.responses++;
+          c.last = std::move(r);
+        }
       }
     };
     env_.engine.run_until_idle();
     return clients_.size() - 1;
+  }
+
+  // Responses connection `conn` has parsed since it opened.
+  [[nodiscard]] std::size_t responses(std::size_t conn = 0) const {
+    return clients_[conn]->responses;
   }
 
   [[nodiscard]] bool connected(std::size_t conn = 0) const {
@@ -302,6 +310,7 @@ class KvRig {
     net::TcpConn* conn = nullptr;
     http::ResponseParser parser;
     std::optional<http::Response> last;
+    std::size_t responses = 0;
   };
 
   static HostConfig server_cfg(int cores, bool csum_offload) {
@@ -393,6 +402,62 @@ TEST(KvServerParse, UpperCaseContentLengthKeepsBody) {
   ASSERT_TRUE(get.has_value());
   EXPECT_EQ(get->status, 200);
   EXPECT_EQ(str(get->body), "hello");
+}
+
+// A request head split across TCP segments is parsed over the gathered
+// segments: a PUT and a GET whose heads straddle segment boundaries (one
+// head longer than a segment) are each answered exactly once, and the GET
+// returns the PUT's bytes. Both indexed backends.
+TEST(KvServerParse, HeadSplitAcrossSegmentsGetsOneResponse) {
+  for (const Backend b : {Backend::pktstore, Backend::lsm}) {
+    KvRig rig(b);
+    std::string value;
+    for (int i = 0; i < 3000; i++) value += static_cast<char>('a' + i % 26);
+    const std::string put_rest = "ength: " + std::to_string(value.size()) +
+                                 "\r\n\r\n" + value.substr(0, 10);
+    const auto put = rig.send_segments(
+        {"PUT /kv/sp", "lit HTTP/1.1\r\nContent-L", put_rest,
+         std::string_view(value).substr(10)});
+    ASSERT_TRUE(put.has_value());
+    EXPECT_EQ(put->status, 201);
+    EXPECT_EQ(rig.responses(), 1u);
+
+    // A head longer than one segment: a padding header past the MSS.
+    const std::string pad = "X-Pad: " + std::string(2 * net::kMss, 'p');
+    const auto get = rig.send_segments(
+        {"GET /kv/split HTTP/1.1\r\n", pad, "\r\n", "\r\n"});
+    ASSERT_TRUE(get.has_value());
+    EXPECT_EQ(get->status, 200);
+    EXPECT_EQ(str(get->body), value);
+    EXPECT_EQ(rig.responses(), 2u);
+    EXPECT_EQ(rig.server().ops(), 2u);
+    EXPECT_EQ(rig.server().errors(), 0u);
+    EXPECT_TRUE(rig.connected());
+  }
+}
+
+// A head with no terminator within KvServer::kMaxHeadBytes is answered
+// 431 and its connection closed, whether the terminator never comes or
+// comes too late; the server keeps serving other connections.
+TEST(KvServerParse, HeadOverCapIs431) {
+  for (const bool terminated : {false, true}) {
+    KvRig rig(Backend::pktstore);
+    std::string req = "GET /kv/a HTTP/1.1\r\nX-Pad: " +
+                      std::string(KvServer::kMaxHeadBytes, 'p');
+    if (terminated) req += "\r\n\r\n";
+    const auto r = rig.send_raw(req);
+    ASSERT_TRUE(r.has_value()) << terminated;
+    EXPECT_EQ(r->status, 431) << terminated;
+    EXPECT_EQ(rig.responses(), 1u);
+    EXPECT_FALSE(rig.connected());
+    EXPECT_EQ(rig.server().errors(), 1u);
+    EXPECT_EQ(rig.server().ops(), 0u);
+    const std::size_t other = rig.connect();
+    const auto put = rig.request(http::Method::put, "/kv/b",
+                                 std::vector<u8>{'x', 'y'}, other);
+    ASSERT_TRUE(put.has_value());
+    EXPECT_EQ(put->status, 201);
+  }
 }
 
 // raw_persist copies a PUT body into its fixed PM region. A body larger

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "pm/flush_batch.h"
 #include "pm/pm_device.h"
 #include "pm/pm_pool.h"
 #include "pm/pm_ptr.h"
@@ -576,6 +578,39 @@ TEST(PmDeviceFuzz, MatchesReferenceModel) {
   }
 }
 
+// Eviction at a power cut draws dirty lines in the order each last became
+// dirty, kept as 32-bit stamps. A stamp clock driven across its wrap must
+// draw in the same order, so cut the same workload with the clock started
+// at 0 and just below the wrap and compare the persisted images.
+TEST(PmDeviceFuzz, DirtyStampWrapKeepsEvictionOrder) {
+  constexpr u64 kLines = 64;
+  const auto cut_image = [](std::optional<u32> clock) {
+    sim::Env env;
+    PmDevice dev(env, kDev);
+    if (clock.has_value()) dev.set_dirty_clock(*clock);
+    const u64 base = dev.data_base();
+    Rng rng(7);
+    for (u64 i = 1; i <= 600; i++) {
+      const u64 line = base + rng.next_below(kLines) * kCacheLine;
+      dev.store_u64(line + 8 * rng.next_below(8), i);
+      // A clwb'd line re-dirtied later takes a fresh stamp.
+      if (rng.chance(0.3)) dev.clwb(line, kCacheLine);
+    }
+    FaultPlan plan;
+    plan.evict_dirty_p = 0.5;
+    plan.seed = 3;
+    dev.set_fault_plan(plan);
+    dev.crash();
+    const u8* p = dev.at(base, kLines * kCacheLine);
+    return std::vector<u8>(p, p + kLines * kCacheLine);
+  };
+  const std::vector<u8> plain = cut_image(std::nullopt);
+  constexpr u32 kMax = std::numeric_limits<u32>::max();
+  for (const u32 start : {kMax - 200, kMax - 1, kMax}) {
+    EXPECT_EQ(cut_image(start), plain) << "clock started at " << start;
+  }
+}
+
 // ---------- PmPool ----------
 
 class PmPoolTest : public ::testing::Test {
@@ -590,9 +625,58 @@ TEST_F(PmPoolTest, AllocReturnsDistinctAlignedBlocks) {
   for (int i = 0; i < 100; i++) {
     auto r = pool.alloc(100);  // class 128
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value() % 128, 0u);
+    EXPECT_EQ(r.value() % kCacheLine, 0u);  // line-aligned, not class-aligned
     EXPECT_TRUE(seen.insert(r.value()).second);
   }
+}
+
+// Carves are packed at the bump frontier: interleaved classes and a block
+// larger than any class leave no padding, outside and inside a commit
+// epoch, and a carve after a crash never overlaps one made before it.
+TEST_F(PmPoolTest, MixedClassCarvesLeaveNoPadding) {
+  std::map<u64, u64> blocks;  // offset -> block length
+  u64 carved = 0;
+  const auto carve = [&](PmPool& p, u64 size) {
+    const auto r = p.alloc(size);
+    ASSERT_TRUE(r.ok()) << size;
+    EXPECT_EQ(r.value() % kCacheLine, 0u) << size;
+    const u64 len = align_up(size, kCacheLine);  // every class is whole lines
+    EXPECT_TRUE(blocks.emplace(r.value(), len).second) << r.value();
+    carved += len;
+  };
+  const auto expect_disjoint = [&] {
+    u64 end = 0;
+    for (const auto& [off, len] : blocks) {
+      EXPECT_GE(off, end) << "block at " << off << " overlaps its predecessor";
+      end = off + len;
+    }
+  };
+  const std::vector<u64> mix = {64, 1024, 128, 4096, 64, 10000, 1024, 64, 128};
+
+  for (const u64 size : mix) carve(pool, size);
+  expect_disjoint();
+  EXPECT_EQ(pool.bump_used(), carved);
+
+  GroupCommitPolicy policy;
+  policy.max_epoch_ops = 1000;
+  FlushBatcher batcher(dev, policy);
+  batcher.register_pool(pool);
+  batcher.begin_op(/*backlogged=*/true, 0);
+  ASSERT_TRUE(pool.in_commit_epoch());
+  for (const u64 size : mix) carve(pool, size);
+  batcher.end_op();
+  batcher.close();  // the epoch's carves are durable from here on
+  batcher.deactivate();
+  expect_disjoint();
+  EXPECT_EQ(pool.bump_used(), carved);
+
+  dev.crash();
+  auto rec = PmPool::recover(dev, "pool");
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->bump_used(), carved);
+  for (const u64 size : mix) carve(*rec, size);
+  expect_disjoint();
+  EXPECT_EQ(rec->bump_used(), carved);
 }
 
 TEST_F(PmPoolTest, FreeThenAllocReuses) {
