@@ -15,12 +15,13 @@
 # span tracing and attribution, the metrics sections, the admin scrape
 # probe, the rebalancer, and software checksums on the zero-copy GET
 # path (openloop-nocsum: heads and frags of any length, summed in
-# software on both hosts). The three recovery runs drive PChain,
+# software on both hosts). bench_tcp covers TCP itself under loss and
+# reorder, the only run here that loses packets. The three recovery runs drive PChain,
 # PSkipList, PmMemtable and the WAL outside any server; --crashpoints
 # prints the flush/fence index each cut landed at, so any change in the
 # persistence event sequence shows. Prints one line per run and exits
-# non-zero if any output differs or any bench fails. Takes about 16 s per
-# build tree on a 4-core machine.
+# non-zero if any output differs or any bench fails. Its 23 runs take
+# about 18 s per build tree on a 4-core machine.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -53,6 +54,7 @@ runs=(
   "ablations|bench_ablations||stdout"
   "homa|bench_homa||stdout"
   "transport|bench_transport||stdout"
+  "tcp|bench_tcp||stdout"
   "table1-flags|bench_table1|--repl --check-attribution --metrics --trace @TRACE@|stdout"
   "fig2-metrics|bench_fig2|--metrics|stdout"
   "openloop-admin|bench_openloop|--conns 1000 --seconds 1 --admin-overhead|stdout"

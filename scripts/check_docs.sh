@@ -86,11 +86,11 @@ done
 
 # Knob lint. Fields are matched by name: one assignment of `.seed =`
 # anywhere covers every struct's `seed`. Exempt, with the reason:
-#   the four listening/replication ports — addresses are deployment
-#   settings, set per machine, even where every run here uses the default.
+#   the three listening/replication ports (OpenLoopConfig inherits
+#   ClientConfig's) — addresses are deployment settings, set per machine,
+#   even where every run here uses the default.
 knob_exempt="ServerConfig::port
 ClientConfig::port
-OpenLoopConfig::port
 ReplOptions::port"
 knobs="$(find src -name '*.h' -o -name '*.cpp' | sort | xargs awk '
   /^[[:space:]]*struct [A-Za-z0-9_]*(Config|Options|Policy|Knobs)[[:space:]]*(:[^{]*)?\{/ {

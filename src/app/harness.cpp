@@ -51,19 +51,22 @@ class AdminProbe {
   void start() {
     conn_ = host_.stack().connect(kServerIp, port_);
     conn_->on_established = [this](net::TcpConn&) { tick(); };
-    conn_->on_readable = [this](net::TcpConn&) { on_readable(); };
+    conn_->on_readable = [this](net::TcpConn&) {
+      while (const auto resp = read_response(*conn_, parser_)) {
+        in_flight_ = false;
+        scrapes++;
+        bytes += resp->body.size();
+      }
+    };
   }
   void stop() noexcept { stopped_ = true; }
-  [[nodiscard]] u64 scrapes() const noexcept { return scrapes_; }
-  [[nodiscard]] u64 bytes() const noexcept { return bytes_; }
-  void reset_stats() noexcept { scrapes_ = bytes_ = 0; }
+
+  u64 scrapes = 0;  // responses completed
+  u64 bytes = 0;    // response body bytes delivered
 
  private:
   void tick() {
-    if (stopped_ || conn_ == nullptr ||
-        conn_->state() != net::TcpState::established) {
-      return;
-    }
+    if (stopped_ || conn_->state() != net::TcpState::established) return;
     host_.env().engine.schedule_in(period_, [this] { tick(); });
     if (in_flight_) return;  // slow scrape: skip a beat, never pipeline
     in_flight_ = true;
@@ -76,28 +79,15 @@ class AdminProbe {
     req.target = kTargets[next_++ % 3];
     (void)conn_->send(http::serialize(req));
   }
-  void on_readable() {
-    std::size_t n;
-    while ((n = conn_->read(rx_buf_)) > 0) {
-      const auto resp = parser_.feed(std::span<const u8>(rx_buf_.data(), n));
-      if (!resp.has_value()) continue;
-      in_flight_ = false;
-      scrapes_++;
-      bytes_ += resp->body.size();
-    }
-  }
 
   Host& host_;
   u16 port_;
   SimTime period_;
   net::TcpConn* conn_ = nullptr;
   http::ResponseParser parser_;
-  std::vector<u8> rx_buf_ = std::vector<u8>(4096);  // on_readable scratch
   std::size_t next_ = 0;
   bool in_flight_ = false;
   bool stopped_ = false;
-  u64 scrapes_ = 0;
-  u64 bytes_ = 0;
 };
 
 }  // namespace
@@ -355,7 +345,8 @@ FailoverResult run_failover(const FailoverConfig& cfg) {
   r.acked_keys = acked.size();
   for (const u64 key_idx : acked) {
     const auto got = winner->store().get("key" + std::to_string(key_idx));
-    if (!got.ok() || got.value() != value_for(cfg.seed, key_idx, cfg.value_size)) {
+    if (!got.ok() ||
+        !value_matches(cfg.seed, key_idx, cfg.value_size, got.value())) {
       r.acked_lost++;
     }
   }
@@ -407,10 +398,10 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
     occ.get_ratio = cfg.get_ratio;
     occ.keyspace = cfg.keyspace;
     occ.zipf_theta = cfg.zipf_theta;
-    occ.seed = cfg.seed + static_cast<u64>(h) * 86243;
+    occ.seed = cfg.seed;
     occ.deadline_ns = cfg.deadline_ns;
     occ.connect_window_ns = connect_window;
-    clients.push_back(std::make_unique<OpenLoopClient>(host, occ));
+    clients.push_back(std::make_unique<OpenLoopClient>(host, occ, h));
   }
   if (cfg.rebalance) tb.start_rebalancer(RebalanceConfig{});
 
@@ -428,7 +419,7 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   if (probe.has_value()) probe->start();  // scraping spans the warmup too
   tb.env().engine.run_until(warmup);
   for (auto& c : clients) c->reset_stats();
-  if (probe.has_value()) probe->reset_stats();
+  if (probe.has_value()) probe->scrapes = probe->bytes = 0;
   tb.begin_measurement();
   const u64 admin_before = server.admin_requests();
 
@@ -443,6 +434,7 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
     r.completed += c->completed();
     r.deadline_misses += c->deadline_misses();
     r.errors += c->http_errors();
+    r.gets_checked += c->gets_checked();
   }
   r.errors += server.errors();
   r.miss_rate = r.completed > 0 ? static_cast<double>(r.deadline_misses) /
@@ -454,8 +446,8 @@ OpenLoopResult run_openloop(const OpenLoopRunConfig& cfg) {
   r.indir_remaps = tb.server_host().nic().indir_remaps();
   r.admin_requests = server.admin_requests() - admin_before;
   if (probe.has_value()) {
-    r.admin_scrapes = probe->scrapes();
-    r.admin_bytes = probe->bytes();
+    r.admin_scrapes = probe->scrapes;
+    r.admin_bytes = probe->bytes;
   }
   return r;
 }

@@ -161,7 +161,7 @@ struct RunResult : TestbedResult {
   Stats rtt;             // per-request RTT samples, ns
   u64 ops = 0;           // requests completed in the measurement window
   storage::OpBreakdown avg_breakdown;  // server-side, per op
-  u64 server_errors = 0;   // server errors + client HTTP errors
+  u64 server_errors = 0;   // server errors + client HTTP errors (not misses)
   u64 gets_checked = 0;    // GET bodies byte-checked by the client
   u64 retransmits_hint = 0;  // fabric drops (loss experiments)
 
@@ -235,7 +235,8 @@ struct OpenLoopResult : TestbedResult {
   u64 deadline_misses = 0;
   double miss_rate = 0.0;  // deadline_misses / completed
   double offered_krps = 0.0;  // arrivals over the window, for comparison
-  u64 errors = 0;  // server errors + responses >= 400 or unparseable
+  u64 errors = 0;  // server errors + client HTTP errors (404s are misses)
+  u64 gets_checked = 0;  // GET bodies byte-checked by the clients
   u64 indir_remaps = 0;  // NIC indirection-table rewrites (rebalancer)
 
   // Telemetry plane activity (zeros unless cfg.admin).
@@ -279,8 +280,8 @@ struct FailoverConfig : TestbedConfig {
 
   // Open-loop PUT-only load (GETs would dilute the acked-write set; the
   // keyspace is left unprimed so every byte on the backups arrived via
-  // the replication stream). One client host: one seed, so value_for()
-  // verifies the survivors.
+  // the replication stream). PUT values derive from the run's seed, so
+  // value_for() verifies the survivors.
   int connections = 64;
   double rate_rps = 40'000;
   std::size_t value_size = 512;

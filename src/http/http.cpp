@@ -205,7 +205,6 @@ std::optional<Response> ResponseParser::try_parse() {
   HeadLines hl = parse_head(head);
   if (!hl.ok) {
     failed_ = true;
-    obs::inc(m_errors_);
     return std::nullopt;
   }
   if (buf_.size() < head_len + hl.content_length) return std::nullopt;
@@ -215,7 +214,6 @@ std::optional<Response> ResponseParser::try_parse() {
   const std::size_t sp1 = hl.start_line.find(' ');
   if (sp1 == std::string_view::npos) {
     failed_ = true;
-    obs::inc(m_errors_);
     return std::nullopt;
   }
   const std::string_view code = hl.start_line.substr(sp1 + 1, 3);
@@ -223,7 +221,6 @@ std::optional<Response> ResponseParser::try_parse() {
   const auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), status);
   if (ec != std::errc() || p != code.data() + code.size()) {
     failed_ = true;
-    obs::inc(m_errors_);
     return std::nullopt;
   }
   resp.status = status;
@@ -232,7 +229,6 @@ std::optional<Response> ResponseParser::try_parse() {
                    buf_.begin() + static_cast<long>(head_len + hl.content_length));
   buf_.erase(buf_.begin(),
              buf_.begin() + static_cast<long>(head_len + hl.content_length));
-  obs::inc(m_parsed_);
   return resp;
 }
 

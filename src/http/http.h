@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/metrics.h"
 
 namespace papm::http {
 
@@ -71,19 +70,11 @@ class ResponseParser {
   std::optional<Response> feed(std::span<const u8> data);
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
-  // Counters by convention: http.responses_parsed / http.parse_errors.
-  void set_metrics(obs::Counter* parsed, obs::Counter* errors) noexcept {
-    m_parsed_ = parsed;
-    m_errors_ = errors;
-  }
-
  private:
   std::optional<Response> try_parse();
 
   std::vector<u8> buf_;
   bool failed_ = false;
-  obs::Counter* m_parsed_ = nullptr;
-  obs::Counter* m_errors_ = nullptr;
 };
 
 }  // namespace papm::http

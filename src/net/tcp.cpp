@@ -135,6 +135,23 @@ bool verify_l4_csum(sim::Env& env, PktBufPool& pool, PktBuf& pb) {
   return true;
 }
 
+u16 l4_tx_csum(sim::Env& env, PktBuf& pb, const IpHeader& ip) {
+  const std::size_t l4_len = pb.total_len() - pb.l4_off;
+  env.clock().advance(env.cost.inet_csum_cost(l4_len));
+  PktBufPool& pool = *pb.owner;
+  std::size_t at = pb.len - pb.l4_off;
+  u32 sum = inet_sum_at(l4_pseudo_sum(ip.src, ip.dst, ip.protocol, l4_len), 0,
+                        {pool.data(pb) + pb.l4_off, at});
+  for (int i = 0; i < pb.nr_frags; i++) {
+    const auto& fr = pb.frags[i];
+    sum = inet_sum_at(
+        sum, at,
+        {pool.arena().data(fr.data_h, fr.off + fr.len) + fr.off, fr.len});
+    at += fr.len;
+  }
+  return static_cast<u16>(~inet_fold(sum));
+}
+
 void TcpStack::rx(PktBuf* pb) {
   run_cpu([&] { rx_locked(pb); });
 }
@@ -232,26 +249,7 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
   encode_tcp(tcp, {base + kEthHdrLen + kIpHdrLen, kTcpHdrLen});
 
   if (!opts_.csum_offload_tx) {
-    // Software checksumming: charge per byte covered; gather frag bytes.
-    // Each piece is summed at its offset in the segment, so a linear part
-    // or frag of odd length (an HTTP head, say) shifts the ones that
-    // follow by a byte.
-    env_.clock().advance(env_.cost.inet_csum_cost(kTcpHdrLen + payload_len));
-    u32 sum = tcp_pseudo_sum(ip.src, ip.dst, kTcpHdrLen + payload_len);
-    sum = inet_sum_at(sum, 0, {base + pb->l4_off, kTcpHdrLen});
-    std::size_t at = kTcpHdrLen;
-    const std::size_t linear = pb->len - kAllHdrLen;
-    sum = inet_sum_at(sum, at, {base + kAllHdrLen, linear});
-    at += linear;
-    for (int i = 0; i < pb->nr_frags; i++) {
-      const auto& fr = pb->frags[i];
-      sum = inet_sum_at(
-          sum, at,
-          {pb->owner->arena().data(fr.data_h, fr.off + fr.len) + fr.off,
-           fr.len});
-      at += fr.len;
-    }
-    const u16 csum = static_cast<u16>(~inet_fold(sum));
+    const u16 csum = l4_tx_csum(env_, *pb, ip);
     base[pb->l4_off + 16] = static_cast<u8>(csum >> 8);
     base[pb->l4_off + 17] = static_cast<u8>(csum & 0xff);
     tcp.checksum = csum;

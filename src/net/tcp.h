@@ -57,6 +57,14 @@ class NetIf {
 // False = corrupt.
 [[nodiscard]] bool verify_l4_csum(sim::Env& env, PktBufPool& pool, PktBuf& pb);
 
+// Software L4 checksum (TCP or UDP) of an outgoing packet under IP
+// header `ip`: charges the pass over the segment and returns the
+// checksum, folded and inverted. The linear part from pb.l4_off and then
+// each frag are summed at their offsets in the segment, so a piece of odd
+// length (an HTTP head, a replication header carrying a key) shifts the
+// ones after it by a byte.
+[[nodiscard]] u16 l4_tx_csum(sim::Env& env, PktBuf& pb, const IpHeader& ip);
+
 // Sequence-number arithmetic (wrap-safe).
 [[nodiscard]] constexpr bool seq_lt(u32 a, u32 b) noexcept {
   return static_cast<i32>(a - b) < 0;

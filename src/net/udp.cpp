@@ -124,18 +124,7 @@ Status UdpStack::send_pkt_to(u32 dst_ip, u16 dst_port, u16 src_port,
   encode_udp(udp, {base + pb->l4_off, kUdpHdrLen});
 
   if (!opts_.csum_offload_tx) {
-    env_.clock().advance(env_.cost.inet_csum_cost(kUdpHdrLen + payload_len));
-    u32 sum = l4_pseudo_sum(ip.src, ip.dst, kIpProtoUdp,
-                            kUdpHdrLen + payload_len);
-    sum += inet_sum({base + pb->l4_off, kUdpHdrLen});
-    sum += inet_sum({base + kUdpAllHdrLen,
-                     static_cast<std::size_t>(pb->len) - kUdpAllHdrLen});
-    for (int i = 0; i < pb->nr_frags; i++) {
-      const auto& fr = pb->frags[i];
-      sum += inet_sum(
-          {pool_.arena().data(fr.data_h, fr.off + fr.len) + fr.off, fr.len});
-    }
-    u16 csum = static_cast<u16>(~inet_fold(sum));
+    u16 csum = l4_tx_csum(env_, *pb, ip);
     if (csum == 0) csum = 0xffff;  // 0 means "no checksum" in UDP
     base[pb->l4_off + 6] = static_cast<u8>(csum >> 8);
     base[pb->l4_off + 7] = static_cast<u8>(csum & 0xff);
