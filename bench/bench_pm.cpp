@@ -5,11 +5,18 @@
 // number for the PM device and group-commit layers:
 //
 //  * store + clwb + sfence of one line (the fence-per-op persist path);
+//  * the first 8-byte store to each of 16 durable lines, clwb'd and
+//    closed by one sfence: the store takes each line's pre-image and the
+//    fence retires it;
 //  * a FlushBatcher epoch close: content fence, deferred publications
 //    applied, publication fence — drained while words are withheld;
 //  * device construction at the per-host image size (512 MB);
-//  * crash() and clone_persisted() with 0.1%, 1% and 10% of the pages
-//    touched (host cost should scale with touched pages, not size).
+//  * crash() with 0.1%, 1% and 10% of the pages touched, each holding one
+//    unflushed line again per iteration (host cost should scale with the
+//    lines not yet durable, not with the device size), and
+//    clone_persisted() at the same fractions (scales with touched pages).
+// Rows that hold pre-images report the device's count (preimage_lines,
+// preimage_hwm) as counters; no metric registry mirrors it.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -48,6 +55,27 @@ void BM_StoreClwbSfence(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreClwbSfence);
 
+// 16 lines per fence, each durable before its store: every iteration
+// takes 16 pre-images and retires them at the fence.
+void BM_FirstStoreAfterFence(benchmark::State& state) {
+  constexpr u64 kBatch = 16;
+  sim::Env env;
+  pm::PmDevice dev(env, u64{16} << 20);
+  const u64 base = dev.data_base();
+  u64 i = 0;
+  for (auto _ : state) {
+    for (u64 l = 0; l < kBatch; l++) {
+      const u64 off = base + (i++ % kWorkingLines) * kCacheLine;
+      dev.store_u64(off, i);
+      dev.clwb(off, 8);
+    }
+    dev.sfence();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(kBatch));
+  state.counters["preimage_hwm"] = static_cast<double>(dev.obs_epoch().preimage_hwm);
+}
+BENCHMARK(BM_FirstStoreAfterFence);
+
 // One epoch of `ops` ops, each four fresh lines plus a withheld 8-byte
 // publication (a 256 B put), closed by hand; only close() is timed.
 void BM_EpochClose(benchmark::State& state) {
@@ -83,6 +111,7 @@ void BM_EpochClose(benchmark::State& state) {
     state.SetIterationTime(took.count());
   }
   state.counters["deferred_words_per_close"] = static_cast<double>(ops);
+  state.counters["preimage_hwm"] = static_cast<double>(dev.obs_epoch().preimage_hwm);
 }
 BENCHMARK(BM_EpochClose)->Arg(64)->UseManualTime();
 
@@ -96,15 +125,19 @@ void BM_DeviceConstruct(benchmark::State& state) {
 BENCHMARK(BM_DeviceConstruct)->Unit(benchmark::kMicrosecond);
 
 // A 512 MB device with one persisted line in every (1000/permille)-th
-// page, plus an unflushed line in the same page.
-void touch_pages(pm::PmDevice& dev, i64 permille) {
+// page, plus an unflushed line in the same page. Returns the unflushed
+// lines.
+std::vector<u64> touch_pages(pm::PmDevice& dev, i64 permille) {
   const std::vector<u8> line(kCacheLine, 0x3c);
   const u64 stride = kPage * 1000 / static_cast<u64>(permille);
+  std::vector<u64> unflushed;
   for (u64 page = kPage; page + kPage <= dev.size(); page += stride) {
     dev.store(page, line);
     dev.persist(page, kCacheLine);
     dev.store(page + kCacheLine, line);
+    unflushed.push_back(page + kCacheLine);
   }
+  return unflushed;
 }
 
 std::string touched_label(i64 permille) {
@@ -113,24 +146,40 @@ std::string touched_label(i64 permille) {
   return pct + "% of pages touched";
 }
 
+// Only crash() is timed; the unflushed lines it reverts are stored again
+// before each one.
 void BM_Crash(benchmark::State& state) {
   sim::Env env;
   pm::PmDevice dev(env, kImage);
-  touch_pages(dev, state.range(0));
-  for (auto _ : state) dev.crash();
+  const std::vector<u64> unflushed = touch_pages(dev, state.range(0));
+  const std::vector<u8> line(kCacheLine, 0x5a);
+  for (auto _ : state) {
+    for (const u64 off : unflushed) dev.store(off, line);
+    const auto t0 = Clock::now();
+    dev.crash();
+    const std::chrono::duration<double> took = Clock::now() - t0;
+    state.SetIterationTime(took.count());
+  }
   state.SetLabel(touched_label(state.range(0)));
+  state.counters["unflushed_lines"] = static_cast<double>(unflushed.size());
 }
-BENCHMARK(BM_Crash)->Arg(1)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Crash)
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(100)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ClonePersisted(benchmark::State& state) {
   sim::Env env;
   pm::PmDevice dev(env, kImage);
-  touch_pages(dev, state.range(0));
+  (void)touch_pages(dev, state.range(0));
   for (auto _ : state) {
     auto clone = dev.clone_persisted();
     benchmark::DoNotOptimize(clone.get());
   }
   state.SetLabel(touched_label(state.range(0)));
+  state.counters["preimage_lines"] = static_cast<double>(dev.preimage_lines());
 }
 BENCHMARK(BM_ClonePersisted)
     ->Arg(1)

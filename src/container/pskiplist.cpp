@@ -311,7 +311,8 @@ bool PSkipList::erase(std::string_view key) {
       publish_word(prev[0] + kOffTower, next_of(n, 0), is_fresh(prev[0]));
     }
     const u16 flags = kDead;
-    std::memcpy(dev_->at(n + kOffFlags, 2), &flags, 2);
+    dev_->store_volatile(n + kOffFlags,
+                         std::span<const u8>(reinterpret_cast<const u8*>(&flags), 2));
     for (int i = h - 1; i >= 1; i--) {
       if (next_of(prev[i], i) != n) continue;
       if (opts_.shadow_towers) {

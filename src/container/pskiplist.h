@@ -158,11 +158,12 @@ class PSkipList {
   void set_next(u64 n, int level, u64 to) {
     dev_->store_u64(n + 16 + 8 * static_cast<u64>(level), to);
   }
-  // DRAM-shadow tower write: raw memory, no dirty tracking — the word can
-  // never drain to PM on its own, and it can never un-pend a content line
-  // that is in flight toward an epoch fence.
+  // DRAM-shadow tower write: a volatile store, no dirty tracking — the
+  // word can never drain to PM on its own, and it can never un-pend a
+  // content line that is in flight toward an epoch fence.
   void set_next_volatile(u64 n, int level, u64 to) {
-    std::memcpy(dev_->at(n + 16 + 8 * static_cast<u64>(level), 8), &to, 8);
+    dev_->store_volatile(n + 16 + 8 * static_cast<u64>(level),
+                         std::span<const u8>(reinterpret_cast<const u8*>(&to), 8));
   }
   // Publish one link durably (store + clwb + sfence).
   void publish_next(u64 n, int level, u64 to);

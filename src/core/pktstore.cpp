@@ -85,7 +85,7 @@ Status PktStore::rehome(std::span<net::PktBuf*> pkts) {
       // never semantically read after parse, so copy what exists and
       // leave the gap zero-filled.
       const u32 hdr = std::min<u32>(pb->cap, pb->payload_off);
-      std::memcpy(dst, pb->owner->arena().data(pb->data_h, hdr), hdr);
+      std::memcpy(dst, pb->owner->arena().view(pb->data_h, hdr), hdr);
       const auto pl = pb->owner->payload(*pb);
       std::memcpy(dst + pb->payload_off, pl.data(), pl.size());
     } else {

@@ -24,9 +24,6 @@ const PPktMeta* PChain::meta(u64 off) const {
   return reinterpret_cast<const PPktMeta*>(
       std::as_const(*dev_).at(off, sizeof(PPktMeta)));
 }
-PPktMeta* PChain::meta(u64 off) {
-  return reinterpret_cast<PPktMeta*>(dev_->at(off, sizeof(PPktMeta)));
-}
 
 Result<u64> PChain::alloc_meta(const PPktMeta& m) {
   auto off = pmpool_->alloc(sizeof(PPktMeta));

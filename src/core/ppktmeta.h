@@ -106,8 +106,8 @@ class PChain {
   // data handle with the (fresh) packet pool.
   Status restore(u64 head) const;
 
+  // Metadata is written once (alloc_meta's store) and only read after.
   [[nodiscard]] const PPktMeta* meta(u64 off) const;
-  [[nodiscard]] PPktMeta* meta(u64 off);
 
   [[nodiscard]] pm::PmDevice& device() noexcept { return *dev_; }
   [[nodiscard]] const pm::PmDevice& device() const noexcept { return *dev_; }

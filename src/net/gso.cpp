@@ -43,7 +43,7 @@ std::vector<u8> super_payload(PktBufPool& pool, PktBuf& super) {
   }
   for (int i = 0; i < super.nr_frags; i++) {
     const auto& fr = super.frags[i];
-    const u8* f = pool.arena().data(fr.data_h, fr.off + fr.len) + fr.off;
+    const u8* f = pool.arena().view(fr.data_h, fr.off + fr.len) + fr.off;
     out.insert(out.end(), f, f + fr.len);
   }
   return out;

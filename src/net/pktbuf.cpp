@@ -53,29 +53,36 @@ Result<u64> HeapArena::alloc(u64 size) {
   return static_cast<u64>(b.gen) << 32 | (slot + 1);
 }
 
-HeapArena::Block* HeapArena::resolve(u64 handle) noexcept {
+const HeapArena::Block* HeapArena::find(u64 handle) const noexcept {
   const u64 slot = (handle & 0xffffffffu) - 1;
   if (slot >= blocks_.size()) return nullptr;
-  Block& b = blocks_[slot];
+  const Block& b = blocks_[slot];
   return b.live && b.gen == (handle >> 32) ? &b : nullptr;
+}
+
+const HeapArena::Block& HeapArena::resolve(u64 handle, u64 len) const {
+  const Block* b = find(handle);
+  if (b == nullptr || len > b->size) {
+    throw std::out_of_range("HeapArena: bad handle or length");
+  }
+  return *b;
 }
 
 void HeapArena::free(u64 handle, u64 /*size*/) {
   env_->clock().advance(env_->cost.pool_alloc_ns / 2);
-  Block* b = resolve(handle);
-  if (b == nullptr) return;
-  b->live = false;
-  b->gen++;
+  if (find(handle) == nullptr) return;
+  const u32 slot = static_cast<u32>((handle & 0xffffffffu) - 1);
+  Block& b = blocks_[slot];
+  b.live = false;
+  b.gen++;
   live_--;
-  free_[b->cls].push_back(static_cast<u32>(b - blocks_.data()));
+  free_[b.cls].push_back(slot);
 }
 
-u8* HeapArena::data(u64 handle, u64 len) {
-  Block* b = resolve(handle);
-  if (b == nullptr || len > b->size) {
-    throw std::out_of_range("HeapArena: bad handle or length");
-  }
-  return b->mem.get();
+u8* HeapArena::data(u64 handle, u64 len) { return resolve(handle, len).mem.get(); }
+
+const u8* HeapArena::view(u64 handle, u64 len) const {
+  return resolve(handle, len).mem.get();
 }
 
 void HeapArena::store_dma(u64 handle, std::span<const u8> data) {

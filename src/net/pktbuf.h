@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -45,9 +46,13 @@ class BufArena {
   [[nodiscard]] virtual Result<u64> alloc(u64 size) = 0;
   virtual void free(u64 handle, u64 size) = 0;
 
-  // Resolves a handle to memory. Raw pointers must not be held across a
-  // PM crash.
+  // Resolves a handle to memory for writing. Raw pointers must not be
+  // held across a PM crash; on a PM arena a write through one must also
+  // land before the next fence over its lines (PmDevice::at).
   [[nodiscard]] virtual u8* data(u64 handle, u64 len) = 0;
+  // Resolves a handle to memory for reading: the checksum, parse and
+  // gather paths, which on a PM arena must not take pre-images.
+  [[nodiscard]] virtual const u8* view(u64 handle, u64 len) const = 0;
 
   // True when buffers live in persistent memory (PASTE-style).
   [[nodiscard]] virtual bool persistent() const noexcept = 0;
@@ -77,6 +82,7 @@ class HeapArena final : public BufArena {
   [[nodiscard]] Result<u64> alloc(u64 size) override;
   void free(u64 handle, u64 size) override;
   [[nodiscard]] u8* data(u64 handle, u64 len) override;
+  [[nodiscard]] const u8* view(u64 handle, u64 len) const override;
   [[nodiscard]] bool persistent() const noexcept override { return false; }
   void store_dma(u64 handle, std::span<const u8> data) override;
 
@@ -92,7 +98,10 @@ class HeapArena final : public BufArena {
     bool live = false;
   };
   // Null when the handle is not a live block's current handle.
-  [[nodiscard]] Block* resolve(u64 handle) noexcept;
+  [[nodiscard]] const Block* find(u64 handle) const noexcept;
+  // The live block, or out_of_range for a stale handle or a `len` past
+  // its end.
+  [[nodiscard]] const Block& resolve(u64 handle, u64 len) const;
 
   sim::Env* env_;
   std::vector<Block> blocks_;
@@ -111,6 +120,9 @@ class PmArena final : public BufArena {
   void free(u64 handle, u64 size) override { pool_->free(handle, size); }
   [[nodiscard]] u8* data(u64 handle, u64 len) override {
     return dev_->at(handle, len);
+  }
+  [[nodiscard]] const u8* view(u64 handle, u64 len) const override {
+    return std::as_const(*dev_).at(handle, len);
   }
   [[nodiscard]] bool persistent() const noexcept override { return true; }
   void mark_dirty(u64 handle, u64 len) override { dev_->mark_dirty(handle, len); }
@@ -286,18 +298,21 @@ class PktBufPool {
   // uniformly afterwards.
   void restore_ref(u64 data_h) { ref_data(data_h); }
 
-  // Resolves the linear buffer.
-  [[nodiscard]] u8* data(PktBuf& pb) { return arena_->data(pb.data_h, pb.len); }
+  // Resolves the linear buffer for reading.
+  [[nodiscard]] const u8* data(const PktBuf& pb) const {
+    return arena_->view(pb.data_h, pb.len);
+  }
+  // The first `len` bytes of the linear buffer, for writing.
   [[nodiscard]] std::span<u8> writable(PktBuf& pb, u32 len) {
     return {arena_->data(pb.data_h, len), len};
   }
-  [[nodiscard]] std::span<const u8> payload(PktBuf& pb) {
+  [[nodiscard]] std::span<const u8> payload(const PktBuf& pb) const {
     if (pb.sliced()) {
-      return {arena_->data(pb.slice_h, pb.slice_off + pb.payload_len()) +
+      return {arena_->view(pb.slice_h, pb.slice_off + pb.payload_len()) +
                   pb.slice_off,
               pb.payload_len()};
     }
-    return {arena_->data(pb.data_h, pb.len) + pb.payload_off, pb.payload_len()};
+    return {arena_->view(pb.data_h, pb.len) + pb.payload_off, pb.payload_len()};
   }
 
   [[nodiscard]] BufArena& arena() noexcept { return *arena_; }

@@ -146,7 +146,7 @@ u16 l4_tx_csum(sim::Env& env, PktBuf& pb, const IpHeader& ip) {
     const auto& fr = pb.frags[i];
     sum = inet_sum_at(
         sum, at,
-        {pool.arena().data(fr.data_h, fr.off + fr.len) + fr.off, fr.len});
+        {pool.arena().view(fr.data_h, fr.off + fr.len) + fr.off, fr.len});
     at += fr.len;
   }
   return static_cast<u16>(~inet_fold(sum));
@@ -222,7 +222,9 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
   // Mark the TX queue (per-core doorbell) and resolve data through the
   // owning pool: zero-copy responses may carry another shard's buffers.
   pb->rss_queue = static_cast<u16>(opts_.core >= 0 ? opts_.core : 0);
-  u8* base = pb->owner->writable(*pb, pb->len).data();
+  // Only the header room is written (a zero-copy response's payload stays
+  // untouched in its stored packet).
+  u8* base = pb->owner->writable(*pb, kAllHdrLen).data();
   const std::size_t payload_len = pb->total_len() - kAllHdrLen;
 
   EthHeader eth;

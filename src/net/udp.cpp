@@ -98,7 +98,7 @@ Status UdpStack::send_pkt_to(u32 dst_ip, u16 dst_port, u16 src_port,
   }
   charge_tx();
 
-  u8* base = pool_.writable(*pb, pb->len).data();
+  u8* base = pool_.writable(*pb, kUdpAllHdrLen).data();
   pb->l2_off = 0;
   pb->l3_off = kEthHdrLen;
   pb->l4_off = kEthHdrLen + kIpHdrLen;

@@ -133,7 +133,7 @@ void Nic::transmit(net::PktBuf* pb) {
   for (int i = 0; i < pb->nr_frags; i++) {
     // Scatter-gather DMA: frag bytes join the frame without CPU copies.
     const auto& fr = pb->frags[i];
-    const u8* f = pool.arena().data(fr.data_h, fr.off + fr.len) + fr.off;
+    const u8* f = pool.arena().view(fr.data_h, fr.off + fr.len) + fr.off;
     frame.bytes.insert(frame.bytes.end(), f, f + fr.len);
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/crc32c.h"
 
@@ -61,7 +62,7 @@ Result<FlightRecorder> FlightRecorder::recover(pm::PmDevice& dev, u16 shard) {
 
   u64 magic = 0;
   u32 capacity = 0;
-  const u8* h = dev.at(base, kHeaderLen);
+  const u8* h = std::as_const(dev).at(base, kHeaderLen);
   std::memcpy(&magic, h, 8);
   std::memcpy(&capacity, h + 8, 4);
   if (magic != kMagic || capacity == 0) return Errc::corrupted;
@@ -114,7 +115,7 @@ std::vector<RecoveredFlight> FlightRecorder::scan(ScanStats* stats) const {
     const u64 seq = dev_->load_u64(off);
     if (seq == 0) continue;
     FlightRecord rec;
-    std::memcpy(&rec, dev_->at(off + 8, kBodyLen), kBodyLen);
+    std::memcpy(&rec, std::as_const(*dev_).at(off + 8, kBodyLen), kBodyLen);
     if (record_crc(rec, seq) != rec.crc) {
       st.invalid++;  // torn overwrite or stale seq — never returned
       continue;

@@ -36,18 +36,16 @@ PmDevice::PmDevice(sim::Env& env, u64 size)
     : env_(env),
       size_(checked_size(size)),
       mem_(size),
-      persisted_(size),
       line_state_(size / kCacheLine * sizeof(LineState)),
       lines_(reinterpret_cast<LineState*>(line_state_.data())),
       passthrough_(std::make_unique<FlushBatcher>(*this)) {
-  // Nothing else is written: both images start as untouched zero pages.
+  // Nothing else is written: the image starts as untouched zero pages.
+  // The header takes no pre-image: it is born durable (a real device
+  // would be formatted offline).
   Header* h = header();
   h->magic = kMagic;
   h->size = size;
-  // The header is born durable: a real device would be formatted offline.
-  std::memcpy(persisted_.data(), mem_.data(), sizeof(Header));
   mem_.touch(0, sizeof(Header));
-  persisted_.touch(0, sizeof(Header));
 }
 
 PmDevice::~PmDevice() = default;
@@ -58,17 +56,25 @@ u64 PmDevice::data_base() const noexcept {
 
 std::unique_ptr<PmDevice> PmDevice::clone_persisted() const {
   auto d = std::make_unique<PmDevice>(env_, size_);
-  // What the DIMMs hold after the cut: the persisted image, verbatim —
-  // including the root directory. The caches (dirty/pending/deferred)
-  // died with the host. Pages never persisted are zero on both sides.
-  persisted_.for_each_touched([&](u64 page) {
+  // What the DIMMs hold after the cut: each touched page with the
+  // pre-images of its lines laid over it — including the root directory.
+  // The caches (dirty/pending/deferred) died with the host. A page whose
+  // durable bytes are all zero stays untouched in the clone.
+  u8 page_bytes[kPage];
+  mem_.for_each_touched([&](u64 page) {
     const u64 off = page * kPage;
     const u64 n = std::min(kPage, size_ - off);
-    std::memcpy(d->mem_.data() + off, persisted_.data() + off, n);
-    std::memcpy(d->persisted_.data() + off, persisted_.data() + off, n);
+    std::memcpy(page_bytes, mem_.data() + off, n);
+    for (u64 line = off / kCacheLine; line < (off + n) / kCacheLine; line++) {
+      if (lines_[line].pre != 0) {
+        std::memcpy(page_bytes + (line * kCacheLine - off), pre_of(line).bytes,
+                    kCacheLine);
+      }
+    }
+    if (std::all_of(page_bytes, page_bytes + n, [](u8 b) { return b == 0; })) return;
+    std::memcpy(d->mem_.data() + off, page_bytes, n);
+    d->mem_.touch(off, n);
   });
-  d->mem_.touched = persisted_.touched;
-  d->persisted_.touched = persisted_.touched;
   return d;
 }
 
@@ -76,20 +82,50 @@ void PmDevice::throw_out_of_range() {
   throw std::out_of_range("PmDevice: access out of range");
 }
 
+void PmDevice::take_preimage(u64 line) {
+  if (pre_count_ == pre_chunks_.size() * kPreChunk) {
+    pre_chunks_.push_back(std::make_unique_for_overwrite<PreImage[]>(kPreChunk));
+  }
+  PreImage& p = slot(pre_count_);
+  std::memcpy(p.bytes, mem_.data() + line * kCacheLine, kCacheLine);
+  p.line = static_cast<u32>(line);
+  p.pos = 0;
+  lines_[line].pre = static_cast<u32>(++pre_count_);
+  if (pre_count_ > epoch_.preimage_hwm) epoch_.preimage_hwm = pre_count_;
+}
+
+void PmDevice::retire_preimage(u64 line) {
+  const std::size_t i = lines_[line].pre - 1;
+  const std::size_t last = --pre_count_;
+  if (i != last) {
+    PreImage& moved = slot(i);
+    moved = slot(last);
+    lines_[moved.line].pre = static_cast<u32>(i + 1);
+  }
+  lines_[line].pre = 0;
+}
+
 void PmDevice::store(u64 offset, std::span<const u8> data) {
   check_range(offset, data.size());
   if (data.empty()) return;  // an empty span's data() may be null
+  mark_dirty(offset, data.size());  // takes the pre-images first
   std::memcpy(mem_.data() + offset, data.data(), data.size());
-  mark_dirty(offset, data.size());
+}
+
+void PmDevice::store_volatile(u64 offset, std::span<const u8> data) {
+  u8* p = at(offset, data.size());
+  if (!data.empty()) std::memcpy(p, data.data(), data.size());
 }
 
 void PmDevice::store_dma(u64 offset, std::span<const u8> data) {
   if (data.empty()) return;
   check_range(offset, data.size());
   const u64 end = offset + data.size();
+  const u64 first = offset / kCacheLine;
+  const u64 last = (end - 1) / kCacheLine;
   // A withheld publication must not become durable ahead of its epoch:
   // refuse the whole DMA before any byte lands.
-  for (u64 line = offset / kCacheLine; line <= (end - 1) / kCacheLine; line++) {
+  for (u64 line = first; line <= last; line++) {
     const u8 deferred = lines_[line].deferred;
     if (deferred == 0) continue;
     const u64 base = line * kCacheLine;
@@ -100,22 +136,29 @@ void PmDevice::store_dma(u64 offset, std::span<const u8> data) {
       throw std::logic_error("PmDevice::store_dma: range covers a deferred word");
     }
   }
-  // The DMA write lands in the PM controller directly: both images update,
-  // no flush is owed for these bytes.
-  std::memcpy(mem_.data() + offset, data.data(), data.size());
-  std::memcpy(persisted_.data() + offset, data.data(), data.size());
-  mem_.touch(offset, data.size());
-  persisted_.touch(offset, data.size());
-  // Lines fully covered by the DMA carry no stale CPU-side bytes any more;
-  // partially covered edge lines keep whatever dirty state the CPU owes.
-  const u64 first_full = align_up(offset, kCacheLine) / kCacheLine;
-  const u64 last_full_end = (end / kCacheLine) * kCacheLine;
-  for (u64 line = first_full; line * kCacheLine < last_full_end; line++) {
+  // The DMA write lands in the PM controller directly: the bytes are
+  // durable, no flush is owed for them. A fully covered line carries no
+  // stale CPU-side bytes any more and drops its pre-image; a partially
+  // covered edge line keeps whatever dirty state the CPU owes, and its
+  // pre-image takes the covered bytes.
+  for (u64 line = first; line <= last; line++) {
     LineState& ls = lines_[line];
-    if ((ls.flags & kDirty) != 0) dirty_count_--;
-    if ((ls.flags & kPending) != 0) pending_count_--;
-    ls.flags = 0;
+    const u64 base = line * kCacheLine;
+    const u64 lo = std::max(offset, base);
+    const u64 hi = std::min(end, base + kCacheLine);
+    if (hi - lo == kCacheLine) {
+      if (ls.pre == 0) continue;  // clean: its line state stays untouched
+      if ((ls.flags & kDirty) != 0) dirty_count_--;
+      if ((ls.flags & kPending) != 0) pending_count_--;
+      ls.flags = 0;
+      retire_preimage(line);
+    } else if (ls.pre != 0) {
+      std::memcpy(pre_of(line).bytes + (lo - base), data.data() + (lo - offset),
+                  hi - lo);
+    }
   }
+  std::memcpy(mem_.data() + offset, data.data(), data.size());
+  mem_.touch(offset, data.size());
   bump_fault_event();  // boundary right after placement (pre-publication)
 }
 
@@ -128,10 +171,11 @@ void PmDevice::mark_dirty(u64 offset, u64 len) {
   for (u64 line = first; line <= last; line++) {
     LineState& ls = lines_[line];
     if ((ls.flags & kDirty) != 0) continue;
+    if (ls.pre == 0) take_preimage(line);
     // A new store re-dirties a clwb'd line.
     if ((ls.flags & kPending) != 0) pending_count_--;
     if (dirty_clock_ == std::numeric_limits<u32>::max()) restamp_dirty();
-    ls.pos = dirty_clock_++;
+    pre_of(line).pos = dirty_clock_++;
     ls.flags = kDirty;
     dirty_count_++;
   }
@@ -190,8 +234,8 @@ void PmDevice::clwb(u64 offset, u64 len) {
 template <class F>
 void PmDevice::for_each_pending(F&& f) const {
   for (std::size_t i = 0; i < pending_order_.size(); i++) {
-    const LineState& ls = lines_[pending_order_[i]];
-    if ((ls.flags & kPending) != 0 && ls.pos == i) f(pending_order_[i]);
+    const u64 line = pending_order_[i];
+    if ((lines_[line].flags & kPending) != 0 && pre_of(line).pos == i) f(line);
   }
 }
 
@@ -199,29 +243,26 @@ void PmDevice::enter_pending(u64 line) {
   if (pending_order_.size() >= 2 * pending_count_ + 64) {
     std::size_t n = 0;
     for_each_pending([&](u64 l) {
-      lines_[l].pos = static_cast<u32>(n);
+      pre_of(l).pos = static_cast<u32>(n);
       pending_order_[n++] = l;
     });
     pending_order_.resize(n);
   }
-  lines_[line].pos = static_cast<u32>(pending_order_.size());
+  pre_of(line).pos = static_cast<u32>(pending_order_.size());
   pending_order_.push_back(line);
 }
 
 std::vector<u64> PmDevice::dirty_in_stamp_order() const {
-  // A dirty line was written through mark_dirty, which touches its page.
+  // Every dirty line holds a pre-image (mark_dirty takes one).
   std::vector<u64> out;
   out.reserve(dirty_count_);
-  const u64 nlines = size_ / kCacheLine;
-  mem_.for_each_touched([&](u64 page) {
-    const u64 end = std::min(nlines, (page + 1) * kLinesPerPage);
-    for (u64 line = page * kLinesPerPage; line < end; line++) {
-      if ((lines_[line].flags & kDirty) != 0) out.push_back(line);
-    }
-  });
+  for (std::size_t i = 0; i < pre_count_; i++) {
+    const u64 line = slot(i).line;
+    if ((lines_[line].flags & kDirty) != 0) out.push_back(line);
+  }
   // Stamps are distinct among dirty lines: each came from dirty_clock_.
   std::sort(out.begin(), out.end(),
-            [&](u64 a, u64 b) { return lines_[a].pos < lines_[b].pos; });
+            [&](u64 a, u64 b) { return pre_of(a).pos < pre_of(b).pos; });
   return out;
 }
 
@@ -229,15 +270,20 @@ void PmDevice::restamp_dirty() {
   // The clock is about to wrap: renumber the dirty lines 0..n-1, order
   // kept. n <= 2^30 (checked_size), so the clock restarts far below it.
   u32 n = 0;
-  for (const u64 line : dirty_in_stamp_order()) lines_[line].pos = n++;
+  for (const u64 line : dirty_in_stamp_order()) pre_of(line).pos = n++;
   dirty_clock_ = n;
 }
 
 void PmDevice::sfence() {
-  for_each_pending([&](u64 line) {
-    drain_line_whole(line);
-    lines_[line].flags = 0;
-  });
+  // Back to front: a line's pre-image was taken before it went pending,
+  // so the newest sit at the end of the pool and retire without moving
+  // another slot. No draw is made here, so the order is free.
+  for (std::size_t i = pending_order_.size(); i-- > 0;) {
+    const u64 line = pending_order_[i];
+    if ((lines_[line].flags & kPending) != 0 && pre_of(line).pos == i) {
+      drain_line_whole(line);
+    }
+  }
   epoch_.sfence++;
   epoch_.lines_drained += pending_count_;
   epoch_.bytes_flushed += pending_count_ * kCacheLine;
@@ -269,8 +315,9 @@ void PmDevice::store_u64_deferred(u64 offset, u64 value) {
   // The volatile view forwards the value to loads immediately, but the
   // word is withheld from every drain path until apply_deferred() — it is
   // deliberately *not* marked dirty, so eviction cannot leak it either.
+  // Its line's pre-image keeps the old word.
+  prepare_write(offset, 8);
   std::memcpy(mem_.data() + offset, &value, 8);
-  mem_.touch(offset, 8);
   LineState& ls = lines_[offset / kCacheLine];
   const u8 bit = static_cast<u8>(1u << (offset % kCacheLine / 8));
   if ((ls.deferred & bit) == 0) {
@@ -291,16 +338,18 @@ void PmDevice::apply_deferred(u64 offset) {
 }
 
 void PmDevice::drain_line_whole(u64 line) {
-  const u64 base = line * kCacheLine;
-  persisted_.touch(base, kCacheLine);
-  const u8 deferred = lines_[line].deferred;
-  if (deferred == 0) {
-    std::memcpy(persisted_.data() + base, mem_.data() + base, kCacheLine);
+  LineState& ls = lines_[line];
+  assert(ls.pre != 0 && "a dirty or pending line holds a pre-image");
+  ls.flags = 0;
+  if (ls.deferred == 0) {
+    retire_preimage(line);
     return;
   }
+  // Withheld publications keep their durable words; the rest is durable.
+  PreImage& p = pre_of(line);
+  const u8* cur = mem_.data() + line * kCacheLine;
   for (u64 w = 0; w < kCacheLine / 8; w++) {
-    if ((deferred >> w & 1) != 0) continue;  // withheld publication
-    std::memcpy(persisted_.data() + base + w * 8, mem_.data() + base + w * 8, 8);
+    if ((ls.deferred >> w & 1) == 0) std::memcpy(p.bytes + w * 8, cur + w * 8, 8);
   }
 }
 
@@ -314,31 +363,25 @@ void PmDevice::drain_line(u64 line, bool torn, Rng& rng) {
   // are never split — the atomicity contract crash-consistent code needs.
   // Deferred publications never drain at all: the CPU had not released
   // them from its (simulated) store buffer.
-  const u64 base = line * kCacheLine;
-  persisted_.touch(base, kCacheLine);
   const u8 deferred = lines_[line].deferred;
+  PreImage& p = pre_of(line);
+  const u8* cur = mem_.data() + line * kCacheLine;
   for (u64 w = 0; w < kCacheLine / 8; w++) {
     if ((deferred >> w & 1) != 0) continue;
-    if (rng.chance(0.5)) {
-      std::memcpy(persisted_.data() + base + w * 8, mem_.data() + base + w * 8, 8);
-    }
+    if (rng.chance(0.5)) std::memcpy(p.bytes + w * 8, cur + w * 8, 8);
   }
 }
 
 void PmDevice::revert_volatile() {
-  // Pages never touched in the volatile view already equal the persisted
-  // image; the others revert (unapplied deferred publications with them).
-  mem_.for_each_touched([&](u64 page) {
-    const u64 off = page * kPage;
-    const u64 n = std::min(kPage, size_ - off);
-    if (persisted_.is_touched(page)) {
-      std::memcpy(mem_.data() + off, persisted_.data() + off, n);
-    } else {
-      std::memset(mem_.data() + off, 0, n);
-    }
-    std::memset(lines_ + page * kLinesPerPage, 0,
-                n / kCacheLine * sizeof(LineState));
-  });
+  // A line without a pre-image is durable as it stands; the others revert
+  // (unapplied deferred publications with them). Only lines with a
+  // pre-image carry line state.
+  for (std::size_t i = 0; i < pre_count_; i++) {
+    const PreImage& p = slot(i);
+    std::memcpy(mem_.data() + u64{p.line} * kCacheLine, p.bytes, kCacheLine);
+    lines_[p.line] = LineState{};
+  }
+  pre_count_ = 0;
   pending_order_.clear();
   dirty_clock_ = 0;
   dirty_count_ = 0;
@@ -389,19 +432,20 @@ void PmDevice::crash() {
 Status PmDevice::set_root(std::string_view name, u64 offset) {
   if (name.empty() || name.size() > kMaxRootName) return Errc::invalid_argument;
   Header* h = header();
-  RootEntry* slot = nullptr;
+  RootEntry* entry = nullptr;
   for (auto& e : h->roots) {
     if (name == e.name) {
-      slot = &e;
+      entry = &e;
       break;
     }
-    if (slot == nullptr && e.name[0] == '\0') slot = &e;
+    if (entry == nullptr && e.name[0] == '\0') entry = &e;
   }
-  if (slot == nullptr) return Errc::out_of_space;
-  std::memset(slot->name, 0, sizeof(slot->name));
-  std::memcpy(slot->name, name.data(), name.size());
-  slot->offset = offset;
-  const u64 off = reinterpret_cast<const u8*>(slot) - mem_.data();
+  if (entry == nullptr) return Errc::out_of_space;
+  const u64 off = reinterpret_cast<const u8*>(entry) - mem_.data();
+  prepare_write(off, sizeof(RootEntry));
+  std::memset(entry->name, 0, sizeof(entry->name));
+  std::memcpy(entry->name, name.data(), name.size());
+  entry->offset = offset;
   mark_dirty(off, sizeof(RootEntry));
   persist(off, sizeof(RootEntry));
   return Errc::ok;

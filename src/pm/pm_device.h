@@ -3,9 +3,9 @@
 // Stands in for Intel Optane DCPMM in App-Direct mode (DESIGN.md §2). The
 // device is a flat byte-addressable region with:
 //
-//  * cache-line-granularity persistence: stores land in a volatile view
-//    (the "CPU cache"); `clwb` + `sfence` move lines to the persisted
-//    image, charging the calibrated flush costs to the simulation clock;
+//  * cache-line-granularity persistence: stores land in the image at once
+//    (the CPU view, caches included); `clwb` + `sfence` make lines
+//    durable, charging the calibrated flush costs to the simulation clock;
 //  * crash simulation: `crash()` discards everything that was not flushed
 //    — and lines that were clwb'd but not yet fenced survive only with
 //    probability 1/2 each, modelling the reordering the paper calls
@@ -17,11 +17,19 @@
 //  * a named root directory so recovery code can find its structures
 //    after a crash/remap without raw-offset bookkeeping.
 //
+// One image, plus pre-images: the image is what the CPU sees, and each
+// line that is not durable yet keeps a 64-byte pre-image — its durable
+// bytes — taken before the first byte lands on it. A line without a
+// pre-image is durable as it stands. A fence retires the pre-images of
+// the lines it drains; a power cut applies its drains to the pre-images
+// and copies them back. So the durable view costs 64 bytes per line in
+// flight, not a second image.
+//
 // Host cost scales with the bytes a run touches, not with the device
-// size: both images are lazily zero-filled anonymous memory with a
-// 4 KB-page touched bitmap each (a crash or clone copies touched pages
-// only), and per-line flush state is one flat state byte plus an 8-bit
-// deferred-word mask per cache line.
+// size: the image is lazily zero-filled anonymous memory with a 4 KB-page
+// touched bitmap (a clone copies touched pages only), a crash costs one
+// copy per pre-image, and per-line flush state is one flat 8-byte record
+// per cache line.
 //
 // Higher layers never hold raw pointers across a crash: they address PM
 // with byte offsets (see pm_ptr.h) and re-resolve against the device.
@@ -61,21 +69,29 @@ class PmDevice {
   /// Lowest offset usable by allocators (above the root directory header).
   [[nodiscard]] u64 data_base() const noexcept;
 
-  // --- Volatile access (CPU load/store view) --------------------------
-  /// Bounds-checked access into the current (cache-inclusive) image.
-  /// The returned pointer is a *volatile* view: it must not be held across
-  /// crash(), and bytes written through it are not durable until
-  /// mark_dirty() + persist() (or store(), which marks for you).
+  // --- CPU access (load/store view) ------------------------------------
+  /// Bounds-checked read access into the image (caches included). Readers
+  /// take this const view, also on a mutable device
+  /// (`std::as_const(dev).at(...)`): it never takes a pre-image.
   /// Inline: index structures resolve every node field through at().
-  [[nodiscard]] u8* at(u64 offset, u64 len) {
-    check_range(offset, len);
-    accessed_bytes_ += len;
-    mem_.touch(offset, len);  // the caller may write through the pointer
-    return mem_.data() + offset;
-  }
   [[nodiscard]] const u8* at(u64 offset, u64 len) const {
     check_range(offset, len);
     accessed_bytes_ += len;
+    return mem_.data() + offset;
+  }
+  /// Writable access: takes the pre-image of each line in range that has
+  /// none, so bytes written through the pointer revert at a crash until
+  /// mark_dirty() + persist() (or store(), which marks for you) make them
+  /// durable. Contract: the pointer is good for writes only until the
+  /// next fence over its lines (an sfence draining one of them, a DMA
+  /// covering one, a crash) — that retires the pre-image, and a later
+  /// write through the old pointer would be durable unseen. Re-resolve
+  /// after the fence. Costs a 64-byte copy per clean line: read through
+  /// the const view.
+  [[nodiscard]] u8* at(u64 offset, u64 len) {
+    check_range(offset, len);
+    accessed_bytes_ += len;
+    prepare_write(offset, len);
     return mem_.data() + offset;
   }
   [[nodiscard]] std::span<u8> span(u64 offset, u64 len) { return {at(offset, len), len}; }
@@ -89,6 +105,13 @@ class PmDevice {
   /// (only store_u64 is).
   void store(u64 offset, std::span<const u8> data);
 
+  /// A deliberately undeclared store (DRAM-shadow state kept in PM, such
+  /// as rebuilt skip-list towers): takes the pre-images but never marks
+  /// the lines dirty, so the bytes never drain on their own — a crash
+  /// reverts them unless a later store on the line is persisted. Counts
+  /// as an access, like the at() write it stands for.
+  void store_volatile(u64 offset, std::span<const u8> data);
+
   /// Declare that [offset, offset+len) was mutated in place via at().
   /// Forgetting this makes a write silently non-crashable — the harness's
   /// eviction mode (FaultPlan::evict_dirty_p) cannot surface it either.
@@ -96,8 +119,10 @@ class PmDevice {
 
   /// Device-side DMA store (PCIe non-allocating write landing in the PM
   /// controller, bypassing the CPU cache): the bytes are durable on return
-  /// — both the volatile and persisted images update, no clwb/sfence is
-  /// owed, and fully covered cache lines leave the dirty/pending sets.
+  /// — the image and the durable bytes both update (a fully covered line
+  /// drops its pre-image, an edge line's pre-image takes the covered
+  /// bytes), no clwb/sfence is owed, and fully covered cache lines leave
+  /// the dirty/pending sets.
   /// Partially covered edge lines keep any pre-existing dirty state (the
   /// CPU may hold older bytes of those lines). Deferred-publication words
   /// are never written this way (DMA targets freshly reserved slots):
@@ -137,10 +162,11 @@ class PmDevice {
 
   // --- Deferred publication (group-commit store buffer) -----------------
   /// An 8-byte atomic store that is *withheld* from persistence: the
-  /// volatile view updates immediately (loads forward the new value), but
-  /// the word is masked out of every drain path — sfence, unfenced drains,
-  /// tears and dirty-line evictions at a power cut — so the old persisted
-  /// value survives any crash until apply_deferred() re-injects the word
+  /// image updates immediately (loads forward the new value), but the
+  /// word is masked out of every drain path — sfence, unfenced drains,
+  /// tears and dirty-line evictions at a power cut — so its line keeps
+  /// the old word in its pre-image, which survives any crash until
+  /// apply_deferred() re-injects the word
   /// into the normal dirty→clwb→sfence pipeline. This is the mechanism
   /// FlushBatcher uses to defer an epoch's publications past the fence
   /// that makes the epoch's content durable: a deferred link can never
@@ -153,17 +179,19 @@ class PmDevice {
     return deferred_words_;
   }
 
-  /// Whole-host fault injection (HostCut): captures the *persisted* image
+  /// Whole-host fault injection (HostCut): captures the *durable* bytes
   /// as a fresh device — what a rejoining host finds in its DIMMs after
-  /// the cut. Both images of the clone equal this device's persisted
-  /// image; dirty/pending/deferred state is empty (it died with the
+  /// the cut: the touched pages with every pre-image laid over them. The
+  /// clone's image equals this device's durable view and it holds no
+  /// pre-images; dirty/pending/deferred state is empty (it died with the
   /// caches) and no fault plan is armed. The cut host's stale volatile
   /// objects may keep scribbling on *this* device afterwards; recovery
   /// runs against the frozen clone, so they can't corrupt it.
   [[nodiscard]] std::unique_ptr<PmDevice> clone_persisted() const;
 
   // --- Crash simulation -------------------------------------------------
-  /// Simulates power loss: the volatile image reverts to the persisted one.
+  /// Simulates power loss: every line reverts to its durable bytes (each
+  /// pre-image is copied back, then dropped).
   /// clwb'd-but-unfenced lines each survive with probability 1/2 (drawn
   /// from the env RNG). Dirty-but-not-clwb'd lines are always lost.
   /// With an armed fault plan, the plan's drain/tear/evict semantics apply
@@ -199,6 +227,9 @@ class PmDevice {
   [[nodiscard]] std::size_t pending_lines() const noexcept {
     return pending_count_;
   }
+  /// Lines holding a pre-image: every line written (or marked dirty)
+  /// since it was last durable, until a fence or a crash retires it.
+  [[nodiscard]] std::size_t preimage_lines() const noexcept { return pre_count_; }
 
   // --- Observability ------------------------------------------------------
   /// Flush/fence accounting for one measurement window (the lifetime
@@ -216,10 +247,16 @@ class PmDevice {
     // reconciles against the ops the window actually completed.
     u64 sfence_deferred = 0;  // fences absorbed by retired commit epochs
     u64 clwb_coalesced = 0;   // clwb's skipped (line already in flight)
+    // Peak lines holding a pre-image (host memory: a 72-byte slot each).
+    // Starts at the count the window opens with; no metric mirrors it.
+    u64 preimage_hwm = 0;
   };
   /// Starts a fresh accounting window (benches: call at the start of the
   /// measured region, read obs_epoch() at its end).
-  void obs_begin_epoch() noexcept { epoch_ = {}; }
+  void obs_begin_epoch() noexcept {
+    epoch_ = {};
+    epoch_.preimage_hwm = pre_count_;
+  }
   [[nodiscard]] const FlushEpoch& obs_epoch() const noexcept { return epoch_; }
 
   /// Mirrors future flush/fence activity into `r` (per-shard registries
@@ -300,7 +337,6 @@ class PmDevice {
   }
 
   static constexpr u64 kPage = 4096;
-  static constexpr u64 kLinesPerPage = kPage / kCacheLine;
 
   // Zero-filled anonymous memory (mmap MAP_ANONYMOUS|MAP_NORESERVE): the
   // OS backs each page on first touch, so an untouched byte costs nothing.
@@ -317,7 +353,7 @@ class PmDevice {
     u64 bytes_;
   };
 
-  // One image plus the set of 4 KB pages that may differ from its
+  // The image plus the set of 4 KB pages that may differ from its
   // zero-filled start. Marking is idempotent and never cleared.
   struct Image {
     explicit Image(u64 size) : bytes(size), touched((size / kPage + 63) / 64, 0) {}
@@ -327,9 +363,6 @@ class PmDevice {
       for (u64 p = offset / kPage; p <= (offset + len - 1) / kPage; p++) {
         touched[p / 64] |= u64{1} << (p % 64);
       }
-    }
-    [[nodiscard]] bool is_touched(u64 page) const noexcept {
-      return (touched[page / 64] >> (page % 64) & 1) != 0;
     }
     template <class F>
     void for_each_touched(F&& f) const {
@@ -345,16 +378,48 @@ class PmDevice {
 
   // Flat per-line flush state: `flags` holds at most one of kDirty /
   // kPending; `deferred` has bit w set while aligned word w of the line is
-  // withheld. `pos` of a pending line is the index of its live entry in
-  // pending_order_; `pos` of a dirty line is its dirty stamp, the value of
-  // dirty_clock_ when it last became dirty.
+  // withheld; `pre` is 1 + the slot of the line's pre-image, 0 for none.
+  // Every dirty, pending or deferred line has a pre-image.
   struct LineState {
     u8 flags;
     u8 deferred;
-    u32 pos;
+    u32 pre;
   };
   static constexpr u8 kDirty = 1;
   static constexpr u8 kPending = 2;
+
+  // The durable bytes of a line that is not durable yet. `pos` of a
+  // pending line is the index of its live entry in pending_order_; `pos`
+  // of a dirty line is its dirty stamp, the value of dirty_clock_ when it
+  // last became dirty.
+  struct PreImage {
+    u8 bytes[kCacheLine];
+    u32 line;
+    u32 pos;
+  };
+  // Pre-images live in slots [0, pre_count_), in chunks that never move
+  // (growing copies nothing); retiring a slot moves the last one into
+  // its place.
+  static constexpr std::size_t kPreChunk = 1024;
+  [[nodiscard]] PreImage& slot(std::size_t i) const noexcept {
+    return pre_chunks_[i / kPreChunk][i % kPreChunk];
+  }
+  [[nodiscard]] PreImage& pre_of(u64 line) const noexcept {
+    return slot(lines_[line].pre - 1);
+  }
+  // Takes the pre-image of each line of [offset, offset+len) that has
+  // none: the bytes about to be overwritten are its durable bytes.
+  void prepare_write(u64 offset, u64 len) {
+    if (len == 0) return;
+    mem_.touch(offset, len);
+    for (u64 line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
+         line++) {
+      if (lines_[line].pre == 0) take_preimage(line);
+    }
+  }
+  void take_preimage(u64 line);
+  // The line is durable as it stands: drops its pre-image.
+  void retire_preimage(u64 line);
 
   // Appends `line` to pending_order_ as its live entry (the line must not
   // be pending yet), first dropping stale entries once they make up half
@@ -365,7 +430,7 @@ class PmDevice {
   template <class F>
   void for_each_pending(F&& f) const;
   // The dirty lines in the order each last became dirty (by stamp): found
-  // on the volatile view's touched pages, so only a power cut pays.
+  // among the pre-images, so only a power cut pays.
   [[nodiscard]] std::vector<u64> dirty_in_stamp_order() const;
   // Renumbers the dirty stamps 0..n-1 (order kept) before dirty_clock_
   // wraps.
@@ -378,25 +443,28 @@ class PmDevice {
   [[noreturn]] static void throw_out_of_range();
   // One persistence-ordering instruction retired; fires the scheduled cut.
   void bump_fault_event();
-  // Applies the armed plan's drain/tear/evict semantics to the persisted
-  // image and reverts the volatile view (the power cut itself).
+  // Applies the armed plan's drain/tear/evict semantics to the pre-images
+  // and reverts the image (the power cut itself).
   void power_cut();
-  // Drains `line` into the persisted image; torn = each aligned 8-byte
-  // word independently old or new. Deferred-publication words are always
-  // masked out: they keep their persisted value on every drain path.
+  // Drains `line`; torn = each aligned 8-byte word independently old or
+  // new. Deferred-publication words are always masked out: they keep
+  // their durable value on every drain path.
   void drain_line(u64 line, bool torn, Rng& rng);
-  // Whole-line drain with deferred-word masking (the sfence path).
+  // Whole-line drain (the sfence path): the line leaves the dirty and
+  // pending sets, and its pre-image retires — or, with withheld words,
+  // keeps only those.
   void drain_line_whole(u64 line);
-  // The caches die: every volatile-touched page reverts to the persisted
-  // image and all line state (dirty, pending, deferred) is dropped.
+  // The caches die: every pre-image is copied back and dropped, and all
+  // line state (dirty, pending, deferred) with it.
   void revert_volatile();
 
   sim::Env& env_;
   u64 size_;
-  Image mem_;        // volatile view (includes CPU caches)
-  Image persisted_;  // what survives power loss
+  Image mem_;  // the CPU view, caches included
   LazyZero line_state_;
   LineState* lines_;  // size_ / kCacheLine entries, in line_state_
+  std::vector<std::unique_ptr<PreImage[]>> pre_chunks_;
+  std::size_t pre_count_ = 0;
   // Lines in the order they last went pending (the crash draw order). An
   // entry is stale, and skipped, once its line has left that state or
   // re-entered it under a later entry.

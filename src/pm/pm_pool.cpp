@@ -2,29 +2,29 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace papm::pm {
 
 PmPool::PmPool(PmDevice& dev, u64 header_off)
     : dev_(&dev), header_off_(header_off) {}
 
-PmPool::PoolHeader* PmPool::hdr() {
-  return reinterpret_cast<PoolHeader*>(dev_->at(header_off_, sizeof(PoolHeader)));
-}
+// Header reads go through the device's const view; every header write
+// is a store_u64 of one field, which takes the line's pre-image.
 const PmPool::PoolHeader* PmPool::hdr() const {
   return reinterpret_cast<const PoolHeader*>(
-      dev_->at(header_off_, sizeof(PoolHeader)));
+      std::as_const(*dev_).at(header_off_, sizeof(PoolHeader)));
 }
 
-u64 PmPool::field_offset(const void* field) const {
-  return static_cast<const u8*>(field) -
-         dev_->at(header_off_, sizeof(PoolHeader)) + header_off_;
+u64 PmPool::field_offset(const u64* field) const {
+  return reinterpret_cast<const u8*>(field) -
+         std::as_const(*dev_).at(header_off_, sizeof(PoolHeader)) + header_off_;
 }
 
-void PmPool::persist_header_field(const void* field, u64 len) {
+void PmPool::persist_header_field(const u64* field, u64 value) {
   const u64 off = field_offset(field);
-  dev_->mark_dirty(off, len);
-  dev_->persist(off, len);
+  dev_->store_u64(off, value);
+  dev_->persist(off, 8);
 }
 
 PmPool PmPool::create(PmDevice& dev, std::string_view name, u64 base,
@@ -33,7 +33,7 @@ PmPool PmPool::create(PmDevice& dev, std::string_view name, u64 base,
     throw std::invalid_argument("PmPool: bad span");
   }
   PmPool pool(dev, base);
-  PoolHeader* h = pool.hdr();
+  auto* h = reinterpret_cast<PoolHeader*>(dev.at(base, sizeof(PoolHeader)));
   std::memset(h, 0, sizeof(PoolHeader));
   h->magic = kMagic;
   h->base = base;
@@ -70,7 +70,7 @@ Result<u64> PmPool::alloc(u64 size) {
                       : alloc_charge_ns_ >= 0 ? alloc_charge_ns_
                                               : env.cost.pm_alloc_ns);
 
-  PoolHeader* h = hdr();
+  const PoolHeader* h = hdr();
   const auto cls = class_for(size);
   if (cls.has_value()) {
     if (in_epoch_) {
@@ -85,9 +85,7 @@ Result<u64> PmPool::alloc(u64 size) {
       // and the durable head is zero, so nothing needs persisting.
       const u64 head = shadow_heads_[*cls];
       if (head != 0) {
-        u64 next;
-        std::memcpy(&next, dev_->at(head, 8), 8);
-        shadow_heads_[*cls] = next;
+        shadow_heads_[*cls] = dev_->load_u64(head);
         allocated_bytes_ += kClassSizes[*cls];
         return head;
       }
@@ -95,10 +93,7 @@ Result<u64> PmPool::alloc(u64 size) {
       const u64 head = h->free_heads[*cls];
       if (head != 0) {
         // Pop: read next link from the block, then publish the new head.
-        u64 next;
-        std::memcpy(&next, dev_->at(head, 8), 8);
-        h->free_heads[*cls] = next;
-        persist_header_field(&h->free_heads[*cls], 8);
+        persist_header_field(&h->free_heads[*cls], dev_->load_u64(head));
         allocated_bytes_ += kClassSizes[*cls];
         return head;
       }
@@ -110,16 +105,15 @@ Result<u64> PmPool::alloc(u64 size) {
                                     : align_up(size, kCacheLine);
   const u64 at = h->bump;
   if (block > h->base + h->span_len - at) return Errc::out_of_space;
-  h->bump = at + block;
   if (in_epoch_) {
     // The frontier must be durable before any publication that references
     // space above it retires; flush_metadata() clwb's it before the
     // epoch's first fence. Early drains are harmless: bump is monotonic,
     // so a premature value only leaks.
-    dev_->mark_dirty(field_offset(&h->bump), 8);
+    dev_->store_u64(field_offset(&h->bump), at + block);
     meta_dirty_ = true;
   } else {
-    persist_header_field(&h->bump, 8);
+    persist_header_field(&h->bump, at + block);
   }
   allocated_bytes_ += block;
   return at;
@@ -143,13 +137,12 @@ void PmPool::free(u64 offset, u64 size) {
     }
     return;
   }
-  PoolHeader* h = hdr();
+  const PoolHeader* h = hdr();
   // Push: write next link into the block, persist it, then publish head.
   const u64 old_head = h->free_heads[*cls];
   dev_->store(offset, std::span<const u8>(reinterpret_cast<const u8*>(&old_head), 8));
   dev_->persist(offset, 8);
-  h->free_heads[*cls] = offset;
-  persist_header_field(&h->free_heads[*cls], 8);
+  persist_header_field(&h->free_heads[*cls], offset);
   if (allocated_bytes_ >= kClassSizes[*cls]) allocated_bytes_ -= kClassSizes[*cls];
 }
 
@@ -157,7 +150,7 @@ bool PmPool::enter_commit_epoch() {
   if (in_epoch_) return false;
   in_epoch_ = true;
   meta_dirty_ = false;
-  PoolHeader* h = hdr();
+  const PoolHeader* h = hdr();
   bool sealed = false;
   for (std::size_t i = 0; i < kClassSizes.size(); i++) {
     shadow_heads_[i] = h->free_heads[i];
@@ -177,7 +170,7 @@ bool PmPool::enter_commit_epoch() {
 void PmPool::exit_commit_epoch() {
   if (!in_epoch_) return;
   in_epoch_ = false;
-  PoolHeader* h = hdr();
+  const PoolHeader* h = hdr();
   if (meta_dirty_) {
     dev_->clwb(field_offset(&h->bump), 8);
     meta_dirty_ = false;
@@ -211,7 +204,7 @@ void PmPool::exit_commit_epoch() {
 
 void PmPool::flush_metadata() {
   if (!meta_dirty_) return;
-  PoolHeader* h = hdr();
+  const PoolHeader* h = hdr();
   dev_->clwb(field_offset(&h->bump), 8);
   meta_dirty_ = false;
 }

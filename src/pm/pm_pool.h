@@ -124,11 +124,11 @@ class PmPool {
 
   PmPool(PmDevice& dev, u64 header_off);
 
-  [[nodiscard]] PoolHeader* hdr();
   [[nodiscard]] const PoolHeader* hdr() const;
   [[nodiscard]] static std::optional<std::size_t> class_for(u64 size) noexcept;
-  void persist_header_field(const void* field, u64 len);
-  [[nodiscard]] u64 field_offset(const void* field) const;
+  // Stores `value` into a header field and persists it.
+  void persist_header_field(const u64* field, u64 value);
+  [[nodiscard]] u64 field_offset(const u64* field) const;
 
   PmDevice* dev_;
   u64 header_off_;

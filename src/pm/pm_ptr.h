@@ -21,9 +21,11 @@ class pm_ptr {
   [[nodiscard]] constexpr bool is_null() const noexcept { return off_ == 0; }
   constexpr explicit operator bool() const noexcept { return !is_null(); }
 
-  /// Resolve against a device. The returned raw pointer must not be held
-  /// across a crash() or region remap; writes through it are volatile
-  /// until the caller runs mark_dirty() + persist() on the range.
+  /// Resolve against a device. The mutable form is a writable at(): it
+  /// takes the object's pre-images, its pointer is good for writes only
+  /// until the next fence over those lines, and writes through it are
+  /// volatile until the caller runs mark_dirty() + persist() on the
+  /// range. Readers resolve against a const device.
   [[nodiscard]] T* get(PmDevice& dev) const {
     return is_null() ? nullptr : reinterpret_cast<T*>(dev.at(off_, sizeof(T)));
   }

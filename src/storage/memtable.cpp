@@ -122,7 +122,7 @@ Status PmMemtable::put_impl(std::string_view key, std::span<const u8> value,
       if (!st.ok()) return st;
       if (old_rec != 0) {
         u32 old_len;
-        std::memcpy(&old_len, dev_->at(old_rec, 4), 4);
+        std::memcpy(&old_len, dev().at(old_rec, 4), 4);
         const u64 old_bytes = record_bytes(old_len);
         // The replaced record must survive until no cut can resolve the
         // replacing publication to the old value — free past the close.
@@ -137,8 +137,8 @@ Status PmMemtable::put_impl(std::string_view key, std::span<const u8> value,
 
 std::span<const u8> PmMemtable::value_view(u64 rec) const {
   u32 vlen;
-  std::memcpy(&vlen, dev_->at(rec, 4), 4);
-  return {dev_->at(rec + kValueHdr, vlen), vlen};
+  std::memcpy(&vlen, dev().at(rec, 4), 4);
+  return {dev().at(rec + kValueHdr, vlen), vlen};
 }
 
 Result<std::vector<u8>> PmMemtable::get(std::string_view key) const {
@@ -147,11 +147,11 @@ Result<std::vector<u8>> PmMemtable::get(std::string_view key) const {
   auto& env = dev_->env();
 
   u32 vlen, crc, flags;
-  std::memcpy(&vlen, dev_->at(rec.value(), 4), 4);
-  std::memcpy(&crc, dev_->at(rec.value() + 4, 4), 4);
-  std::memcpy(&flags, dev_->at(rec.value() + 8, 4), 4);
+  std::memcpy(&vlen, dev().at(rec.value(), 4), 4);
+  std::memcpy(&crc, dev().at(rec.value() + 4, 4), 4);
+  std::memcpy(&flags, dev().at(rec.value() + 8, 4), 4);
   if ((flags & kTombstone) != 0) return Errc::not_found;
-  const std::span<const u8> view(dev_->at(rec.value() + kValueHdr, vlen), vlen);
+  const std::span<const u8> view(dev().at(rec.value() + kValueHdr, vlen), vlen);
 
   if (crc != 0) {
     env.clock().advance(env.cost.crc32c_cost(vlen));
@@ -171,7 +171,7 @@ Result<PmMemtable::Entry> PmMemtable::lookup(std::string_view key) const {
   const auto rec = index_.get(key);
   if (!rec.ok()) return rec.errc();
   u32 flags;
-  std::memcpy(&flags, dev_->at(rec.value() + 8, 4), 4);
+  std::memcpy(&flags, dev().at(rec.value() + 8, 4), 4);
   return Entry{value_view(rec.value()), (flags & kTombstone) != 0};
 }
 
@@ -179,7 +179,7 @@ bool PmMemtable::erase(std::string_view key) {
   const auto rec = index_.get(key);
   if (!rec.ok()) return false;
   u32 vlen;
-  std::memcpy(&vlen, dev_->at(rec.value(), 4), 4);
+  std::memcpy(&vlen, dev().at(rec.value(), 4), 4);
   if (!index_.erase(key)) return false;
   const u64 rec_off = rec.value();
   const u64 rec_bytes = record_bytes(vlen);

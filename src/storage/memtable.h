@@ -79,7 +79,7 @@ class PmMemtable {
   void scan(std::string_view from, std::string_view to, Fn&& fn) const {
     index_.scan(from, to, [&](std::string_view k, u64 rec) {
       u32 flags;
-      std::memcpy(&flags, dev_->at(rec + 8, 4), 4);
+      std::memcpy(&flags, dev().at(rec + 8, 4), 4);
       return fn(k, value_view(rec), (flags & kTombstone) != 0);
     });
   }
@@ -115,6 +115,9 @@ class PmMemtable {
   [[nodiscard]] static u64 record_bytes(u64 value_len) noexcept {
     return kValueHdr + value_len;
   }
+
+  // Reads go through the device's const view (no pre-images taken).
+  [[nodiscard]] const pm::PmDevice& dev() const { return *dev_; }
 
   pm::PmDevice* dev_;
   pm::PmPool* pool_;

@@ -10,16 +10,13 @@ namespace {
 constexpr u64 kRecHdr = 4 + 1 + 4 + 4;  // crc, type, klen, vlen
 }
 
-Wal::Header* Wal::hdr() {
-  return reinterpret_cast<Header*>(dev_->at(header_off_, sizeof(Header)));
-}
 const Wal::Header* Wal::hdr() const {
-  return reinterpret_cast<const Header*>(dev_->at(header_off_, sizeof(Header)));
+  return reinterpret_cast<const Header*>(dev().at(header_off_, sizeof(Header)));
 }
 
-void Wal::persist_tail() {
+void Wal::persist_tail(u64 tail) {
   const u64 off = header_off_ + offsetof(Header, tail);
-  dev_->mark_dirty(off, 8);
+  dev_->store_u64(off, tail);
   dev_->persist(off, 8);
 }
 
@@ -28,7 +25,7 @@ Wal Wal::create(pm::PmDevice& dev, std::string_view name, u64 base, u64 len) {
     throw std::invalid_argument("Wal: bad span");
   }
   Wal wal(dev, base);
-  Header* h = wal.hdr();
+  auto* h = reinterpret_cast<Header*>(dev.at(base, sizeof(Header)));
   h->magic = kMagic;
   h->base = base;
   h->len = len;
@@ -49,7 +46,7 @@ Result<Wal> Wal::recover(pm::PmDevice& dev, std::string_view name) {
 
 Status Wal::append(WalRecordType type, std::string_view key,
                    std::span<const u8> value) {
-  Header* h = hdr();
+  const Header* h = hdr();
   const u64 rec_len = kRecHdr + key.size() + value.size();
   if (h->tail + rec_len > h->base + h->len) return Errc::out_of_space;
 
@@ -91,13 +88,13 @@ u64 Wal::replay(const std::function<void(WalRecordType, std::string_view,
   u64 applied = 0;
   while (at + kRecHdr <= h->tail) {
     u32 crc, klen, vlen;
-    std::memcpy(&crc, dev_->at(at, 4), 4);
-    const u8 type = *dev_->at(at + 4, 1);
-    std::memcpy(&klen, dev_->at(at + 5, 4), 4);
-    std::memcpy(&vlen, dev_->at(at + 9, 4), 4);
+    std::memcpy(&crc, dev().at(at, 4), 4);
+    const u8 type = *dev().at(at + 4, 1);
+    std::memcpy(&klen, dev().at(at + 5, 4), 4);
+    std::memcpy(&vlen, dev().at(at + 9, 4), 4);
     const u64 body = static_cast<u64>(klen) + vlen;
     if (at + kRecHdr + body > h->tail) break;  // torn tail
-    const std::span<const u8> covered(dev_->at(at + 4, kRecHdr - 4 + body),
+    const std::span<const u8> covered(dev().at(at + 4, kRecHdr - 4 + body),
                                       kRecHdr - 4 + body);
     if (crc32c_unmask(crc) != crc32c(covered)) break;  // corrupt tail
     if (type != static_cast<u8>(WalRecordType::put) &&
@@ -105,8 +102,8 @@ u64 Wal::replay(const std::function<void(WalRecordType, std::string_view,
       break;
     }
     const std::string_view key(
-        reinterpret_cast<const char*>(dev_->at(at + kRecHdr, klen)), klen);
-    const std::span<const u8> value(dev_->at(at + kRecHdr + klen, vlen), vlen);
+        reinterpret_cast<const char*>(dev().at(at + kRecHdr, klen)), klen);
+    const std::span<const u8> value(dev().at(at + kRecHdr + klen, vlen), vlen);
     apply(static_cast<WalRecordType>(type), key, value);
     applied++;
     at += kRecHdr + body;
@@ -115,9 +112,8 @@ u64 Wal::replay(const std::function<void(WalRecordType, std::string_view,
 }
 
 void Wal::truncate() {
-  Header* h = hdr();
-  h->tail = h->base + align_up(sizeof(Header), kCacheLine);
-  persist_tail();
+  const Header* h = hdr();
+  persist_tail(h->base + align_up(sizeof(Header), kCacheLine));
   obs::inc(m_truncates_);
 }
 

@@ -80,9 +80,11 @@ class Wal {
   static constexpr u64 kMagic = 0x57'41'4c'2d'50'4d'31'00ULL;  // "WAL-PM1"
 
   Wal(pm::PmDevice& dev, u64 header_off) : dev_(&dev), header_off_(header_off) {}
-  [[nodiscard]] Header* hdr();
   [[nodiscard]] const Header* hdr() const;
-  void persist_tail();
+  // Stores and persists a new tail.
+  void persist_tail(u64 tail);
+  // Reads go through the device's const view (no pre-images taken).
+  [[nodiscard]] const pm::PmDevice& dev() const { return *dev_; }
 
   pm::PmDevice* dev_;
   u64 header_off_;

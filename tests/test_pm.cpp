@@ -277,12 +277,78 @@ TEST_F(PmDeviceTest, LargeDeviceIsLazy) {
   }
 }
 
+// The durable bytes are not a second image: persisting 32 MB of distinct
+// lines grows the resident set by about the 32 MB the image holds (plus
+// 8 bytes of line state per line), not twice that.
+TEST_F(PmDeviceTest, PersistedBytesCostOneImage) {
+  constexpr u64 kBytes = u64{32} << 20;
+  constexpr u64 kChunk = 4096;
+  const std::vector<u8> chunk(kChunk, 0x6b);
+  const i64 before = resident_bytes();
+  PmDevice big(env, 2 * kBytes);
+  const u64 base = big.data_base();
+  for (u64 off = base; off < base + kBytes; off += kChunk) {
+    big.store(off, chunk);
+    big.persist(off, kChunk);
+  }
+  const i64 grown = resident_bytes() - before;
+  EXPECT_LT(static_cast<double>(grown), 1.25 * static_cast<double>(kBytes))
+      << "resident growth " << grown << " B for " << kBytes << " B persisted";
+  EXPECT_EQ(big.load_u64(base + kBytes - 8), 0x6b6b6b6b6b6b6b6bULL);
+}
+
+TEST_F(PmDeviceTest, PreImagesRetireAtFence) {
+  const u64 base = dev.data_base();
+  EXPECT_EQ(dev.preimage_lines(), 0u);
+  // A store takes one pre-image per line; the fence retires them all.
+  dev.store(base + 8, std::vector<u8>(2 * kCacheLine, 0x11));
+  EXPECT_EQ(dev.preimage_lines(), 3u);
+  dev.persist(base + 8, 2 * kCacheLine);
+  EXPECT_EQ(dev.preimage_lines(), 0u);
+
+  // A line with a withheld word keeps its pre-image (the old word) past
+  // the fence that drains the rest of the line.
+  const u64 line = base + 4 * kCacheLine;
+  dev.store_u64(line, 111);
+  dev.persist(line, 8);
+  dev.store_u64_deferred(line, 222);
+  dev.store_u64(line + 8, 333);
+  dev.persist(line + 8, 8);
+  EXPECT_EQ(dev.preimage_lines(), 1u);
+  EXPECT_EQ(dev.clone_persisted()->load_u64(line + 8), 333u);
+  EXPECT_EQ(dev.clone_persisted()->load_u64(line), 111u);
+  dev.apply_deferred(line);
+  EXPECT_EQ(dev.preimage_lines(), 1u);
+  dev.sfence();
+  EXPECT_EQ(dev.preimage_lines(), 0u);
+  EXPECT_EQ(dev.clone_persisted()->load_u64(line), 222u);
+
+  // A volatile tower write takes a pre-image but no dirty state: no fence
+  // drains it, and a crash reverts it.
+  const u64 tower = base + 8 * kCacheLine;
+  dev.store_u64(tower, 5);
+  dev.persist(tower, 8);
+  const u64 link = 9;
+  dev.store_volatile(tower, std::span<const u8>(reinterpret_cast<const u8*>(&link), 8));
+  EXPECT_EQ(dev.dirty_lines(), 0u);
+  EXPECT_EQ(dev.preimage_lines(), 1u);
+  dev.clwb(tower, 8);
+  dev.sfence();
+  EXPECT_EQ(dev.preimage_lines(), 1u);
+  EXPECT_EQ(dev.load_u64(tower), 9u);
+  dev.crash();
+  EXPECT_EQ(dev.load_u64(tower), 5u);
+  EXPECT_EQ(dev.preimage_lines(), 0u);
+}
+
 // ---------- Differential fuzz: PmDevice vs a naive reference ----------
 
 // The device's semantics written out naively: whole byte images, std::set
 // line/word sets, and the documented crash draw order (pending lines in
 // the order they were last clwb'd, dirty lines in the order they were
-// last stored to from a clean or pending state).
+// last stored to from a clean or pending state). `vol` holds the lines
+// written in place (at() or store_volatile) since they were last
+// drained, so the model can count the lines owing a pre-image.
 struct RefDevice {
   RefDevice(const PmDevice& dev, u64 env_seed)
       : mem(dev.at(0, dev.size()), dev.at(0, dev.size()) + dev.size()),
@@ -291,7 +357,7 @@ struct RefDevice {
 
   std::vector<u8> mem;
   std::vector<u8> per;
-  std::set<u64> dirty, pending, deferred;
+  std::set<u64> dirty, pending, deferred, vol;
   std::vector<u64> dirty_order, pending_order;
   std::optional<FaultPlan> plan;
   u64 events = 0;
@@ -315,6 +381,12 @@ struct RefDevice {
     std::copy(d.begin(), d.end(), mem.begin() + static_cast<long>(off));
     mark_dirty(off, d.size());
   }
+  void write_in_place(u64 off, std::span<const u8> d) {
+    std::copy(d.begin(), d.end(), mem.begin() + static_cast<long>(off));
+    for (u64 l = off / kCacheLine; l <= (off + d.size() - 1) / kCacheLine; l++) {
+      vol.insert(l);
+    }
+  }
   void clwb(u64 off, u64 len) {
     for (u64 l = off / kCacheLine; l <= (off + len - 1) / kCacheLine; l++) {
       if (dirty.erase(l) != 0) {
@@ -326,7 +398,10 @@ struct RefDevice {
     }
   }
   void sfence() {
-    for (u64 l : pending) drain(l);
+    for (u64 l : pending) {
+      drain(l);
+      vol.erase(l);
+    }
     pending.clear();
     pending_order.clear();
     bump();
@@ -344,6 +419,7 @@ struct RefDevice {
          (l + 1) * kCacheLine <= off + d.size(); l++) {
       dirty.erase(l);
       pending.erase(l);
+      vol.erase(l);
     }
     bump();
   }
@@ -407,8 +483,24 @@ struct RefDevice {
     dirty.clear();
     pending.clear();
     deferred.clear();
+    vol.clear();
     dirty_order.clear();
     pending_order.clear();
+  }
+  // Lines whose durable bytes differ from the image, or that are dirty,
+  // pending, deferred or written in place: each owes a pre-image.
+  [[nodiscard]] std::size_t preimage_lines() const {
+    std::set<u64> owing(dirty);
+    owing.insert(pending.begin(), pending.end());
+    owing.insert(vol.begin(), vol.end());
+    for (u64 w : deferred) owing.insert(w / kCacheLine);
+    for (u64 l = 0; l < mem.size() / kCacheLine; l++) {
+      if (std::memcmp(mem.data() + l * kCacheLine, per.data() + l * kCacheLine,
+                      kCacheLine) != 0) {
+        owing.insert(l);
+      }
+    }
+    return owing.size();
   }
 };
 
@@ -505,17 +597,23 @@ void fuzz_against_reference(u64 seed) {
       const u64 off = pick_off();
       const auto d = random_bytes(pick_len(off));
       cut = both([&] { dev.store(off, d); }, [&] { ref.store(off, d); });
-    } else if (op < 32) {
+    } else if (op < 29) {
       // In-place write through at(); usually declared, sometimes not.
       const u64 off = pick_off();
       const auto d = random_bytes(pick_len(off));
       const bool declare = rng.chance(0.8);
       std::memcpy(dev.at(off, d.size()), d.data(), d.size());
-      std::copy(d.begin(), d.end(), ref.mem.begin() + static_cast<long>(off));
+      ref.write_in_place(off, d);
       if (declare) {
         dev.mark_dirty(off, d.size());
         ref.mark_dirty(off, d.size());
       }
+    } else if (op < 32) {
+      // Volatile write (a DRAM-shadow tower link): never declared.
+      const u64 off = pick_off();
+      const auto d = random_bytes(pick_len(off));
+      dev.store_volatile(off, d);
+      ref.write_in_place(off, d);
     } else if (op < 52) {
       const u64 off = pick_off();
       const u64 len = pick_len(off);
@@ -558,6 +656,7 @@ void fuzz_against_reference(u64 seed) {
     ASSERT_EQ(dev.dirty_lines(), ref.dirty.size());
     ASSERT_EQ(dev.pending_lines(), ref.pending.size());
     ASSERT_EQ(dev.deferred_words(), ref.deferred.size());
+    ASSERT_EQ(dev.preimage_lines(), ref.preimage_lines());
     ASSERT_EQ(dev.fault_events(), ref.events);
     for (u64 l = 0; l < nlines; l++) {
       ASSERT_EQ(dev.line_in_flight(l * kCacheLine), ref.pending.count(l) != 0)

@@ -408,7 +408,9 @@ TEST(Repl, KilledBackupNeverClosesItsOpenEpoch) {
   EXPECT_EQ(r1.durable_seq(), 0u);
   const u64 size = at_kill->size();
   ASSERT_EQ(later->size(), size);
-  EXPECT_EQ(std::memcmp(at_kill->at(0, size), later->at(0, size), size), 0)
+  const pm::PmDevice& a = *at_kill;
+  const pm::PmDevice& b = *later;
+  EXPECT_EQ(std::memcmp(a.at(0, size), b.at(0, size), size), 0)
       << "the dead backup's persisted image moved after the cut";
   EXPECT_EQ(later->load_u64(later->get_root("repl.applied").value()), 0u);
 }
