@@ -14,6 +14,11 @@ struct XferResult {
   double goodput_gbps;
   u64 retransmits;
   u64 reordered;
+  // The receiver sends nothing but ACKs (its SYN-ACK aside): segments it
+  // sent per segment it received, and received segments that brought no
+  // new byte.
+  double acks_per_seg;
+  u64 dup_segments;
   bool intact;
 };
 
@@ -61,6 +66,10 @@ XferResult transfer(double loss, double reorder) {
                    std::max<SimTime>(elapsed, 1);
   r.retransmits = conn->retransmits();
   r.reordered = fabric.reordered();
+  net::TcpStack& rx = server.stack();
+  r.acks_per_seg = static_cast<double>(rx.segments_tx()) /
+                   static_cast<double>(std::max<u64>(rx.segments_rx(), 1));
+  r.dup_segments = rx.dup_segments_rx();
   r.intact = got == data;
   return r;
 }
@@ -69,15 +78,18 @@ XferResult transfer(double loss, double reorder) {
 
 int main() {
   std::printf("=== M1: TCP under loss/reorder (2MB transfer, 25G link) ===\n");
-  std::printf("%7s %9s | %12s %8s %9s %7s\n", "loss", "reorder",
-              "goodput[Gb/s]", "retx", "reordered", "intact");
+  std::printf("%7s %9s | %12s %8s %9s %8s %8s %7s\n", "loss", "reorder",
+              "goodput[Gb/s]", "retx", "reordered", "acks/seg", "dup_segs",
+              "intact");
   for (const double loss : {0.0, 0.005, 0.02, 0.05}) {
     for (const double reorder : {0.0, 0.1}) {
       const auto r = transfer(loss, reorder);
-      std::printf("%6.1f%% %8.1f%% | %12.2f %8llu %9llu %7s\n", loss * 100,
-                  reorder * 100, r.goodput_gbps,
+      std::printf("%6.1f%% %8.1f%% | %12.2f %8llu %9llu %8.3f %8llu %7s\n",
+                  loss * 100, reorder * 100, r.goodput_gbps,
                   static_cast<unsigned long long>(r.retransmits),
                   static_cast<unsigned long long>(r.reordered),
+                  r.acks_per_seg,
+                  static_cast<unsigned long long>(r.dup_segments),
                   r.intact ? "yes" : "NO");
     }
   }

@@ -8,34 +8,33 @@ namespace papm {
 
 void Stats::ensure_sorted() const {
   if (sorted_) return;
-  sorted_samples_ = samples_;
-  std::sort(sorted_samples_.begin(), sorted_samples_.end());
+  std::sort(samples_.begin(), samples_.end());
   sorted_ = true;
 }
 
 double Stats::min() const {
   ensure_sorted();
-  return sorted_samples_.empty() ? 0.0 : sorted_samples_.front();
+  return samples_.empty() ? 0.0 : samples_.front();
 }
 
 double Stats::max() const {
   ensure_sorted();
-  return sorted_samples_.empty() ? 0.0 : sorted_samples_.back();
+  return samples_.empty() ? 0.0 : samples_.back();
 }
 
 double Stats::percentile(double p) const {
   ensure_sorted();
-  if (sorted_samples_.empty()) return 0.0;
-  if (p <= 0.0) return sorted_samples_.front();
-  if (p >= 100.0) return sorted_samples_.back();
+  if (samples_.empty()) return 0.0;
+  if (p <= 0.0) return samples_.front();
+  if (p >= 100.0) return samples_.back();
   // Nearest rank: ceil(p/100 * N), 1-based, clamped to [1, N]. Always an
   // actual sample, so a single-sample distribution answers that sample
   // for every p and no query can index past the ends.
-  const std::size_t n = sorted_samples_.size();
+  const std::size_t n = samples_.size();
   auto rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(n)));
   rank = std::max<std::size_t>(1, std::min(rank, n));
-  return sorted_samples_[rank - 1];
+  return samples_[rank - 1];
 }
 
 double Stats::stddev() const {
@@ -48,15 +47,15 @@ double Stats::stddev() const {
 
 std::string Stats::hist(int buckets, int width) const {
   ensure_sorted();
-  if (sorted_samples_.empty()) return "(no samples)\n";
+  if (samples_.empty()) return "(no samples)\n";
   if (buckets < 1) buckets = 1;
   if (width < 1) width = 1;
-  const double lo = sorted_samples_.front();
-  const double hi = sorted_samples_.back();
+  const double lo = samples_.front();
+  const double hi = samples_.back();
   // Degenerate span (all samples equal): one full-width row.
   const double span = hi > lo ? hi - lo : 1.0;
   std::vector<std::size_t> counts(static_cast<std::size_t>(buckets), 0);
-  for (double s : sorted_samples_) {
+  for (double s : samples_) {
     auto b = static_cast<std::size_t>((s - lo) / span *
                                       static_cast<double>(buckets));
     if (b >= counts.size()) b = counts.size() - 1;  // s == hi

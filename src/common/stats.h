@@ -10,7 +10,9 @@
 namespace papm {
 
 // Accumulates samples (e.g. per-request RTTs in ns) and reports summary
-// statistics. Percentile queries sort a copy lazily.
+// statistics. Percentile queries sort the samples in place, lazily: no
+// query depends on the order they were added in, and a sorted copy
+// would double the memory every queried collection holds.
 class Stats {
  public:
   void add(double sample) {
@@ -59,9 +61,8 @@ class Stats {
  private:
   void ensure_sorted() const;
 
-  std::vector<double> samples_;
+  mutable std::vector<double> samples_;
   double sum_ = 0;
-  mutable std::vector<double> sorted_samples_;
   mutable bool sorted_ = false;
 };
 

@@ -9,9 +9,9 @@ namespace papm::net {
 namespace {
 
 constexpr u32 kWndShift = 5;  // fixed window scale (as if negotiated)
-constexpr SimTime kMinRto = 400 * kNsPerUs;
-constexpr SimTime kMaxRto = 20 * kNsPerMs;
 constexpr u32 kInitCwnd = 10 * kMss;
+// Slow start grows cwnd by at most L = 2 SMSS per ACK (RFC 3465 §2.2).
+constexpr u32 kAbcLimit = 2 * kMss;
 constexpr u32 kInitSsthresh = 256 * 1024;
 
 MacAddr mac_for_ip(u32 ip) {
@@ -72,6 +72,24 @@ void TcpStack::note_zc_depth(std::size_t n) {
     m_zc_hwm_ = &opts_.metrics->gauge("tcp.zc_queue_hwm");
   }
   m_zc_hwm_->peak(n);
+}
+
+void TcpStack::note_dup_segment() {
+  dup_segments_rx_++;
+  if (opts_.metrics == nullptr) return;
+  if (m_dup_seg_ == nullptr) {
+    m_dup_seg_ = &opts_.metrics->counter("tcp.dup_segments_rx");
+  }
+  m_dup_seg_->add();
+}
+
+void TcpStack::note_delayed_ack() {
+  delayed_acks_++;
+  if (opts_.metrics == nullptr) return;
+  if (m_delack_ == nullptr) {
+    m_delack_ = &opts_.metrics->counter("tcp.delayed_acks");
+  }
+  m_delack_->add();
 }
 
 void TcpStack::charge_tx() {
@@ -260,14 +278,20 @@ void TcpStack::output_pkt(TcpConn& c, PktBuf* pb, u8 flags, u32 seq, u32 ack,
 
   pb->ip = ip;
   pb->tcp = tcp;
-  pb->tstamp = env_.now();
+  pb->tstamp = std::max(env_.now(), c.tx_ready_);
 
   if (rtx_clone != nullptr) *rtx_clone = pb->owner->clone(*pb);
 
-  c.ack_pending_ = false;  // every segment carries the current ack
+  // Every segment carries the current ack: an ACK owed rides it.
+  c.ack_due_ = TcpConn::AckDue::none;
+  c.rcv_acked_ = ack;
+  c.disarm_delack();
   segments_tx_++;
   obs::inc(m_seg_tx_);
   netif_.transmit(pb);
+  // The NIC charged its TX work to this scope: the frame is ready now,
+  // or at the previous frame's time if that is later.
+  c.tx_ready_ = std::max(c.tx_ready_, env_.now());
 }
 
 // --- TcpConn -----------------------------------------------------------------
@@ -317,8 +341,8 @@ void TcpConn::rx(PktBuf* pb) {
         snd_wnd_ = static_cast<u32>(h.window) << kWndShift;
         process_ack(h);
         enter_established();
-        ack_pending_ = true;
-        maybe_send_pending_ack();
+        ack_due_ = AckDue::now;
+        send_due_ack();
       }
       PktBufPool::release(pb);
       return;
@@ -329,7 +353,7 @@ void TcpConn::rx(PktBuf* pb) {
         enter_established();
         if (pb->payload_len() > 0) {
           rx_data(pb);  // takes ownership
-          maybe_send_pending_ack();
+          send_due_ack();
           return;
         }
       }
@@ -371,20 +395,20 @@ void TcpConn::rx(PktBuf* pb) {
   // Consume an in-order FIN once all data before it is delivered.
   if (fin_received_ && rcv_nxt_ == fin_seq_) {
     rcv_nxt_ = fin_seq_ + 1;
-    ack_pending_ = true;
+    ack_due_ = AckDue::now;
     if (state_ == TcpState::established) {
       state_ = TcpState::close_wait;
       if (on_readable) on_readable(*this);  // EOF signal
     } else if (state_ == TcpState::fin_wait_1 || state_ == TcpState::fin_wait_2) {
       // Simultaneous/normal close; skip TIME_WAIT in simulation.
-      maybe_send_pending_ack();
+      send_due_ack();
       become_closed();
       return;
     }
   }
 
   try_send();
-  maybe_send_pending_ack();
+  send_due_ack();
 }
 
 void TcpConn::process_ack(const TcpHeader& h) {
@@ -395,17 +419,34 @@ void TcpConn::process_ack(const TcpHeader& h) {
 
   if (seq_gt(ack, snd_una_)) {
     dup_acks_ = 0;
+    // One RTT sample per ACK, from the oldest segment it covers, and none
+    // if it covers a retransmitted one (Karn's rule, RFC 6298 §3): the
+    // segments behind a repaired hole were held up by the repair, not by
+    // the path, and one ACK for two segments is one round trip.
+    SimTime sent_at = kResent;
+    bool covers_resent = false;
     while (!rtx_q_.empty()) {
       const PktBuf& e = *rtx_q_.front();
       if (!seq_ge(ack, e.tcp.seq + logical_len(e))) break;
-      if (e.tstamp != kResent) update_rtt(stack_->env().now() - e.tstamp);
+      if (e.tstamp == kResent) {
+        covers_resent = true;
+      } else if (sent_at == kResent) {
+        sent_at = e.tstamp;
+      }
       PktBufPool::release(rtx_q_.pop_front());
     }
-    // Congestion window growth.
+    if (!covers_resent && sent_at != kResent) {
+      update_rtt(stack_->env().now() - sent_at);
+    }
+    // Window growth by bytes acked (RFC 3465), so one ACK for two
+    // segments grows it as two ACKs would: slow start adds the bytes (at
+    // most L per ACK), congestion avoidance about one MSS per cwnd acked.
+    const u32 acked = ack - snd_una_;
     if (cwnd_ < ssthresh_) {
-      cwnd_ += kMss;  // slow start
+      cwnd_ += std::min(acked, kAbcLimit);
     } else {
-      cwnd_ += std::max<u32>(1, kMss * kMss / cwnd_);  // congestion avoidance
+      cwnd_ += std::max<u32>(
+          1, static_cast<u32>(u64{kMss} * std::min(acked, cwnd_) / cwnd_));
     }
     snd_una_ = ack;
     if (rtx_q_.empty()) {
@@ -445,9 +486,14 @@ void TcpConn::process_ack(const TcpHeader& h) {
 void TcpConn::rx_data(PktBuf* pb) {
   const u32 seq = pb->tcp.seq;
   const u32 len = pb->payload_len();
-  ack_pending_ = true;
+  // Anything but new in-order data within the window is ACKed at once
+  // (RFC 5681 §4.2): a duplicate, a segment out of order or past the
+  // window, one that fills a hole. The sender's loss recovery counts on
+  // those ACKs.
+  ack_due_ = AckDue::now;
 
   if (seq_le(seq + len, rcv_nxt_)) {
+    stack_->note_dup_segment();
     PktBufPool::release(pb);  // complete duplicate
     return;
   }
@@ -464,7 +510,8 @@ void TcpConn::rx_data(PktBuf* pb) {
     PktBufPool::release(pb);
     return;
   }
-  if (seq_gt(seq + len, edge)) pb->len -= seq + len - edge;
+  const bool trimmed = seq_gt(seq + len, edge);
+  if (trimmed) pb->len -= seq + len - edge;
   if (seq_lt(seq, rcv_nxt_)) {
     // Partial overlap: trim the already-received prefix.
     const u32 trim = rcv_nxt_ - seq;
@@ -472,10 +519,16 @@ void TcpConn::rx_data(PktBuf* pb) {
     pb->tcp.seq = rcv_nxt_;
   }
   if (pb->tcp.seq == rcv_nxt_) {
+    // New in-order data: its ACK waits for a segment to carry it, up to
+    // kDelAckNs, unless more than one full-sized segment is now
+    // unacknowledged (every second segment of a bulk stream, RFC 1122
+    // §4.2.3.2).
+    const bool fresh = seq == rcv_nxt_ && !trimmed && ooo_tree_.size() == 0;
     rcv_nxt_ += pb->payload_len();
     rcv_q_.push_back(pb);
     rcv_queued_ += pb->payload_len();
     deliver_in_order();
+    if (fresh && rcv_nxt_ - rcv_acked_ <= kMss) ack_due_ = AckDue::delayed;
     if (on_readable) on_readable(*this);
     return;
   }
@@ -483,6 +536,7 @@ void TcpConn::rx_data(PktBuf* pb) {
   // duplicates are dropped.
   pb->rb_key = pb->tcp.seq;
   if (ooo_tree_.find(pb->rb_key) != nullptr) {
+    stack_->note_dup_segment();
     PktBufPool::release(pb);
     return;
   }
@@ -735,6 +789,7 @@ void TcpConn::become_closed() {
   if (state_ == TcpState::closed) return;
   state_ = TcpState::closed;
   disarm_rto();
+  disarm_delack();
   while (!rtx_q_.empty()) PktBufPool::release(rtx_q_.pop_front());
   zc_dropped_ += zc_q_.size();
   while (!zc_q_.empty()) PktBufPool::release(zc_q_.pop_front());
@@ -760,6 +815,11 @@ void TcpConn::arm_rto() {
 void TcpConn::disarm_rto() noexcept {
   stack_->env().engine.cancel(rto_timer_);
   rto_timer_ = 0;
+}
+
+void TcpConn::disarm_delack() noexcept {
+  stack_->env().engine.cancel(delack_timer_);
+  delack_timer_ = 0;
 }
 
 void TcpConn::on_rto() {
@@ -789,14 +849,27 @@ void TcpConn::update_rtt(SimTime sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + std::max<SimTime>(kNsPerUs, 4 * rttvar_), kMinRto,
-                    kMaxRto);
+  rto_ = std::clamp(srtt_ + std::max(kMinRto, 4 * rttvar_), kMinRto, kMaxRto);
 }
 
-void TcpConn::maybe_send_pending_ack() {
-  if (!ack_pending_ || state_ == TcpState::closed) return;
-  stack_->charge_tx();
-  send_ctl(kTcpAck);
+void TcpConn::send_due_ack() {
+  if (ack_due_ == AckDue::none || state_ == TcpState::closed) return;
+  if (ack_due_ == AckDue::now) {
+    stack_->charge_tx();
+    send_ctl(kTcpAck);
+    return;
+  }
+  if (delack_timer_ != 0) return;  // the first unacked segment's deadline
+  delack_timer_ = stack_->env().engine.schedule_in(kDelAckNs, [this] {
+    delack_timer_ = 0;
+    stack_->run_cpu([this] {
+      // Any segment sent since cancelled the timer; only a close (which
+      // cancels it too) leaves nothing owed.
+      stack_->note_delayed_ack();
+      stack_->charge_tx();
+      send_ctl(kTcpAck);
+    });
+  });
 }
 
 }  // namespace papm::net

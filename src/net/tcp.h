@@ -1,8 +1,11 @@
 // From-scratch TCP over PktBuf metadata.
 //
 // Implements the stack features the paper's argument rests on (§4.1):
-//   * reliable delivery with cumulative ACKs, RTO (RFC 6298 estimation)
-//     and fast retransmit on three duplicate ACKs;
+//   * reliable delivery with cumulative, delayed ACKs (RFC 1122
+//     §4.2.3.2, RFC 5681 §4.2), RTO (RFC 6298 estimation, one sample
+//     per ACK under Karn's rule, with Linux's floor) and fast retransmit
+//     on three duplicate ACKs;
+//   * slow start and congestion avoidance by bytes acked (RFC 3465);
 //   * a retransmission queue of *clones* — data stays intact until
 //     acknowledged while lower layers release their metadata;
 //   * out-of-order reassembly in an intrusive red-black tree of PktBufs,
@@ -46,7 +49,9 @@ namespace papm::net {
 class NetIf {
  public:
   virtual ~NetIf() = default;
-  // Takes ownership of the packet (frees it after serialization).
+  // Takes ownership of the packet (frees it after serialization). The
+  // frame is ready for the wire at pb->tstamp, the time the stack handed
+  // it down (never before now).
   virtual void transmit(PktBuf* pb) = 0;
   [[nodiscard]] virtual MacAddr mac() const noexcept = 0;
 };
@@ -64,6 +69,14 @@ class NetIf {
 // length (an HTTP head, a replication header carrying a key) shifts the
 // ones after it by a byte.
 [[nodiscard]] u16 l4_tx_csum(sim::Env& env, PktBuf& pb, const IpHeader& ip);
+
+// Retransmit timer bounds (RFC 6298's 1 s floor and 60 s ceiling, scaled
+// to datacenter RTTs).
+inline constexpr SimTime kMinRto = 400 * kNsPerUs;
+inline constexpr SimTime kMaxRto = 20 * kNsPerMs;
+// How long an ACK may wait for a segment to carry it: a quarter of the
+// RTO floor, Linux's ratio (40 ms delayed ACK against a 200 ms rto_min).
+inline constexpr SimTime kDelAckNs = kMinRto / 4;
 
 // Sequence-number arithmetic (wrap-safe).
 [[nodiscard]] constexpr bool seq_lt(u32 a, u32 b) noexcept {
@@ -188,6 +201,7 @@ class TcpConn {
   [[nodiscard]] u64 retransmits() const noexcept { return retransmits_; }
   [[nodiscard]] u32 cwnd() const noexcept { return cwnd_; }
   [[nodiscard]] SimTime srtt() const noexcept { return srtt_; }
+  [[nodiscard]] SimTime rto() const noexcept { return rto_; }
 
  private:
   friend class TcpStack;
@@ -200,6 +214,8 @@ class TcpConn {
 
   void rx_listen_syn(PktBuf* pb);
   void process_ack(const TcpHeader& h);
+  // Queues an in-order or out-of-order data segment and notes the ACK it
+  // owes (see ack_due_).
   void rx_data(PktBuf* pb);
   void deliver_in_order();
   void try_send();
@@ -218,9 +234,12 @@ class TcpConn {
   void arm_rto();
   // Cancels the pending RTO or zero-window-probe timer, if any.
   void disarm_rto() noexcept;
+  void disarm_delack() noexcept;
   void on_rto();
   void update_rtt(SimTime sample);
-  void maybe_send_pending_ack();
+  // Sends the ACK owed at once, or arms the delayed-ACK timer for one
+  // that may wait (end of a received segment's processing).
+  void send_due_ack();
   void become_closed();
 
   // Owning stack; reseated by TcpStack::adopt when the connection
@@ -273,15 +292,30 @@ class TcpConn {
   // RTT / RTO (RFC 6298).
   SimTime srtt_ = 0;
   SimTime rttvar_ = 0;
-  // Initial RTO: 1 ms (RFC 6298's 1 s, scaled to datacenter RTTs). Must
-  // exceed self-inflicted queueing delay at full window or zero-loss
-  // transfers suffer spurious timeouts.
+  // Initial RTO: 1 ms (RFC 6298's 1 s, scaled to datacenter RTTs). Once
+  // sampled it is srtt + max(kMinRto, 4·rttvar), within [kMinRto,
+  // kMaxRto] — Linux's floor: a closed loop's steady RTTs drive rttvar
+  // toward zero, and an RTO of srtt plus a microsecond fires on every
+  // queueing hiccup (a spurious retransmit each time).
   SimTime rto_ = 1 * kNsPerMs;
   // The one pending RTO or zero-window-probe timer (0 = none); arming a
   // new one cancels the one it supersedes.
   sim::EventId rto_timer_ = 0;
 
-  bool ack_pending_ = false;
+  // ACK owed to the peer. `delayed` waits for the next outgoing segment
+  // to carry it, or for the delayed-ACK timer; `now` goes at the end of
+  // the received segment's processing.
+  enum class AckDue : u8 { none, delayed, now };
+  AckDue ack_due_ = AckDue::none;
+  // rcv_nxt_ as last acknowledged: more than one full-sized segment past
+  // it and the ACK goes at once (every second segment of a bulk stream).
+  u32 rcv_acked_ = 0;
+  sim::EventId delack_timer_ = 0;  // 0 = none
+  // When the last segment sent became ready for the wire. Work items of
+  // a host with unlimited cores can overlap in time on one connection
+  // (the socket lock a kernel takes is not modelled); the next segment
+  // is handed down no earlier, so the wire keeps sequence order.
+  SimTime tx_ready_ = 0;
   u64 retransmits_ = 0;
 };
 
@@ -304,7 +338,8 @@ class TcpStack {
     int core = -1;
     // Mirrors segment/checksum/retransmit counters into a (per-shard)
     // registry: tcp.segments_rx / tcp.segments_tx / tcp.csum_failures /
-    // tcp.retransmits, and the deepest zero-copy TX queue of any of its
+    // tcp.retransmits; and, registered on first use, tcp.dup_segments_rx,
+    // tcp.delayed_acks and the deepest zero-copy TX queue of any of its
     // connections as the gauge tcp.zc_queue_hwm. Null = the plain member
     // counters only.
     obs::MetricRegistry* metrics = nullptr;
@@ -370,6 +405,12 @@ class TcpStack {
   [[nodiscard]] u64 segments_rx() const noexcept { return segments_rx_; }
   [[nodiscard]] u64 segments_tx() const noexcept { return segments_tx_; }
   [[nodiscard]] u64 csum_failures() const noexcept { return csum_failures_; }
+  // Data segments that brought no new byte (all before rcv_nxt, or a copy
+  // of one already held out of order): a retransmit the first copy made
+  // needless, or a replayed frame.
+  [[nodiscard]] u64 dup_segments_rx() const noexcept { return dup_segments_rx_; }
+  // Pure ACKs the delayed-ACK timer sent (no segment came to carry them).
+  [[nodiscard]] u64 delayed_acks() const noexcept { return delayed_acks_; }
 
  private:
   friend class TcpConn;
@@ -395,6 +436,8 @@ class TcpStack {
   void charge_tx();
   // Raises tcp.zc_queue_hwm to a connection's zero-copy queue depth.
   void note_zc_depth(std::size_t n);
+  void note_dup_segment();
+  void note_delayed_ack();
 
   void rx_locked(PktBuf* pb);  // runs under the host CPU scope
 
@@ -413,12 +456,16 @@ class TcpStack {
   u64 segments_rx_ = 0;
   u64 segments_tx_ = 0;
   u64 csum_failures_ = 0;
+  u64 dup_segments_rx_ = 0;
+  u64 delayed_acks_ = 0;
 
   obs::Counter* m_seg_rx_ = nullptr;
   obs::Counter* m_seg_tx_ = nullptr;
   obs::Counter* m_csum_fail_ = nullptr;
   obs::Counter* m_rtx_ = nullptr;
   obs::Gauge* m_zc_hwm_ = nullptr;
+  obs::Counter* m_dup_seg_ = nullptr;
+  obs::Counter* m_delack_ = nullptr;
 };
 
 }  // namespace papm::net

@@ -162,17 +162,33 @@ void Nic::transmit(net::PktBuf* pb) {
     }
   }
 
-  // Link serialization: frames from every TX queue share the one wire.
-  const SimTime ready = env_.now();
-  const SimTime start = std::max(ready, link_free_at_);
-  const SimTime depart = start + env_.cost.wire_cost(frame.bytes.size());
-  link_free_at_ = depart;
-
-  frame.tx_hw_tstamp = depart;
   tx_frames_++;
   const u32 dst_ip = pb->ip.dst;
+  // The frame is ready at the sender's scope time (or the stack's later
+  // handoff), which can run ahead of the event clock by the core's
+  // backlog. Booking the shared wire then and there would put a frame
+  // that is processed later but ready earlier behind it; an event at the
+  // ready time books the wire in ready order.
+  // Until it departs, the frame's hardware stamp holds its ready time.
+  frame.tx_hw_tstamp = std::max(env_.now(), pb->tstamp);
   pool.free(pb);  // clones in the rtx queue keep the data alive
-  fabric_.inject(dst_ip, std::move(frame), depart);
+  env_.engine.schedule_at(frame.tx_hw_tstamp,
+                          [this, dst_ip, f = std::move(frame)]() mutable {
+                            depart(dst_ip, std::move(f));
+                          });
+}
+
+void Nic::depart(u32 dst_ip, WireFrame frame) {
+  if (!link_up_) return;  // the host went down with the frame queued
+  // Link serialization: frames from every TX queue share the one wire.
+  // The event can fire after its ready time when work charged outside
+  // any core scope (a backup's inline apply) has moved the global clock
+  // on; the frame was ready all the same.
+  const SimTime start = std::max(frame.tx_hw_tstamp, link_free_at_);
+  const SimTime gone = start + env_.cost.wire_cost(frame.bytes.size());
+  link_free_at_ = gone;
+  frame.tx_hw_tstamp = gone;
+  fabric_.inject(dst_ip, std::move(frame), gone);
 }
 
 void Nic::on_frame(const WireFrame& frame) {

@@ -26,7 +26,8 @@
 // remap lives in net::TcpStack::extract/adopt.
 //
 // Link serialization at wire_ns_per_byte models the 25 Gbit/s line rate;
-// frames from all TX queues share the single wire (link_free_at_).
+// frames from all TX queues share the single wire (link_free_at_), booked
+// in the order the frames are ready.
 #pragma once
 
 #include <functional>
@@ -176,6 +177,9 @@ class Nic final : public net::NetIf {
   };
 
   void on_frame(const WireFrame& frame);
+  // Books the wire for a frame from its ready time (held in
+  // frame.tx_hw_tstamp) and hands it to the fabric.
+  void depart(u32 dst_ip, WireFrame frame);
   // Restores the even default spread (entry i -> i % queues); called when
   // the queue set grows so explicit remaps only exist once traffic flows.
   void reset_indirection() noexcept;

@@ -82,7 +82,7 @@ void PmDevice::throw_out_of_range() {
   throw std::out_of_range("PmDevice: access out of range");
 }
 
-void PmDevice::take_preimage(u64 line) {
+PmDevice::PreImage& PmDevice::take_preimage(u64 line, LineState& ls) {
   if (pre_count_ == pre_chunks_.size() * kPreChunk) {
     pre_chunks_.push_back(std::make_unique_for_overwrite<PreImage[]>(kPreChunk));
   }
@@ -90,8 +90,9 @@ void PmDevice::take_preimage(u64 line) {
   std::memcpy(p.bytes, mem_.data() + line * kCacheLine, kCacheLine);
   p.line = static_cast<u32>(line);
   p.pos = 0;
-  lines_[line].pre = static_cast<u32>(++pre_count_);
+  ls.pre = static_cast<u32>(++pre_count_);
   if (pre_count_ > epoch_.preimage_hwm) epoch_.preimage_hwm = pre_count_;
+  return p;
 }
 
 void PmDevice::retire_preimage(u64 line) {
@@ -171,11 +172,11 @@ void PmDevice::mark_dirty(u64 offset, u64 len) {
   for (u64 line = first; line <= last; line++) {
     LineState& ls = lines_[line];
     if ((ls.flags & kDirty) != 0) continue;
-    if (ls.pre == 0) take_preimage(line);
+    PreImage& pre = ls.pre == 0 ? take_preimage(line, ls) : slot(ls.pre - 1);
     // A new store re-dirties a clwb'd line.
     if ((ls.flags & kPending) != 0) pending_count_--;
     if (dirty_clock_ == std::numeric_limits<u32>::max()) restamp_dirty();
-    pre_of(line).pos = dirty_clock_++;
+    pre.pos = dirty_clock_++;
     ls.flags = kDirty;
     dirty_count_++;
   }

@@ -414,10 +414,13 @@ class PmDevice {
     mem_.touch(offset, len);
     for (u64 line = offset / kCacheLine; line <= (offset + len - 1) / kCacheLine;
          line++) {
-      if (lines_[line].pre == 0) take_preimage(line);
+      LineState& ls = lines_[line];
+      if (ls.pre == 0) take_preimage(line, ls);
     }
   }
-  void take_preimage(u64 line);
+  // Copies the line's durable bytes into a new pre-image slot, which
+  // `ls` (the line's state) then names; returns the slot.
+  PreImage& take_preimage(u64 line, LineState& ls);
   // The line is durable as it stands: drops its pre-image.
   void retire_preimage(u64 line);
 

@@ -13,6 +13,7 @@
 
 #include "net/gso.h"
 #include "net/tcp.h"
+#include "net/udp.h"
 #include "nic/nic.h"
 
 namespace papm::net {
@@ -881,6 +882,355 @@ TEST_F(TcpE2E, RetransmissionClonesKeepDataIntact) {
   env.engine.run_until_idle();
   EXPECT_EQ(c->state(), TcpState::established);
   EXPECT_EQ(got, data);
+}
+
+// ---------- the wire ----------
+
+// The wire is booked in the order frames are ready, not the order their
+// senders' work is processed in: a frame ready early does not wait behind
+// one that a busy core has ready only later.
+TEST(NicWire, FramesTakeTheWireInReadyOrder) {
+  sim::Env env;
+  nic::Fabric fabric(env);
+  HeapArena arena_a(env), arena_b(env);
+  PktBufPool pool_a(env, arena_a), pool_b(env, arena_b);
+  nic::Nic nic_a(env, fabric, kClientIp, pool_a);
+  nic::Nic nic_b(env, fabric, kServerIp, pool_b);
+  UdpStack udp_a(env, nic_a, pool_a, {.ip = kClientIp});
+  UdpStack udp_b(env, nic_b, pool_b, {.ip = kServerIp});
+  nic_b.set_sink([&](PktBuf* pb) { udp_b.rx(pb); });
+  std::vector<std::pair<std::string, SimTime>> got;
+  ASSERT_TRUE(udp_b
+                  .bind(kPort,
+                        [&](u32, u16, PktBuf* pb) {
+                          const auto v = pool_b.payload(*pb);
+                          got.emplace_back(std::string(v.begin(), v.end()),
+                                           env.now());
+                          pool_b.free(pb);
+                        })
+                  .ok());
+  auto send = [&](std::string_view msg) {
+    (void)udp_a.send_to(kServerIp, kPort, kPort,
+                        {reinterpret_cast<const u8*>(msg.data()), msg.size()});
+  };
+  // Two cores of one host: the first is processed first but spends 50 us
+  // before its frame is ready; the second's frame is ready at once.
+  constexpr SimTime kBusy = 50 * kNsPerUs;
+  sim::HostCpu cpu(env, 2);
+  (void)cpu.run([&] {
+    env.clock().advance(kBusy);
+    send("late");
+  });
+  (void)cpu.run([&] { send("early"); });
+  env.engine.run_until_idle();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].first, "early");
+  EXPECT_LT(got[0].second, kBusy);
+  EXPECT_EQ(got[1].first, "late");
+}
+
+// ---------- ACK policy, congestion window, RTO ----------
+
+// One TCP segment as the fabric saw it leave its sender (at the time the
+// wire was booked for it).
+struct WireSeg {
+  SimTime at;
+  u32 dst_ip;
+  TcpHeader tcp;
+  std::size_t payload;
+};
+
+// Records every TCP segment the fabric carries; `drop` (if set) eats the
+// ones it returns true for.
+struct WireLog {
+  std::vector<WireSeg> segs;
+  std::function<bool(const WireSeg&)> drop;
+
+  void attach(sim::Env& env, nic::Fabric& fabric) {
+    fabric.set_drop_hook([this, &env](u32 dst, const nic::WireFrame& f) {
+      const std::span<const u8> bytes(f.bytes);
+      const auto tcp = decode_tcp(bytes.subspan(kEthHdrLen + kIpHdrLen));
+      if (!tcp) return false;
+      const WireSeg seg{env.now(), dst, *tcp, bytes.size() - kAllHdrLen};
+      segs.push_back(seg);
+      return drop && drop(seg);
+    });
+  }
+  // Pure ACKs (no payload, no SYN/FIN/RST) towards `dst`.
+  [[nodiscard]] std::size_t pure_acks_to(u32 dst) const {
+    return static_cast<std::size_t>(
+        std::count_if(segs.begin(), segs.end(), [&](const WireSeg& s) {
+          return s.dst_ip == dst && s.payload == 0 &&
+                 s.tcp.flags == kTcpAck;
+        }));
+  }
+  [[nodiscard]] std::size_t data_segs_to(u32 dst) const {
+    return static_cast<std::size_t>(
+        std::count_if(segs.begin(), segs.end(), [&](const WireSeg& s) {
+          return s.dst_ip == dst && s.payload > 0;
+        }));
+  }
+};
+
+// A server that drains what it receives (and answers nothing), noting
+// when it last read.
+void listen_and_drain(TestHost& server, std::vector<u8>& got,
+                      SimTime* last_read_at = nullptr) {
+  sim::Env& env = server.stack.env();
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&got, &env, last_read_at](TcpConn& c) {
+                            c.on_readable = [&got, &env,
+                                             last_read_at](TcpConn& cc) {
+                              std::vector<u8> buf(8192);
+                              std::size_t n;
+                              while ((n = cc.read(buf)) > 0) {
+                                got.insert(got.end(), buf.begin(),
+                                           buf.begin() + static_cast<long>(n));
+                              }
+                              if (last_read_at != nullptr) {
+                                *last_read_at = env.now();
+                              }
+                            };
+                          })
+                  .ok());
+}
+
+// A bulk stream is ACKed every second full-sized segment, not every one
+// (RFC 1122 §4.2.3.2): the receiver sends about half as many ACKs as it
+// gets segments, and never lets more than two go unacknowledged.
+TEST_F(TcpE2E, BulkStreamAckedEverySecondFullSegment) {
+  WireLog wire;
+  wire.attach(env, fabric);
+  std::vector<u8> got;
+  listen_and_drain(server, got);
+  const auto data = rand_bytes(100 * kMss, 91);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) { (void)cc.send(data); };
+  env.engine.run_until_idle();
+  ASSERT_EQ(got, data);
+  EXPECT_EQ(c->retransmits(), 0u);
+
+  const std::size_t data_segs = wire.data_segs_to(kServerIp);
+  const std::size_t acks = wire.pure_acks_to(kClientIp);
+  EXPECT_GE(data_segs, data.size() / kMss);
+  EXPECT_LE(acks, (data_segs + 1) / 2);
+  EXPECT_GE(acks, data_segs / 2);
+  // Between two ACKs the client sent at most two full segments' worth.
+  u32 acked = 0;
+  for (const WireSeg& s : wire.segs) {
+    if (s.dst_ip != kClientIp || s.payload != 0) continue;
+    if (acked != 0) {
+      EXPECT_LE(s.tcp.ack - acked, 2 * kMss);
+    }
+    acked = s.tcp.ack;
+  }
+}
+
+// A response sent within kDelAckNs carries the request's ACK: exactly one
+// segment comes back. A request nobody answers gets exactly one pure
+// ACK, kDelAckNs after it arrived.
+TEST_F(TcpE2E, DelayedAckRidesTheResponseOrLeavesAtTheTimeout) {
+  WireLog wire;
+  wire.attach(env, fabric);
+  bool answer = true;
+  SimTime read_at = 0;
+  std::vector<u8> echo;
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&](TcpConn& cc) {
+                              echo.resize(4096);
+                              echo.resize(cc.read(echo));
+                              read_at = env.now();
+                              if (!answer || echo.empty()) return;
+                              // The answer takes half the ACK delay.
+                              env.engine.schedule_in(kDelAckNs / 2, [&] {
+                                (void)server.stack.run_cpu(
+                                    [&] { (void)cc.send(echo); });
+                              });
+                            };
+                          })
+                  .ok());
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  env.engine.run_until_idle();
+  ASSERT_EQ(c->state(), TcpState::established);
+  const auto request = rand_bytes(100, 92);
+
+  std::size_t before = wire.segs.size();
+  (void)client.stack.run_cpu([&] { (void)c->send(request); });
+  env.engine.run_until_idle();
+  std::vector<WireSeg> back;
+  for (std::size_t i = before; i < wire.segs.size(); i++) {
+    if (wire.segs[i].dst_ip == kClientIp) back.push_back(wire.segs[i]);
+  }
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].payload, request.size());
+  EXPECT_EQ(server.stack.delayed_acks(), 0u);
+
+  answer = false;
+  before = wire.segs.size();
+  (void)client.stack.run_cpu([&] { (void)c->send(request); });
+  env.engine.run_until_idle();
+  back.clear();
+  for (std::size_t i = before; i < wire.segs.size(); i++) {
+    if (wire.segs[i].dst_ip == kClientIp) back.push_back(wire.segs[i]);
+  }
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].payload, 0u);
+  EXPECT_EQ(server.stack.delayed_acks(), 1u);
+  // The timer runs from the segment's processing; the ACK then pays its
+  // send path before it is ready for the wire.
+  EXPECT_GE(back[0].at - read_at, kDelAckNs);
+  EXPECT_LT(back[0].at - read_at, kDelAckNs + 10 * kNsPerUs);
+}
+
+// Out-of-order segments are ACKed at once, so one lost segment draws
+// three duplicate ACKs and fast retransmit repairs it long before the
+// retransmit timer could.
+TEST_F(TcpE2E, OutOfOrderSegmentsAckedAtOnceForFastRetransmit) {
+  WireLog wire;
+  u32 lost_seq = 0;
+  int data_seen = 0;
+  wire.drop = [&](const WireSeg& s) {
+    if (s.dst_ip != kServerIp || s.payload == 0) return false;
+    if (++data_seen != 3) return false;
+    lost_seq = s.tcp.seq;
+    return true;
+  };
+  wire.attach(env, fabric);
+  std::vector<u8> got;
+  listen_and_drain(server, got);
+  const auto data = rand_bytes(20 * kMss, 93);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) { (void)cc.send(data); };
+  env.engine.run_until_idle();
+  ASSERT_EQ(got, data);
+  ASSERT_NE(lost_seq, 0u);
+  EXPECT_EQ(c->retransmits(), 1u);
+
+  SimTime lost_at = -1, resent_at = -1;
+  std::size_t dup_acks = 0;
+  for (const WireSeg& s : wire.segs) {
+    if (s.dst_ip == kServerIp && s.payload > 0 && s.tcp.seq == lost_seq) {
+      (lost_at < 0 ? lost_at : resent_at) = s.at;
+    }
+    if (s.dst_ip == kClientIp && s.payload == 0 && s.tcp.ack == lost_seq) {
+      dup_acks++;
+    }
+  }
+  ASSERT_GE(resent_at, 0);
+  EXPECT_GE(dup_acks, 4u);  // the ACK up to the hole, then three copies
+  EXPECT_LT(resent_at - lost_at, kMinRto / 2);
+}
+
+// A complete duplicate (a replayed frame) is ACKed at once and counted; it
+// does not wait for the delayed-ACK timer.
+TEST_F(TcpE2E, DuplicateSegmentAckedAtOnceAndCounted) {
+  WireLog wire;
+  wire.attach(env, fabric);
+  std::vector<u8> got;
+  SimTime read_at = 0;
+  listen_and_drain(server, got, &read_at);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  env.engine.run_until_idle();
+  ASSERT_EQ(c->state(), TcpState::established);
+  // From here on the switch replays every frame towards the server.
+  fabric.set_link_fault(kServerIp, {.dup_p = 1.0, .seed = 11});
+  const std::size_t before = wire.segs.size();
+  const auto request = rand_bytes(100, 94);
+  (void)client.stack.run_cpu([&] { (void)c->send(request); });
+  env.engine.run_until_idle();
+  EXPECT_EQ(got, request);
+  EXPECT_EQ(server.stack.dup_segments_rx(), 1u);
+  EXPECT_EQ(server.stack.delayed_acks(), 0u);
+  std::vector<WireSeg> back;
+  for (std::size_t i = before; i < wire.segs.size(); i++) {
+    if (wire.segs[i].dst_ip == kClientIp) back.push_back(wire.segs[i]);
+  }
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_LT(back[0].at - read_at, kDelAckNs);
+}
+
+// An ACK that covers a retransmitted segment yields no RTT sample, not
+// even from the segments behind it (Karn's rule): they waited out the
+// repair, not the path. Here the first of three segments is lost; two
+// duplicate ACKs are too few for fast retransmit, so the RTO repairs
+// it, and the one ACK for all three leaves srtt as the handshake set it.
+TEST_F(TcpE2E, AckCoveringARetransmitTakesNoRttSample) {
+  WireLog wire;
+  bool dropped = false;
+  wire.drop = [&](const WireSeg& s) {
+    if (dropped || s.dst_ip != kServerIp || s.payload == 0) return false;
+    dropped = true;
+    return true;
+  };
+  wire.attach(env, fabric);
+  std::vector<u8> got;
+  listen_and_drain(server, got);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  env.engine.run_until_idle();
+  ASSERT_EQ(c->state(), TcpState::established);
+  const SimTime srtt = c->srtt();
+  ASSERT_GT(srtt, 0);
+  const auto data = rand_bytes(3 * kMss, 97);
+  (void)client.stack.run_cpu([&] { (void)c->send(data); });
+  env.engine.run_until_idle();
+  ASSERT_TRUE(dropped);
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(c->retransmits(), 1u);
+  EXPECT_EQ(c->srtt(), srtt);
+}
+
+// Constant RTT samples drive rttvar toward zero; the RTO still keeps a
+// full kMinRto above srtt (Linux's floor), so queueing jitter of less
+// than that never fires a spurious retransmit.
+TEST_F(TcpE2E, SteadyRttKeepsRtoAboveSrttPlusFloor) {
+  int rounds = 0;
+  ASSERT_TRUE(server.stack
+                  .listen(kPort,
+                          [&](TcpConn& c) {
+                            c.on_readable = [&](TcpConn& cc) {
+                              std::vector<u8> buf(256);
+                              const auto n = cc.read(buf);
+                              if (n > 0) {
+                                (void)cc.send(std::span<const u8>(buf.data(), n));
+                              }
+                            };
+                          })
+                  .ok());
+  const auto msg = rand_bytes(64, 95);
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) { (void)cc.send(msg); };
+  c->on_readable = [&](TcpConn& cc) {
+    std::vector<u8> buf(256);
+    (void)cc.read(buf);
+    if (++rounds < 200) (void)cc.send(msg);
+  };
+  env.engine.run_until_idle();
+  ASSERT_EQ(rounds, 200);
+  ASSERT_GT(c->srtt(), 0);
+  EXPECT_GE(c->rto(), c->srtt() + kMinRto);
+  EXPECT_EQ(c->retransmits(), 0u);
+}
+
+// Slow start grows cwnd by the bytes each ACK covers (RFC 3465), so
+// ACKing every second segment grows it as fast as ACKing every one: with
+// no loss the window ends at its start plus every byte acked.
+TEST_F(TcpE2E, SlowStartGrowsCwndByBytesAcked) {
+  std::vector<u8> got;
+  listen_and_drain(server, got);
+  const auto data = rand_bytes(40 * kMss, 96);
+  u32 cwnd0 = 0;
+  TcpConn* c = client.stack.connect(kServerIp, kPort);
+  c->on_established = [&](TcpConn& cc) {
+    cwnd0 = cc.cwnd();
+    (void)cc.send(data);
+  };
+  env.engine.run_until_idle();
+  ASSERT_EQ(got, data);
+  EXPECT_EQ(c->retransmits(), 0u);
+  EXPECT_EQ(c->cwnd(), cwnd0 + data.size());
 }
 
 // ---------- PASTE: RX directly into PM ----------
